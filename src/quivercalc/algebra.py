@@ -163,6 +163,7 @@ def relation_rows(quiver, degree, hdeg, system="extended"):
     budget = _k_budget(quiver, degree, hdeg)
     n = len(quiver)
     rows = []
+    complement_bases = {}  # (comp_degree, complement hdeg) -> basis
     for i in range(n):
         for j in range(i, n):
             m_ij = quiver.matrix[i][j]
@@ -180,8 +181,11 @@ def relation_rows(quiver, degree, hdeg, system="extended"):
                     # levels (a, b) with a + b = total
                     rel_hdeg = (-2 * total - quiver.matrix[i][i]
                                 - quiver.matrix[j][j])
-                    complements = component_basis(quiver, comp_degree,
-                                                  hdeg - rel_hdeg)
+                    comp_key = (comp_degree, hdeg - rel_hdeg)
+                    complements = complement_bases.get(comp_key)
+                    if complements is None:
+                        complements = component_basis(quiver, *comp_key)
+                        complement_bases[comp_key] = complements
                     if not complements:
                         continue
                     terms = []
@@ -217,8 +221,12 @@ class AlgebraComponent:
         self.hdeg = hdeg
         rows, basis = relation_rows(quiver, self.degree, hdeg)
         self.basis = basis
+        self.index = {mon: t for t, mon in enumerate(basis)}
         self.echelon = IntegerEchelon(len(basis))
         for row in rows:
+            # at full rank every further row reduces to zero
+            if self.echelon.rank == len(basis):
+                break
             self.echelon.add_row(row)
         pivot_set = set(self.echelon.pivot_columns())
         self.quotient_basis = [mon for t, mon in enumerate(basis)
@@ -231,9 +239,8 @@ class AlgebraComponent:
         """Quotient coordinates of a linear combination of monomials, given
         as a dict monomial -> coefficient."""
         vec = [0] * len(self.basis)
-        index = {mon: t for t, mon in enumerate(self.basis)}
         for mon, c in combo.items():
-            vec[index[mon]] += c
+            vec[self.index[mon]] += c
         reduced = self.echelon.reduce_vector(vec)
         return [reduced[t] for t in self.quotient_positions]
 
@@ -410,10 +417,11 @@ class DifferentialBlock:
         if next_block.target_dim != self.source_dim:
             raise ValueError("blocks are not composable")
         for col in range(next_block.source_dim):
-            mid = [next_block.matrix[r][col] for r in range(next_block.target_dim)]
-            for r in range(self.target_dim):
-                acc = sum(self.matrix[r][k] * mid[k] for k in range(self.source_dim))
-                if acc != 0:
+            mid = [(k, next_block.matrix[k][col])
+                   for k in range(next_block.target_dim)
+                   if next_block.matrix[k][col]]
+            for row in self.matrix:
+                if sum(row[k] * x for k, x in mid) != 0:
                     return False
         return True
 

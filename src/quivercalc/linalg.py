@@ -2,32 +2,29 @@
 
 Rows are eliminated by cross-multiplication and re-scaled by their content,
 so entries stay integral; rationals appear only when reducing an external
-vector against the computed pivots.  The pivot column set is canonical (it
-depends only on the row space), which makes quotient bases deterministic."""
+vector against the computed pivots.  Pivot rows are stored sparsely, as
+{column: nonzero int} dicts, so elimination costs the nonzeros of the two
+rows involved rather than the column count.  Callers that know the column
+count can stop feeding rows once the rank reaches it: every further row
+reduces to zero.  The pivot column set is canonical (it depends only on the
+row space), which makes quotient bases deterministic."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 
 def _content_reduce(row):
     g = 0
-    for x in row:
-        if x:
-            g = gcd(g, abs(x))
-            if g == 1:
-                break
+    for x in row.values():
+        g = gcd(g, x)
+        if g == 1:
+            return row
     if g > 1:
-        return [x // g for x in row]
+        return {k: x // g for k, x in row.items()}
     return row
-
-
-def _leading(row):
-    for i, x in enumerate(row):
-        if x:
-            return i
-    return None
 
 
 class IntegerEchelon:
@@ -36,27 +33,34 @@ class IntegerEchelon:
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.pivots = {}  # leading column -> integer row
+        self.pivots = {}  # leading column -> sparse integer row
 
     def add_row(self, row):
-        """Insert one integer row; returns True when the rank grew."""
+        """Insert one integer row (a dense sequence of length ncols);
+        returns True when the rank grew."""
         if len(row) != self.ncols:
             raise ValueError("row length mismatch")
-        row = list(row)
-        while True:
-            lead = _leading(row)
-            if lead is None:
-                return False
+        row = {k: row[k] for k in compress(range(self.ncols), row)}
+        while row:
+            lead = min(row)
             pivot = self.pivots.get(lead)
             if pivot is None:
                 if row[lead] < 0:
-                    row = [-x for x in row]
+                    row = {k: -x for k, x in row.items()}
                 self.pivots[lead] = _content_reduce(row)
                 return True
             a = pivot[lead]
             b = row[lead]
-            row = [a * r - b * p for r, p in zip(row, pivot)]
+            if a != 1:
+                row = {k: a * x for k, x in row.items()}
+            for k, p in pivot.items():
+                x = row.get(k, 0) - b * p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
             row = _content_reduce(row)
+        return False
 
     @property
     def rank(self):
@@ -77,15 +81,9 @@ class IntegerEchelon:
             if c:
                 pivot = self.pivots[col]
                 factor = Fraction(c, pivot[col])
-                vec = [v - factor * p for v, p in zip(vec, pivot)]
+                for k, p in pivot.items():
+                    vec[k] -= factor * p
         return vec
-
-
-def echelon_of_rows(rows, ncols):
-    ech = IntegerEchelon(ncols)
-    for row in rows:
-        ech.add_row(row)
-    return ech
 
 
 def rank_of_rows(rows, ncols):

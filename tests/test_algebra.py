@@ -1,10 +1,13 @@
 """Quadratic algebra components: bases, relations, dimensions, identities."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from quivercalc.algebra import (
+    AlgebraComponent,
     _loop_weight,
     algebra_component,
     component_basis,
@@ -212,6 +215,103 @@ def test_integer_echelon_pivot_canonicity():
         assert e1.pivot_columns() == e2.pivot_columns()
         assert e1.rank == e2.rank
 
+
+def _dense_reference_echelon(rows):
+    """Dense fraction-free elimination with content reduction: the oracle
+    for the sparse engine.  Returns {leading column: dense pivot row}."""
+    pivots = {}
+    for row in rows:
+        row = list(row)
+        while any(row):
+            lead = next(i for i, x in enumerate(row) if x)
+            if lead not in pivots:
+                if row[lead] < 0:
+                    row = [-x for x in row]
+                g = math.gcd(*row)
+                pivots[lead] = [x // g for x in row]
+                break
+            a, b = pivots[lead][lead], row[lead]
+            row = [a * r - b * p for r, p in zip(row, pivots[lead])]
+    return pivots
+
+
+def _dense_reference_reduce(pivots, vec):
+    vec = list(vec)
+    for col in sorted(pivots):
+        if vec[col]:
+            factor = Fraction(vec[col], pivots[col][col])
+            vec = [v - factor * p for v, p in zip(vec, pivots[col])]
+    return vec
+
+
+def test_integer_echelon_matches_dense_reference():
+    rng = random.Random(20261018)
+    full_rank_cases = 0
+    for trial in range(300):
+        ncols = rng.randint(1, 8)
+        nrows = rng.randint(0, 10)
+        rows = []
+        for _ in range(nrows):
+            kind = rng.random()
+            if kind < 0.1:
+                rows.append([0] * ncols)
+            elif kind < 0.2 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                # mostly-zero rows with entries of both signs, so leading
+                # entries are often negative
+                rows.append([rng.choice((0, 0, 0, rng.randint(-9, 9)))
+                             for _ in range(ncols)])
+        if trial % 10 == 0:
+            # a square full-rank block fed first, then dependent rows
+            rows = [[int(i == j) * rng.choice((-3, -1, 2)) + int(j > i)
+                     for j in range(ncols)] for i in range(ncols)] + rows
+        ech = IntegerEchelon(ncols)
+        grew = [ech.add_row(row) for row in rows]
+        ref = _dense_reference_echelon(rows)
+        assert ech.rank == len(ref) == sum(grew)
+        assert ech.pivot_columns() == sorted(ref)
+        # same content-reduced pivot rows, stored by their nonzero entries
+        assert ech.pivots == {col: {k: x for k, x in enumerate(row) if x}
+                              for col, row in ref.items()}
+        full_rank_cases += ech.rank == ncols
+        for _ in range(3):
+            vec = [rng.randint(-5, 5) for _ in range(ncols)]
+            assert ech.reduce_vector(vec) == _dense_reference_reduce(ref, vec)
+    assert full_rank_cases >= 30
+
+
+def test_integer_echelon_length_mismatch():
+    ech = IntegerEchelon(3)
+    with pytest.raises(ValueError):
+        ech.add_row([1, 2])
+    with pytest.raises(ValueError):
+        ech.add_row([1, 2, 3, 4])
+    ech.add_row([1, 2, 3])
+    with pytest.raises(ValueError):
+        ech.reduce_vector([1, 2])
+    with pytest.raises(ValueError):
+        ech.reduce_vector([])
+
+
+def test_full_rank_component_stops_feeding_rows(monkeypatch):
+    degree = (3, 3)
+    h = hdeg_of(M2, degree, 6)
+    rows, basis = relation_rows(M2, degree, h)
+    assert len(rows) > len(basis) > 0
+    calls = []
+    original = IntegerEchelon.add_row
+
+    def counting_add_row(self, row):
+        calls.append(1)
+        return original(self, row)
+
+    monkeypatch.setattr(IntegerEchelon, "add_row", counting_add_row)
+    comp = AlgebraComponent(M2, degree, h)
+    assert comp.dim == functional_dimension(M2, degree, h) == 0
+    assert comp.quotient_basis == []
+    assert comp.reduce({basis[0]: 1, basis[-1]: -2}) == []
+    assert len(calls) < len(rows)
 
 # -- series-level identities -----------------------------------------------------------
 
