@@ -7,7 +7,8 @@ no timing data) so identical invocations produce byte-identical output.
 Exit status: 0 on success / verified pass, 1 on a verified failure (an
 identity check with mismatches, or DT extraction that stays unstable after
 one automatic window widening), 2 on usage or input errors (missing or
-malformed files, unknown vertex labels, empty windows)."""
+malformed files, unknown vertex labels, empty windows, orders or guards
+below their minimum)."""
 
 from __future__ import annotations
 
@@ -279,11 +280,12 @@ def cmd_verify(args, out):
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(sub, order=True, window=True, config=False):
+def _add_common(sub, order=True, window=True, config=False, min_order=0):
     sub.add_argument("quiver", help="path to a quiver JSON file")
     if order:
         sub.add_argument("--order", type=int, default=3,
                          help="total x-degree truncation (default 3)")
+        sub.set_defaults(minimums={"order": min_order})
     if window:
         sub.add_argument("--qmin", type=int, default=None,
                          help="window lower bound, in half-integer q powers")
@@ -315,7 +317,7 @@ def build_parser():
     _add_common(sub)
     sub.add_argument("--guard", type=int, default=5,
                      help="stabilization guard band (default 5)")
-    sub.set_defaults(handler=cmd_dt)
+    sub.set_defaults(handler=cmd_dt, minimums={"order": 0, "guard": 1})
 
     for name, handler in (("link", cmd_link), ("unlink", cmd_unlink)):
         sub = subs.add_parser(name, help=f"{name} a vertex pair")
@@ -329,7 +331,7 @@ def build_parser():
 
     sub = subs.add_parser("diagonalize",
                           help="unlink repeatedly and report diagonal factors")
-    _add_common(sub, window=False, config=True)
+    _add_common(sub, window=False, config=True, min_order=1)
     sub.add_argument("-o", "--outfile", default=None,
                      help="write the diagonal quiver JSON here")
     sub.set_defaults(handler=cmd_diagonalize)
@@ -371,6 +373,11 @@ def main(argv=None, out=None, err=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # numeric arguments with a lower bound, declared per subcommand
+        for name, low in getattr(args, "minimums", {}).items():
+            value = getattr(args, name)
+            if value < low:
+                _fail(f"--{name} must be >= {low}, got {value}")
         return args.handler(args, out)
     except InputError as exc:
         err.write(f"error: {exc}\n")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .quiver import Quiver, euler_form, one_vertex, unlink
 from .quiver import link as link_quiver
@@ -148,22 +148,21 @@ def _verify_substitution_identity(kind, quiver, a, b, order, window,
     started = time.perf_counter()
     if kind == "linking":
         transformed = link_quiver(quiver, a, b)
-        qpow = conventions.link_qpow
+        mono = link_substitution(quiver, a, b, conventions)
     else:
         transformed = unlink(quiver, a, b)
-        qpow = conventions.unlink_qpow
+        mono = unlink_substitution(quiver, a, b, conventions)
     if window is None:
         window = default_window(order, max(quiver.max_loops(), transformed.max_loops()))
     new_label = transformed.vertices[-1]
-    expo = tuple(1 if v in (a, b) else 0 for v in quiver.vertices)
     lhs = motivic_series(quiver, order, window)
     rhs_full = motivic_series(transformed, order, window)
 
     def substituted(power):
-        mono = VertexMonomial(expo, power)
-        return rhs_full.substitute(new_label, mono, quiver.vertices, out_cap=order)
+        return rhs_full.substitute(new_label, replace(mono, qpow=power),
+                                   quiver.vertices, out_cap=order)
 
-    mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(substituted(qpow))]
+    mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(substituted(mono.qpow))]
     details = {"transformed_quiver": transformed.to_json(), "new_vertex": new_label}
     if calibrate:
         scan = {}

@@ -13,14 +13,28 @@ coefficients above hi are unknown, never silently assumed to vanish.  Every
 operation derives the widest output window it can justify from the operand
 windows and their lowest nonzero exponents, so a coefficient is never
 reported outside the range on which it is provably correct.
+
+Every product, of two Laurent series or of two multivariate series, runs
+through one kernel, ``_convolve``.  Pairs of long coefficients are multiplied
+by Kronecker substitution (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", JSC 2009): each coefficient is packed
+once per call into one Python int of fixed-width biased digits, each pair
+costs one big-int product, the products landing on one output degree are
+added in packed form and unpacked once.  Short pairs (monomials, binomials)
+take the schoolbook loop.  Fraction coefficients are scaled to integers by
+the lcm of their denominators and divided back once per output coefficient.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from math import gcd, lcm
+from operator import add
 
 
 class SeriesError(ValueError):
@@ -66,10 +80,20 @@ class TruncatedLaurent:
             if not lo <= e <= hi:
                 raise ValueError(
                     f"coefficient exponent {e} lies outside window [{lo}, {hi}]")
-            clean[e] = _intify(c)
+            clean[e] = c if type(c) is int else _intify(c)
         self.coeffs = clean
         self.lo = lo
         self.hi = hi
+
+    @classmethod
+    def _trusted(cls, coeffs, lo, hi):
+        """Wrap coefficients already known to be nonzero, reduced (ints where
+        integral) and inside [lo, hi], without the constructor's checks."""
+        self = cls.__new__(cls)
+        self.coeffs = coeffs
+        self.lo = lo
+        self.hi = hi
+        return self
 
     @classmethod
     def zero(cls, lo, hi):
@@ -127,25 +151,7 @@ class TruncatedLaurent:
         min(hi_a + val_b, hi_b + val_a), where an all-zero operand counts as
         having valuation just above its own window.  hi_cap trims the output
         window further (a pure optimization for deep truncations)."""
-        lo = self.lo + other.lo
-        va = self.valuation()
-        vb = other.valuation()
-        va = self.hi + 1 if va is None else va
-        vb = other.hi + 1 if vb is None else vb
-        hi = min(self.hi + vb, other.hi + va)
-        if hi_cap is not None:
-            hi = min(hi, hi_cap)
-        if hi < lo:
-            raise TruncationUnderflow(f"laurent_mul: empty output window [{lo}, {hi}]")
-        acc = {}
-        exps_b = sorted(other.coeffs)
-        cb = other.coeffs
-        for ea, ca in self.coeffs.items():
-            limit = bisect_right(exps_b, hi - ea)
-            for eb in exps_b[:limit]:
-                e = ea + eb
-                acc[e] = acc.get(e, 0) + ca * cb[eb]
-        return TruncatedLaurent(acc, lo, hi)
+        return _convolve((((), self),), (((), other),), 0, hi_cap)[()]
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedLaurent):
@@ -259,6 +265,206 @@ class TruncatedLaurent:
             "window": [self.lo, self.hi],
             "coefficients": {str(e): exact_str(c) for e, c in sorted(self.coeffs.items())},
         }
+
+
+# -- the product kernel --------------------------------------------------------
+
+# A pair whose two operands both have at least this many nonzero coefficients
+# is multiplied by Kronecker substitution.  Below it (monomials, binomials,
+# the products with 1 in a diagonalization) packing and unpacking cost more
+# than the schoolbook loop they replace.  Measured on dt and diagonalization
+# requests: 8 and 12 tie on dt, where 16 is up to a quarter slower; 12 and 16
+# tie on diagonalization, where 8 is slower on some quivers.
+_PACK_MIN_TERMS = 12
+
+
+def _operands(pairs, cap):
+    """(multidegree, total degree, coeffs, lo, hi, valuation) of every
+    (multidegree, TruncatedLaurent) pair with total degree <= cap.  An
+    all-zero series counts as having valuation just above its window."""
+    out = []
+    for d, s in pairs:
+        total = sum(d)
+        if total <= cap:
+            c = s.coeffs
+            out.append((d, total, c, s.lo, s.hi, min(c) if c else s.hi + 1))
+    return out
+
+
+def _common_denominator(operands):
+    """The lcm of the denominators of all coefficients of the operands."""
+    den = 1
+    for _, _, coeffs, _, _, _ in operands:
+        if set(map(type, coeffs.values())) != {int}:
+            for c in coeffs.values():
+                den = lcm(den, c.denominator)
+    return den
+
+
+def _pack(coeffs, val, den, step, wb, bias):
+    """Kronecker form of den * coeffs: the sum of den * c * 2^(8 wb k) over
+    the exponents e = val + step k.  Each digit goes in biased by `bias`,
+    which makes it nonnegative; the summed bias comes off at the end."""
+    zero = bias.to_bytes(wb, "little")
+    digits = [zero] * ((max(coeffs) - val) // step + 1)
+    for e, c in coeffs.items():
+        if den != 1:
+            c = c.numerator * (den // c.denominator)
+        digits[(e - val) // step] = (c + bias).to_bytes(wb, "little")
+    return (int.from_bytes(b"".join(digits), "little")
+            - int.from_bytes(zero * len(digits), "little"))
+
+
+def _unpack(acc, base, hi, step, wb, bias, den, coeffs):
+    """Store the nonzero digits of a packed sum, which sit at exponents
+    base + step k, into coeffs up to exponent hi, divided by den.  Digits
+    above hi are cut off first: with the bias added, the digits below the
+    cut are exact whatever lies above it."""
+    n = (hi - base) // step + 1
+    if n <= 0:
+        return
+    zero = bias.to_bytes(wb, "little")
+    low = (acc + int.from_bytes(zero * n, "little")) & ((1 << (8 * wb * n)) - 1)
+    # a Struct of its own: struct.unpack would keep every format in its cache
+    raw = struct.Struct(f"{wb}s" * n).unpack(low.to_bytes(wb * n, "little"))
+    digits = map(int.from_bytes, raw, repeat("little"))
+    exps = range(base, base + step * n, step)
+    if den == 1:
+        coeffs.update((e, c - bias) for e, c in zip(exps, digits) if c != bias)
+    else:
+        coeffs.update((e, _div(c - bias, den)) for e, c in zip(exps, digits) if c != bias)
+
+
+def _convolve(left, right, cap, hi_cap):
+    """The one series product: for every multidegree d of total degree <= cap,
+    the sum over d1 + d2 = d of left[d1] * right[d2], where left and right
+    are (multidegree, TruncatedLaurent) pairs; returns a dict d ->
+    TruncatedLaurent.
+
+    Each pair's window is lo = lo1 + lo2, hi = min(hi1 + v2, hi2 + v1, hi_cap)
+    (v the valuation), and a sum takes the lowest lo and the lowest hi, as
+    TruncatedLaurent.__add__ does.
+
+    A pair with two long operands is multiplied packed (Kronecker
+    substitution): one big-int product.  Packed products landing on the same
+    degree are added in packed form, shifted against the lowest product
+    valuation of that degree, and unpacked once.  Exponents are packed in
+    steps of the gcd of all exponent gaps of the long operands (2 when every
+    coefficient lives on one parity, as in motivic series), so products of
+    one degree whose valuations differ modulo that step add up separately.
+    A digit of a packed sum adds up at most min(#long rows, #long cols)
+    pairs of at most min(span) products each, every product bounded by
+    max|a| * max|b|; that bound plus a sign bit is the digit width of the
+    whole call.  Other pairs run the schoolbook loop."""
+    rows = _operands(left, cap)
+    cols = _operands(right, cap)
+    long_rows = [op for op in rows if len(op[2]) >= _PACK_MIN_TERMS]
+    long_cols = [op for op in cols if len(op[2]) >= _PACK_MIN_TERMS]
+    packing = bool(long_rows and long_cols)
+    den_rows = den_cols = step = wb = bias = 1
+    if packing:
+        den_rows = _common_denominator(long_rows)
+        den_cols = _common_denominator(long_cols)
+        step = 0
+        for _, _, coeffs, _, _, val in long_rows + long_cols:
+            step = gcd(step, *map(val.__rsub__, coeffs))
+        spans = [max((max(coeffs) - val) // step + 1 for _, _, coeffs, _, _, val in ops)
+                 for ops in (long_rows, long_cols)]
+        tops = [int(den * max(max(map(abs, op[2].values())) for op in ops))
+                for den, ops in ((den_rows, long_rows), (den_cols, long_cols))]
+        bound = min(len(long_rows), len(long_cols)) * min(spans) * tops[0] * tops[1]
+        wb = (bound.bit_length() + 8) // 8  # one spare bit for the sign
+        bias = 1 << (8 * wb - 1)
+    shift = 8 * wb
+    # column data made on first use: id(coeffs) -> Kronecker form, and
+    # id(coeffs) -> sorted exponents for the schoolbook loop
+    packed_cols = {}
+    sorted_cols = {}
+    windows = {}  # d -> [lo, hi, schoolbook sum or None]
+    sums = {}  # (d, valuation mod step) -> [lowest valuation, packed sum]
+    for d1, t1, ca, lo1, hi1, v1 in rows:
+        budget = cap - t1
+        long_a = packing and len(ca) >= _PACK_MIN_TERMS
+        # a row's packed form and sorted exponents live for its row only
+        packed_a = sorted_a = None
+        for d2, t2, cb, lo2, hi2, v2 in cols:
+            if t2 > budget:
+                continue
+            d = tuple(map(add, d1, d2))
+            lo = lo1 + lo2
+            hi = min(hi1 + v2, hi2 + v1)
+            if hi_cap is not None and hi_cap < hi:
+                hi = hi_cap
+            if hi < lo:
+                raise TruncationUnderflow(f"laurent_mul: empty output window [{lo}, {hi}]")
+            slot = windows.get(d)
+            if slot is None:
+                slot = windows[d] = [lo, hi, None]
+            else:
+                if lo < slot[0]:
+                    slot[0] = lo
+                if hi < slot[1]:
+                    slot[1] = hi
+            if long_a and len(cb) >= _PACK_MIN_TERMS:
+                if packed_a is None:
+                    packed_a = _pack(ca, v1, den_rows, step, wb, bias)
+                packed_b = packed_cols.get(id(cb))
+                if packed_b is None:
+                    packed_b = packed_cols[id(cb)] = _pack(cb, v2, den_cols, step, wb, bias)
+                v = v1 + v2
+                key = (d, v % step)
+                acc = sums.get(key)
+                if acc is None:
+                    sums[key] = [v, packed_a * packed_b]
+                elif v >= acc[0]:
+                    acc[1] += (packed_a * packed_b) << (shift * ((v - acc[0]) // step))
+                else:
+                    acc[1] = ((acc[1] << (shift * ((acc[0] - v) // step)))
+                              + packed_a * packed_b)
+                    acc[0] = v
+            elif ca and cb:
+                small = slot[2]
+                if small is None:
+                    small = slot[2] = {}
+                # the shorter operand runs the outer loop
+                if len(ca) <= len(cb):
+                    outer, inner = ca, cb
+                    exps = sorted_cols.get(id(cb))
+                    if exps is None:
+                        exps = sorted_cols[id(cb)] = sorted(cb)
+                else:
+                    outer, inner = cb, ca
+                    if sorted_a is None:
+                        sorted_a = sorted(ca)
+                    exps = sorted_a
+                for eo, co in outer.items():
+                    for ei in exps[:bisect_right(exps, hi - eo)]:
+                        e = eo + ei
+                        small[e] = small.get(e, 0) + co * inner[ei]
+    packed_sums = {}
+    for (d, _), acc in sums.items():
+        packed_sums.setdefault(d, []).append(acc)
+    sums.clear()
+    den = den_rows * den_cols
+    out = {}
+    for d in list(windows):
+        lo, hi, small = windows.pop(d)
+        coeffs = {}
+        if packed_sums:
+            for base, acc in packed_sums.pop(d, ()):
+                _unpack(acc, base, hi, step, wb, bias, den, coeffs)
+        if not small:
+            # unpacked digits are nonzero, reduced and inside [lo, hi]
+            out[d] = TruncatedLaurent._trusted(coeffs, lo, hi)
+            continue
+        if coeffs:
+            for e, c in small.items():
+                if e <= hi:
+                    coeffs[e] = coeffs.get(e, 0) + c
+        else:
+            coeffs = {e: c for e, c in small.items() if e <= hi}
+        out[d] = TruncatedLaurent(coeffs, lo, hi)
+    return out
 
 
 @dataclass(frozen=True)
@@ -392,20 +598,8 @@ class MultiSeries:
         cap = min(self.cap, other.cap)
         window = (min(self.window[0], other.window[0]),
                   min(self.window[1], other.window[1]))
-        items2 = [(d, sum(d), c) for d, c in other.terms.items()]
-        acc = {}
-        for d1, c1 in self.terms.items():
-            t1 = sum(d1)
-            if t1 > cap:
-                continue
-            budget = cap - t1
-            for d2, t2, c2 in items2:
-                if t2 > budget:
-                    continue
-                d = tuple(a + b for a, b in zip(d1, d2))
-                p = c1.mul(c2, hi_cap)
-                acc[d] = acc[d] + p if d in acc else p
-        return MultiSeries(self.vertices, cap, window, acc)
+        return MultiSeries(self.vertices, cap, window,
+                           _convolve(self.terms.items(), other.terms.items(), cap, hi_cap))
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
@@ -558,7 +752,7 @@ def substitute_variable(series, vertex, monomial, out_vertices, out_cap=None):
     return series.substitute(vertex, monomial, out_vertices, out_cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _restricted_partition_counts(max_part, jmax):
     """Number of partitions of j into parts <= max_part, for j = 0..jmax."""
     dp = [0] * (jmax + 1)
@@ -637,7 +831,7 @@ def pleth_exp(series):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _mobius(n):
     if n == 1:
         return 1
@@ -661,15 +855,18 @@ def pleth_log(series):
     _require_constant_one(series, "pleth_log")
     cap = series.cap
     u = _drop_constant(series)
-    # ordinary log(1 + u) = sum (-1)^(k+1) u^k / k
+    # log(1 + u) = sum (-1)^(k+1) u^k / k, then Log = sum mu(n)/n psi_n(log);
+    # both sums run on integer scalars D/k and D/n with D = lcm(1..cap), and
+    # the one division by D^2 comes last
+    den = lcm(*range(1, cap + 1))
     log = MultiSeries.zero(series.vertices, cap, series.window)
     power = None
     for k in range(1, cap + 1):
         power = u if power is None else power * u
-        log = log + power.scale(Fraction((-1) ** (k + 1), k))
+        log = log + power.scale((-1) ** (k + 1) * (den // k))
     out = MultiSeries.zero(series.vertices, cap, series.window)
     for n in range(1, cap + 1):
         mu = _mobius(n)
         if mu:
-            out = out + log.psi(n).scale(Fraction(mu, n))
-    return out
+            out = out + log.psi(n).scale(mu * (den // n))
+    return out.scale(Fraction(1, den * den))

@@ -93,6 +93,24 @@ def test_usage_error_exits_two(tmp_path):
     assert code == 2
 
 
+def test_negative_series_order_exits_two(tmp_path):
+    code, out, err = run_cli("series", write_a2(tmp_path), "--order", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --order must be >= 0, got -1\n"
+
+
+def test_zero_dt_guard_exits_two(tmp_path):
+    code, out, err = run_cli("dt", write_a2(tmp_path), "--guard", "0", "--output", "json")
+    assert (code, out) == (2, "")
+    assert err == "error: --guard must be >= 1, got 0\n"
+
+
+def test_zero_diagonalize_order_exits_two(tmp_path):
+    code, out, err = run_cli("diagonalize", write_a2(tmp_path), "--order", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --order must be >= 1, got 0\n"
+
+
 def test_unlink_without_edge_exits_two(tmp_path):
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({"vertices": ["a", "b"], "matrix": [[0, 0], [0, 0]]}))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quivercalc.series import (
+    _PACK_MIN_TERMS,
     MultiSeries,
     NotInvertible,
     TruncatedLaurent,
@@ -397,3 +398,197 @@ def test_iter_multidegrees_graded_lex():
     degs = list(iter_multidegrees(2, 2))
     assert degs == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert list(iter_multidegrees(0, 3)) == [()]
+
+
+# -- the product kernel against a schoolbook reference ----------------------------
+
+def ref_laurent_mul(a, b, hi_cap=None):
+    """Schoolbook product with the window rule of TruncatedLaurent.mul."""
+    va = min(a.coeffs, default=a.hi + 1)
+    vb = min(b.coeffs, default=b.hi + 1)
+    lo, hi = a.lo + b.lo, min(a.hi + vb, b.hi + va)
+    if hi_cap is not None:
+        hi = min(hi, hi_cap)
+    if hi < lo:
+        raise TruncationUnderflow(f"reference: empty window [{lo}, {hi}]")
+    acc = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            if ea + eb <= hi:
+                acc[ea + eb] = acc.get(ea + eb, 0) + ca * cb
+    return TruncatedLaurent(acc, lo, hi)
+
+
+def ref_series_mul(x, y, hi_cap=None):
+    """Pairwise reference products, summed with TruncatedLaurent.__add__."""
+    cap = min(x.cap, y.cap)
+    window = (min(x.window[0], y.window[0]), min(x.window[1], y.window[1]))
+    acc = {}
+    for d1, c1 in x.terms.items():
+        for d2, c2 in y.terms.items():
+            d = tuple(p + q for p, q in zip(d1, d2))
+            if sum(d) <= cap:
+                prod = ref_laurent_mul(c1, c2, hi_cap)
+                acc[d] = acc[d] + prod if d in acc else prod
+    return MultiSeries(x.vertices, cap, window, acc)
+
+
+def exact_terms(s):
+    """Window plus (exponent, value, type) triples: ints must stay ints."""
+    return (s.lo, s.hi, sorted((e, c, type(c).__name__) for e, c in s.coeffs.items()))
+
+
+def same_series(x, y):
+    return ((x.vertices, x.cap, x.window) == (y.vertices, y.cap, y.window)
+            and sorted(x.terms) == sorted(y.terms)
+            and all(exact_terms(x.terms[d]) == exact_terms(y.terms[d]) for d in x.terms))
+
+
+def rand_coefficient(rng, kind):
+    if kind == "big":
+        return rng.choice((-1, 1)) * rng.randint(2 ** 64, 2 ** 70)
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-5, 5)
+
+
+def rand_operand(rng, lo_range=(-30, 10), max_span=90):
+    """A TruncatedLaurent with 0 to ~max_span nonzero coefficients, on every
+    exponent or on one residue class (steps 2 and 3), with small, negative,
+    above-2^64 or Fraction coefficients, or all zero on its window."""
+    lo = rng.randint(*lo_range)
+    hi = lo + rng.randint(0, max_span)
+    kind = rng.choice(("small", "small", "big", "fraction"))
+    step = rng.choice((1, 2, 2, 3))
+    start = lo + rng.randint(0, 3)
+    exps = list(range(start, hi + 1, step))
+    shape = rng.random()
+    if shape < 0.1:
+        exps = []  # all zero, window kept
+    elif shape < 0.4:
+        # on both sides of the packing threshold
+        near = rng.randint(_PACK_MIN_TERMS - 3, _PACK_MIN_TERMS + 3)
+        exps = rng.sample(exps, min(len(exps), near))
+    elif shape < 0.5:
+        exps = exps[:rng.randint(1, 3)]  # monomials and binomials
+    coeffs = {e: rand_coefficient(rng, kind) for e in exps}
+    return TruncatedLaurent(coeffs, lo, hi)
+
+
+def product_or_error(mul, *args):
+    try:
+        return mul(*args)
+    except TruncationUnderflow:
+        return "underflow"
+
+
+def test_laurent_mul_matches_schoolbook_reference():
+    rng = random.Random(8191)
+    underflows = packed = 0
+    for _ in range(400):
+        a = rand_operand(rng)
+        b = rand_operand(rng)
+        hi_cap = rng.choice((None, None, rng.randint(-60, 120)))
+        want = product_or_error(ref_laurent_mul, a, b, hi_cap)
+        got = product_or_error(TruncatedLaurent.mul, a, b, hi_cap)
+        if want == "underflow":
+            underflows += 1
+            assert got == "underflow"
+        else:
+            assert exact_terms(got) == exact_terms(want)
+        packed += min(len(a.coeffs), len(b.coeffs)) >= _PACK_MIN_TERMS
+    assert underflows > 10 and packed > 50
+
+
+def test_laurent_mul_wide_valuation_spread():
+    # operands far apart in valuation, one far outside the other's window
+    rng = random.Random(12)
+    for _ in range(40):
+        a = rand_operand(rng, lo_range=(-400, -300))
+        b = rand_operand(rng, lo_range=(300, 400))
+        assert exact_terms(a.mul(b)) == exact_terms(ref_laurent_mul(a, b))
+        cap = b.lo + a.lo + 40
+        assert exact_terms(b.mul(a, cap)) == exact_terms(ref_laurent_mul(b, a, cap))
+
+
+def rand_operand_series(rng, vertices=("a", "b"), cap=3):
+    terms = {}
+    for d in iter_multidegrees(len(vertices), cap):
+        if rng.random() < 0.8:
+            terms[d] = rand_operand(rng, lo_range=(-20, 0), max_span=60)
+    return MultiSeries(vertices, cap, (-20, 60), terms)
+
+
+def test_series_mul_matches_schoolbook_reference():
+    rng = random.Random(4093)
+    underflows = 0
+    for _ in range(80):
+        x = rand_operand_series(rng)
+        y = rand_operand_series(rng, cap=rng.randint(1, 3))
+        hi_cap = rng.choice((None, None, rng.randint(-40, 80)))
+        want = product_or_error(ref_series_mul, x, y, hi_cap)
+        got = product_or_error(MultiSeries.mul, x, y, hi_cap)
+        if want == "underflow":
+            underflows += 1
+            assert got == "underflow"
+        else:
+            assert same_series(got, want)
+    assert 0 < underflows < 40
+
+
+def test_series_mul_mixed_residues_in_one_degree():
+    # products landing on one degree with valuations of both parities add up
+    # in separate packed sums
+    even = TruncatedLaurent({e: e + 1 for e in range(0, 60, 2)}, 0, 60)
+    odd = TruncatedLaurent({e: -e for e in range(1, 61, 2)}, 0, 61)
+    x = MultiSeries(("a", "b"), 2, (0, 60), {(1, 0): even, (0, 1): odd})
+    y = MultiSeries(("a", "b"), 2, (0, 60), {(0, 1): even, (1, 0): even})
+    assert same_series(x.mul(y), ref_series_mul(x, y))
+
+
+def test_series_mul_one_parity_many_valuations():
+    # every exponent even, as in motivic series: packed in steps of 2, with
+    # several products of one degree at different valuations
+    rng = random.Random(65537)
+    for _ in range(10):
+        terms = {}
+        for d in iter_multidegrees(2, 3):
+            lo = 2 * rng.randint(-10, 5)
+            exps = range(lo + 2 * rng.randint(0, 6), lo + 80, 2)
+            terms[d] = TruncatedLaurent({e: rng.randint(-50, 50) for e in exps}, lo, lo + 80)
+        x = MultiSeries(("a", "b"), 3, (-20, 60), terms)
+        hi_cap = rng.choice((None, 40))
+        assert same_series(x.mul(x, hi_cap), ref_series_mul(x, x, hi_cap))
+
+
+def ref_pleth_log(series):
+    """The power-sum Log with Fraction scalars at every step."""
+    def mobius(n):
+        primes = [p for p in range(2, n + 1) if n % p == 0
+                  and all(p % q for q in range(2, p))]
+        if any(n % (p * p) == 0 for p in primes):
+            return 0
+        return (-1) ** len(primes)
+
+    cap = series.cap
+    zero_deg = (0,) * len(series.vertices)
+    u = MultiSeries(series.vertices, cap, series.window,
+                    {d: c for d, c in series.terms.items() if d != zero_deg})
+    log = MultiSeries.zero(series.vertices, cap, series.window)
+    power = None
+    for k in range(1, cap + 1):
+        power = u if power is None else ref_series_mul(power, u)
+        log = log + power.scale(Fraction((-1) ** (k + 1), k))
+    out = MultiSeries.zero(series.vertices, cap, series.window)
+    for n in range(1, cap + 1):
+        if mobius(n):
+            out = out + log.psi(n).scale(Fraction(mobius(n), n))
+    return out
+
+
+def test_pleth_log_matches_power_sum_reference():
+    rng = random.Random(2718)
+    for _ in range(12):
+        s = rand_operand_series(rng, cap=rng.randint(1, 4))
+        s.terms[(0, 0)] = TruncatedLaurent.one(*s.window)
+        assert same_series(pleth_log(s), ref_pleth_log(s))
