@@ -5,8 +5,7 @@ with explicit truncation windows."""
 
 from .series import (MultiSeries, NotInvertible, SeriesError, TruncatedLaurent,
                      TruncationUnderflow, VertexMonomial, iter_multidegrees,
-                     laurent_inverse, laurent_mul, pleth_exp, pleth_log,
-                     pleth_psi, pochhammer_inv, series_mul, substitute_variable)
+                     pleth_exp, pleth_log, pochhammer_inv)
 from .quiver import (Quiver, QuiverFormatError, disjoint_union, euler_form,
                      link, one_vertex, unlink)
 from .motivic import (Conventions, DEFAULT_CONVENTIONS, DiagonalFactor,
@@ -23,8 +22,7 @@ from .report import VerificationReport
 __all__ = [
     "MultiSeries", "NotInvertible", "SeriesError", "TruncatedLaurent",
     "TruncationUnderflow", "VertexMonomial", "iter_multidegrees",
-    "laurent_inverse", "laurent_mul", "pleth_exp", "pleth_log", "pleth_psi",
-    "pochhammer_inv", "series_mul", "substitute_variable",
+    "pleth_exp", "pleth_log", "pochhammer_inv",
     "Quiver", "QuiverFormatError", "disjoint_union", "euler_form", "link",
     "one_vertex", "unlink",
     "Conventions", "DEFAULT_CONVENTIONS", "DiagonalFactor",

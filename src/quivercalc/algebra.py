@@ -245,18 +245,15 @@ class AlgebraComponent:
         return [reduced[t] for t in self.quotient_positions]
 
 
-_component_cache = {}
+@lru_cache(maxsize=2048)
+def _cached_component(quiver, degree, hdeg):
+    return AlgebraComponent(quiver, degree, hdeg)
 
 
 def algebra_component(quiver, degree, hdeg):
-    """Cached component constructor; safe for concurrent readers because a
-    racing build just produces an identical immutable value."""
-    key = (quiver, tuple(degree), hdeg)
-    got = _component_cache.get(key)
-    if got is None:
-        got = AlgebraComponent(quiver, degree, hdeg)
-        _component_cache.setdefault(key, got)
-    return got
+    """Component constructor behind a bounded cache of the most recently
+    used 2048 components."""
+    return _cached_component(quiver, tuple(degree), hdeg)
 
 
 def component_dimension(quiver, degree, hdeg):
@@ -264,7 +261,7 @@ def component_dimension(quiver, degree, hdeg):
     return algebra_component(quiver, degree, hdeg).dim
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _partition_product_coeffs(parts, top):
     """Coefficients of prod over r in parts of 1/(1-t^r) through t^top."""
     dp = [0] * (top + 1)
@@ -362,10 +359,7 @@ def gr_linking_check(quiver, a, b, bound, s_max=8, spot_degree=2, spot_s=3):
             rhs = 0
             contributions = []
             for j in range(min(d[ia], d[ib]) + 1):
-                dd = list(d)
-                dd[ia] -= j
-                dd[ib] -= j
-                dprime = tuple(dd) + (j,)
+                dprime = _uncollapsed_degree(d, ia, ib, j)
                 f = functional_dimension(linked, dprime, h)
                 rhs += f
                 if f:
@@ -426,7 +420,9 @@ class DifferentialBlock:
         return True
 
 
-def _uncollapsed_degree(nvars, degree, ia, ib, c):
+def _uncollapsed_degree(degree, ia, ib, c):
+    """The vector with c at the fresh vertex that collapses onto `degree`
+    under alpha_new -> alpha_a + alpha_b."""
     dd = list(degree)
     dd[ia] -= c
     dd[ib] -= c
@@ -458,15 +454,14 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
     unlinked = unlink(quiver, a, b)
     star = len(unlinked) - 1
     parities = tuple(generator_parity(unlinked, v) for v in range(len(unlinked)))
-    nvars = len(quiver)
-    src_degree = _uncollapsed_degree(nvars, degree, ia, ib, c)
+    src_degree = _uncollapsed_degree(degree, ia, ib, c)
     source = algebra_component(unlinked, src_degree, big_h - c)
     source_key = {"degree": list(degree), "H": big_h, "c": c}
     target_key = {"degree": list(degree), "H": big_h, "c": c - 1}
     if c == 0:
         return DifferentialBlock(source_key, target_key,
                                  [], source.dim, 0)
-    tgt_degree = _uncollapsed_degree(nvars, degree, ia, ib, c - 1)
+    tgt_degree = _uncollapsed_degree(degree, ia, ib, c - 1)
     target = algebra_component(unlinked, tgt_degree, big_h - c + 1)
     p = m_ab - 1
     columns = []

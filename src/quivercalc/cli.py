@@ -5,10 +5,11 @@ either human-readable text or canonical JSON (sorted keys, two-space indent,
 no timing data) so identical invocations produce byte-identical output.
 
 Exit status: 0 on success / verified pass, 1 on a verified failure (an
-identity check with mismatches, or DT extraction that stays unstable after
+identity check with mismatches, a linking or unlinking check whose window
+holds no nonzero coefficient, or DT extraction that stays unstable after
 one automatic window widening), 2 on usage or input errors (missing or
-malformed files, unknown vertex labels, empty windows, orders or guards
-below their minimum)."""
+malformed files, unknown vertex labels, empty windows, orders, guards or
+level-weight bounds below their minimum)."""
 
 from __future__ import annotations
 
@@ -343,7 +344,7 @@ def build_parser():
                      help="dimension vector, comma separated (e.g. 1,1)")
     sub.add_argument("--smax", type=int, default=8,
                      help="largest total level weight to tabulate (default 8)")
-    sub.set_defaults(handler=cmd_algebra_dims)
+    sub.set_defaults(handler=cmd_algebra_dims, minimums={"smax": 0})
 
     sub = subs.add_parser("verify", help="run an exact identity check")
     sub.add_argument("target", choices=("linking", "unlinking", "diagonalization",
@@ -362,7 +363,7 @@ def build_parser():
     sub.add_argument("--output", choices=("text", "json"), default="text")
     sub.add_argument("--config", default=None,
                      help="JSON file overriding substitution conventions")
-    sub.set_defaults(handler=cmd_verify)
+    sub.set_defaults(handler=cmd_verify, minimums={"order": 0, "smax": 0})
 
     return parser
 

@@ -123,12 +123,34 @@ def euler_form(quiver, d, e):
     return total
 
 
-def fresh_label(quiver, base):
-    """Smallest '<base>#<n>' (n >= 1) not already a vertex label."""
+def fresh_label(labels, base):
+    """Smallest '<base>#<n>' (n >= 1) not in `labels` (any container)."""
     n = 1
-    while f"{base}#{n}" in quiver.vertices:
+    while f"{base}#{n}" in labels:
         n += 1
     return f"{base}#{n}"
+
+
+def add_fresh_vertex(m, ia, ib, unlinking):
+    """The linking/unlinking update, in place on a list-of-lists matrix: add
+    one arrow between a and b (remove one when unlinking) and append a fresh
+    vertex wired, with m[a][b] taken before the change and e = 1 when
+    unlinking (0 when linking), as
+
+      m[i][new] = m[i][a] + m[i][b]               for i not in {a, b}
+      m[a][new] = m[a][a] + m[a][b] - e,   m[b][new] = m[b][b] + m[a][b] - e
+      m[new][new] = m[a][a] + m[b][b] + 2 m[a][b] - e
+    """
+    e = 1 if unlinking else 0
+    row = [r[ia] + r[ib] for r in m]
+    loop = row[ia] + row[ib] - e
+    row[ia] -= e
+    row[ib] -= e
+    m[ia][ib] += 1 - 2 * e
+    m[ib][ia] = m[ia][ib]
+    for r, entry in zip(m, row):
+        r.append(entry)
+    m.append(row + [loop])
 
 
 def _pair_indices(quiver, a, b, op):
@@ -140,55 +162,25 @@ def _pair_indices(quiver, a, b, op):
 
 
 def link(quiver, a, b):
-    """Add one arrow between a and b and a fresh vertex wired so the motivic
-    series is preserved under the linking substitution.
-
-    New vertex row: m[i][new] = m[i][a] + m[i][b] for every existing vertex i
-    (including a and b); loop count m[new][new] = m[a][a] + m[b][b] + 2 m[a][b]."""
+    """Add one arrow between a and b and a fresh vertex '<a>+<b>#<n>' wired
+    so the motivic series is preserved under the linking substitution (see
+    add_fresh_vertex)."""
     ia, ib = _pair_indices(quiver, a, b, "link")
     m = [list(row) for row in quiver.matrix]
-    n = len(m)
-    loop = m[ia][ia] + m[ib][ib] + 2 * m[ia][ib]
-    new_row = [m[i][ia] + m[i][ib] for i in range(n)]
-    m[ia][ib] += 1
-    m[ib][ia] += 1
-    for i in range(n):
-        m[i].append(new_row[i])
-    m.append(new_row + [loop])
-    label = fresh_label(quiver, f"{a}+{b}")
+    add_fresh_vertex(m, ia, ib, unlinking=False)
+    label = fresh_label(quiver.vertices, f"{a}+{b}")
     return Quiver(quiver.vertices + (label,), tuple(tuple(row) for row in m))
 
 
 def unlink(quiver, a, b):
     """Remove one arrow between a and b (requires at least one) and add a
-    fresh vertex absorbing it:
-
-      m[a][new] = m[a][a] + m[a][b] - 1
-      m[b][new] = m[b][b] + m[a][b] - 1
-      m[i][new] = m[i][a] + m[i][b]            for other vertices i
-      m[new][new] = m[a][a] + m[b][b] + 2 m[a][b] - 1
-    """
+    fresh vertex '<a>*<b>#<n>' absorbing it (see add_fresh_vertex)."""
     ia, ib = _pair_indices(quiver, a, b, "unlink")
     if quiver.matrix[ia][ib] < 1:
         raise ValueError(f"unlink requires at least one arrow between {a!r} and {b!r}")
     m = [list(row) for row in quiver.matrix]
-    n = len(m)
-    mab = m[ia][ib]
-    loop = m[ia][ia] + m[ib][ib] + 2 * mab - 1
-    new_row = []
-    for i in range(n):
-        if i == ia:
-            new_row.append(m[ia][ia] + mab - 1)
-        elif i == ib:
-            new_row.append(m[ib][ib] + mab - 1)
-        else:
-            new_row.append(m[i][ia] + m[i][ib])
-    m[ia][ib] -= 1
-    m[ib][ia] -= 1
-    for i in range(n):
-        m[i].append(new_row[i])
-    m.append(new_row + [loop])
-    label = fresh_label(quiver, f"{a}*{b}")
+    add_fresh_vertex(m, ia, ib, unlinking=True)
+    label = fresh_label(quiver.vertices, f"{a}*{b}")
     return Quiver(quiver.vertices + (label,), tuple(tuple(row) for row in m))
 
 

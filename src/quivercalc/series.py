@@ -737,20 +737,7 @@ class MultiSeries:
         }
 
 
-# -- named operations ---------------------------------------------------------
-
-def laurent_mul(a, b):
-    return a.mul(b)
-
-def laurent_inverse(a):
-    return a.inverse()
-
-def series_mul(a, b):
-    return a.mul(b)
-
-def substitute_variable(series, vertex, monomial, out_vertices, out_cap=None):
-    return series.substitute(vertex, monomial, out_vertices, out_cap)
-
+# -- q-Pochhammer expansion ---------------------------------------------------
 
 @lru_cache(maxsize=256)
 def _restricted_partition_counts(max_part, jmax):
@@ -807,10 +794,6 @@ def _drop_constant(series):
     zero_deg = (0,) * len(series.vertices)
     terms = {d: c for d, c in series.terms.items() if d != zero_deg}
     return MultiSeries(series.vertices, series.cap, series.window, terms)
-
-
-def pleth_psi(series, n):
-    return series.psi(n)
 
 
 def pleth_exp(series):

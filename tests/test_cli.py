@@ -111,6 +111,43 @@ def test_zero_diagonalize_order_exits_two(tmp_path):
     assert err == "error: --order must be >= 1, got 0\n"
 
 
+def test_negative_verify_order_and_smax_exit_two(tmp_path):
+    a2 = write_a2(tmp_path)
+    code, out, err = run_cli("verify", "gr", a2, "a", "b", "--order", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --order must be >= 0, got -1\n"
+    code, out, err = run_cli("verify", "homology", a2, "a", "b", "--smax", "-3")
+    assert (code, out) == (2, "")
+    assert err == "error: --smax must be >= 0, got -3\n"
+
+
+def test_negative_algebra_dims_smax_exits_two(tmp_path):
+    code, out, err = run_cli("algebra-dims", write_a2(tmp_path), "--degree", "1,1",
+                             "--smax", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --smax must be >= 0, got -1\n"
+
+
+def test_empty_window_identity_is_inconclusive(tmp_path):
+    # the window lies below all support, so both sides are zero there
+    a2 = write_a2(tmp_path)
+    config = tmp_path / "printed.json"
+    config.write_text(json.dumps({"preset": "printed"}))
+    for argv in (("verify", "unlinking", a2, "a", "b", "--qmin", "-200",
+                  "--qmax", "-190", "--config", str(config), "--output", "json"),
+                 ("verify", "linking", a2, "a", "b", "--qmin", "-200",
+                  "--qmax", "-190", "--output", "json")):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (1, ""), argv
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert [m["kind"] for m in payload["mismatches"]] == ["inconclusive"]
+    # the constant term alone still gives a verdict
+    code, out, _ = run_cli("verify", "unlinking", a2, "a", "b", "--qmin", "-4",
+                           "--qmax", "0")
+    assert code == 0 and "PASS" in out
+
+
 def test_unlink_without_edge_exits_two(tmp_path):
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({"vertices": ["a", "b"], "matrix": [[0, 0], [0, 0]]}))

@@ -1,5 +1,8 @@
 """Motivic generating series, substitution identities, diagonalization."""
 
+import hashlib
+import json
+
 import pytest
 
 from quivercalc.motivic import (
@@ -17,7 +20,6 @@ from quivercalc.motivic import (
     verify_unlink_identity,
 )
 from quivercalc.quiver import Quiver, one_vertex
-from quivercalc.series import laurent_mul
 
 A2 = Quiver(("a", "b"), ((0, 1), (1, 0)))
 M2 = Quiver(("a", "b"), ((0, 2), (2, 0)))
@@ -191,6 +193,24 @@ def test_diagonalize_m2_round_one():
 def test_diagonalize_requires_round():
     with pytest.raises(ValueError):
         diagonalize(A2, 0)
+
+
+# SHA-256 of the canonical diagonalization JSON; a change in pair order,
+# pruning, labels or loop counts shows here.  (quiver, order, pruned, factors)
+DIAGONALIZATION_DIGESTS = (
+    (A2, 7, 0, 3, "f80d57e038be18a9f683bcb6c76a2d97781d44ea7b8d6c9279c096e91acc1d1b"),
+    (M2, 7, 64923, 108, "06207a829c15c607a0b7131950b52a8c8a92d375c15806f08060f6dd0dfd3c02"),
+    (M2L, 5, 13338, 54, "f2316ff12f5f96ee437ef633953ab38e342b4335054228a5bef7e072c20efd44"),
+    (MIX3, 5, 50552, 112, "ad3577e2809cd79b4a386449fcc91be0ffa82eabcf92ac7dc0fac9e8df3b1f0b"),
+)
+
+
+def test_diagonalize_golden_digests():
+    for quiver, order, pruned, factors, digest in DIAGONALIZATION_DIGESTS:
+        result = diagonalize(quiver, order)
+        assert (result.pruned_count, len(result.factors)) == (pruned, factors)
+        text = json.dumps(result.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, quiver.vertices
 
 
 def test_verify_diagonalization_fleet():

@@ -172,7 +172,7 @@ def test_transforms_stay_symmetric_nonnegative():
 
 def test_fresh_label_collision():
     q = Quiver(("a", "b", "a+b#1"), ((0, 1, 0), (1, 0, 0), (0, 0, 0)))
-    assert fresh_label(q, "a+b") == "a+b#2"
+    assert fresh_label(q.vertices, "a+b") == "a+b#2"
     linked = link(q, "a", "b")
     assert linked.vertices[-1] == "a+b#2"
 
