@@ -24,7 +24,7 @@ from math import comb, perm
 
 from .linalg import IntegerEchelon, rank_of_rows
 from .quiver import link, unlink
-from .report import VerificationReport, degree_mismatch
+from .report import VerificationReport, degree_mismatch, inconclusive_mismatches
 from .series import MultiSeries, TruncatedLaurent, iter_multidegrees
 from .motivic import default_window, motivic_series
 
@@ -61,14 +61,16 @@ def normalize_word(word, parities):
     return sign, tuple(word)
 
 
-def _loop_weight(quiver, degree):
+def loop_weight(quiver, degree):
+    """m.d = sum_i m_ii d_i: a component of degree d sits at homological
+    degree -m.d - 2s, s its total k-weight."""
     return sum(quiver.matrix[i][i] * degree[i] for i in range(len(quiver)))
 
 
 def _k_budget(quiver, degree, hdeg):
     """Total k-weight forced by (degree, hdeg), or None when the component
     is empty for parity/positivity reasons."""
-    s2 = -hdeg - _loop_weight(quiver, degree)
+    s2 = -hdeg - loop_weight(quiver, degree)
     if s2 < 0 or s2 % 2:
         return None
     return s2 // 2
@@ -314,18 +316,20 @@ def poincare_check(quiver, order, window=None):
     n = len(quiver)
     terms = {}
     for d in iter_multidegrees(n, order):
-        base = sum(d) + _loop_weight(quiver, d)
-        sign = -1 if _loop_weight(quiver, d) % 2 else 1
+        weight = loop_weight(quiver, d)
+        base = sum(d) + weight
+        sign = -1 if weight % 2 else 1
         coeffs = {}
         s = 0
         while base + 2 * s <= whi:
-            f = functional_dimension(quiver, d, -_loop_weight(quiver, d) - 2 * s)
+            f = functional_dimension(quiver, d, -weight - 2 * s)
             if f:
                 coeffs[base + 2 * s] = sign * f
             s += 1
         terms[d] = TruncatedLaurent(coeffs, min(wlo, base), whi)
     rhs = MultiSeries(quiver.vertices, order, window, terms)
-    mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(rhs)]
+    mismatches = ([degree_mismatch(*m) for m in lhs.first_mismatches(rhs)]
+                  + inconclusive_mismatches(lhs, window))
     return VerificationReport(
         name="poincare-series-identity",
         parameters={"quiver": quiver.to_json(), "order": order,
@@ -354,7 +358,7 @@ def gr_linking_check(quiver, a, b, bound, s_max=8, spot_degree=2, spot_s=3):
     spot_checked = 0
     for d in iter_multidegrees(n, bound):
         for s in range(s_max + 1):
-            h = -_loop_weight(quiver, d) - 2 * s
+            h = -loop_weight(quiver, d) - 2 * s
             lhs = functional_dimension(quiver, d, h)
             rhs = 0
             contributions = []
@@ -512,7 +516,7 @@ def homology_check(quiver, a, b, bound, s_max=8):
     for d in iter_multidegrees(n, bound):
         cmax = min(d[ia], d[ib])
         for s in range(s_max + 1):
-            big_h = -_loop_weight(quiver, d) - 2 * s
+            big_h = -loop_weight(quiver, d) - 2 * s
             blocks = [unlink_differential(quiver, a, b, d, big_h, c)
                       for c in range(cmax + 1)]
             dims = [b_.source_dim for b_ in blocks]

@@ -5,11 +5,11 @@ either human-readable text or canonical JSON (sorted keys, two-space indent,
 no timing data) so identical invocations produce byte-identical output.
 
 Exit status: 0 on success / verified pass, 1 on a verified failure (an
-identity check with mismatches, a linking or unlinking check whose window
-holds no nonzero coefficient, or DT extraction that stays unstable after
-one automatic window widening), 2 on usage or input errors (missing or
-malformed files, unknown vertex labels, empty windows, orders, guards or
-level-weight bounds below their minimum)."""
+identity check with mismatches, a linking, unlinking, diagonalization or
+Poincare check whose window holds no nonzero coefficient, or DT extraction
+that stays unstable after one automatic window widening), 2 on usage or
+input errors (missing or malformed files, unknown vertex labels, empty
+windows, orders, guards or level-weight bounds below their minimum)."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ import json
 import sys
 
 from .algebra import (component_dimension, functional_dimension,
-                      gr_linking_check, homology_check, poincare_check,
-                      _loop_weight)
+                      gr_linking_check, homology_check, loop_weight,
+                      poincare_check)
 from .dt import dt_extract
 from .motivic import (Conventions, DEFAULT_CONVENTIONS, default_window,
                       diagonalize, motivic_series, verify_diagonalization,
@@ -222,7 +222,7 @@ def cmd_algebra_dims(args, out):
     if len(degree) != len(quiver) or any(x < 0 for x in degree):
         _fail(f"--degree needs {len(quiver)} nonnegative entries, got {args.degree!r}")
     rows = []
-    base = _loop_weight(quiver, degree)
+    base = loop_weight(quiver, degree)
     for s in range(args.smax + 1):
         h = -base - 2 * s
         rows.append({"hdeg": h, "k_weight": s,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from .quiver import (Quiver, add_fresh_vertex, euler_form, fresh_label,
                      one_vertex, unlink)
 from .quiver import link as link_quiver
-from .report import VerificationReport, degree_mismatch
+from .report import VerificationReport, degree_mismatch, inconclusive_mismatches
 from .series import (MultiSeries, TruncatedLaurent, VertexMonomial,
                      iter_multidegrees, pochhammer_inv)
 
@@ -105,7 +105,7 @@ def motivic_series(quiver, order, window):
             # requested window; record an all-zero stub there
             terms[d] = TruncatedLaurent({}, wlo, whi)
             continue
-        coeff = TruncatedLaurent.one(lo, hi)
+        coeff = None
         for di in d:
             if di == 0:
                 continue
@@ -114,7 +114,13 @@ def motivic_series(quiver, order, window):
             if poch is None:
                 poch = pochhammer_inv(di, lo, hi)
                 poch_cache[key] = poch
-            coeff = coeff.mul(poch, hi_cap=hi)
+            if coeff is None:
+                # the window of 1 * poch, without the product
+                coeff = TruncatedLaurent(poch.coeffs, 2 * lo, hi)
+            else:
+                coeff = coeff.mul(poch, hi_cap=hi)
+        if coeff is None:
+            coeff = TruncatedLaurent.one(lo, hi)
         if chi % 2:
             coeff = coeff.scale(-1)
         terms[d] = coeff.shift(-chi)
@@ -164,24 +170,20 @@ def _verify_substitution_identity(kind, quiver, a, b, order, window,
         return rhs_full.substitute(new_label, replace(mono, qpow=power),
                                    quiver.vertices, out_cap=order)
 
+    inconclusive = inconclusive_mismatches(lhs, window)
     mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(substituted(mono.qpow))]
-    if all(term.is_zero() for term in lhs.terms.values()):
-        # a window below all support compares zeros with zeros
-        mismatches.append({
-            "kind": "inconclusive",
-            "reason": f"left-hand series is zero on window [{window[0]}, {window[1]}]; "
-                      "nothing was compared"})
     details = {"transformed_quiver": transformed.to_json(), "new_vertex": new_label}
     if calibrate:
-        scan = {}
-        for power in range(-2, 3):
-            scan[str(power)] = not lhs.first_mismatches(substituted(power), limit=1)
-        details["calibration"] = scan
+        # a constant holds only where something nonzero was compared
+        details["calibration"] = {
+            str(power): not inconclusive
+            and not lhs.first_mismatches(substituted(power), limit=1)
+            for power in range(-2, 3)}
     return VerificationReport(
         name=f"{kind}-identity",
         parameters={"quiver": quiver.to_json(), "pair": [a, b], "order": order,
                     "window": [window[0], window[1]]},
-        mismatches=mismatches,
+        mismatches=mismatches + inconclusive,
         conventions=conventions.to_json(),
         details=details,
         seconds=time.perf_counter() - started,
@@ -288,28 +290,50 @@ def diagonalize(quiver, rounds, conventions=DEFAULT_CONVENTIONS):
     return DiagonalizationResult(rounds, factors, pruned, quiver.vertices)
 
 
+def _factor_product(factors, vertices, rounds, window):
+    """1 on `window` times every factor's one-vertex series at its monomial,
+    through x-degree `rounds`, with one multivariate product per distinct
+    monomial: factors sharing it are multiplied in v first.  Substituting
+    v -> q^(qpow/2) x^m sends each v-degree to its own x-degree with a fixed
+    t-shift, so every product window carries through unchanged."""
+    slack = max((abs(f.monomial.qpow) for f in factors), default=0) * rounds
+    factor_window = (window[0] - slack, window[1] + slack)
+    groups = {}
+    for factor in factors:
+        groups.setdefault(factor.monomial, []).append(factor.loop_count)
+    singles = {}
+    rhs = MultiSeries.one(vertices, rounds, window)
+    for mono, loop_counts in groups.items():
+        sub_order = rounds // mono.total_degree()
+        product = None
+        for loops in loop_counts:
+            single = singles.get((loops, sub_order))
+            if single is None:
+                single = singles[loops, sub_order] = motivic_series(
+                    one_vertex(loops), sub_order, factor_window)
+            product = single if product is None else product * single
+        rhs = rhs * product.substitute("v", mono, vertices, out_cap=rounds)
+    return rhs
+
+
 def verify_diagonalization(quiver, rounds, window=None,
                            conventions=DEFAULT_CONVENTIONS):
     """Check that A_Q agrees through x-degree `rounds` with the product of
-    one-loop-vertex series evaluated at the tracked factor monomials."""
+    one-loop-vertex series evaluated at the tracked factor monomials, one
+    multivariate product per distinct monomial.  A left-hand side that is
+    zero on the window makes the check inconclusive."""
     started = time.perf_counter()
     result = diagonalize(quiver, rounds, conventions)
     if window is None:
         loops = max([quiver.max_loops()] + [f.loop_count for f in result.factors])
         window = default_window(rounds, loops)
-    slack = max((abs(f.monomial.qpow) for f in result.factors), default=0) * rounds
-    factor_window = (window[0] - slack, window[1] + slack)
     lhs = motivic_series(quiver, rounds, window)
-    rhs = MultiSeries.one(quiver.vertices, rounds, window)
-    for factor in result.factors:
-        deg = factor.monomial.total_degree()
-        sub_order = rounds // deg
-        single = motivic_series(one_vertex(factor.loop_count), sub_order,
-                                factor_window)
-        substituted = single.substitute("v", factor.monomial, quiver.vertices,
-                                        out_cap=rounds)
-        rhs = rhs * substituted
-    mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(rhs)]
+    mismatches = inconclusive_mismatches(lhs, window)
+    if not mismatches:
+        # the left-hand side is zero only on windows below t^0, where 1
+        # itself cannot be stored, so the right-hand side waits until here
+        rhs = _factor_product(result.factors, quiver.vertices, rounds, window)
+        mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(rhs)]
     return VerificationReport(
         name="diagonalization-identity",
         parameters={"quiver": quiver.to_json(), "order": rounds,

@@ -47,3 +47,14 @@ class VerificationReport:
 def degree_mismatch(degree, lhs, rhs):
     """Serialize one disagreeing multidegree coefficient pair."""
     return {"degree": list(degree), "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+
+
+def inconclusive_mismatches(lhs, window):
+    """One inconclusive mismatch when the left-hand series has no nonzero
+    coefficient on the window (a window below all support compares zeros
+    with zeros), else none."""
+    if not all(term.is_zero() for term in lhs.terms.values()):
+        return []
+    return [{"kind": "inconclusive",
+             "reason": f"left-hand series is zero on window [{window[0]}, {window[1]}]; "
+                       "nothing was compared"}]

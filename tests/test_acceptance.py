@@ -12,11 +12,11 @@ import test_algebra
 import test_series
 
 from quivercalc.algebra import (
-    _loop_weight,
     component_dimension,
     functional_dimension,
     gr_linking_check,
     homology_check,
+    loop_weight,
     poincare_check,
     unlink_differential,
 )
@@ -126,7 +126,7 @@ def test_criterion_06_dimension_oracle_equivalence():
     checked = 0
     for quiver in FULL_FLEET:
         for degree in iter_multidegrees(len(quiver), 3):
-            base = _loop_weight(quiver, degree)
+            base = loop_weight(quiver, degree)
             for s in range(9):
                 h = -base - 2 * s
                 assert (component_dimension(quiver, degree, h)
@@ -166,7 +166,7 @@ def test_criterion_09_differential_and_homology():
     for quiver, want in ((A2, 8), (M2, 4)):
         nontrivial = 0
         for s in range(9):
-            big_h = -_loop_weight(quiver, (2, 2)) - 2 * s
+            big_h = -loop_weight(quiver, (2, 2)) - 2 * s
             blocks = [unlink_differential(quiver, "a", "b", (2, 2), big_h, c)
                       for c in range(3)]
             assert blocks[1].compose_is_zero(blocks[2])

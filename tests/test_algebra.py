@@ -8,12 +8,12 @@ import pytest
 
 from quivercalc.algebra import (
     AlgebraComponent,
-    _loop_weight,
     algebra_component,
     component_basis,
     component_dimension,
     functional_dimension,
     gr_linking_check,
+    loop_weight,
     normalize_word,
     poincare_check,
     relation_rows,
@@ -30,7 +30,7 @@ FLEET = tuple(one_vertex(k) for k in range(4)) + (A2, M2, M2L, MIX3)
 
 
 def hdeg_of(quiver, degree, s):
-    return -_loop_weight(quiver, degree) - 2 * s
+    return -loop_weight(quiver, degree) - 2 * s
 
 
 # -- monomial normalization --------------------------------------------------------

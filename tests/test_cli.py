@@ -148,6 +148,21 @@ def test_empty_window_identity_is_inconclusive(tmp_path):
     assert code == 0 and "PASS" in out
 
 
+def test_poincare_below_support_is_inconclusive(tmp_path):
+    # every term of A_Q sits at t^(d.M.d + |d|) >= 0, so --qmax < 0 compares nothing
+    code, out, err = run_cli("verify", "poincare", write_a2(tmp_path), "--qmin", "-200",
+                             "--qmax", "-190", "--output", "json")
+    assert (code, err) == (1, "")
+    assert [m["kind"] for m in json.loads(out)["mismatches"]] == ["inconclusive"]
+
+
+def test_diagonalization_below_support_is_inconclusive(tmp_path):
+    code, out, err = run_cli("verify", "diagonalization", write_a2(tmp_path), "--qmin",
+                             "-200", "--qmax", "-190", "--output", "json")
+    assert (code, err) == (1, "")
+    assert [m["kind"] for m in json.loads(out)["mismatches"]] == ["inconclusive"]
+
+
 def test_unlink_without_edge_exits_two(tmp_path):
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({"vertices": ["a", "b"], "matrix": [[0, 0], [0, 0]]}))

@@ -3,9 +3,9 @@
 import pytest
 
 from quivercalc.algebra import (
-    _loop_weight,
     component_dimension,
     homology_check,
+    loop_weight,
     unlink_differential,
 )
 from quivercalc.quiver import Quiver, one_vertex
@@ -57,7 +57,7 @@ def test_composition_is_zero_where_nontrivial():
     for quiver in (A2, M2):
         nontrivial = 0
         for s in range(9):
-            big_h = -_loop_weight(quiver, (2, 2)) - 2 * s
+            big_h = -loop_weight(quiver, (2, 2)) - 2 * s
             blocks = [unlink_differential(quiver, "a", "b", (2, 2), big_h, c)
                       for c in range(3)]
             assert blocks[1].compose_is_zero(blocks[2])

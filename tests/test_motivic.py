@@ -19,7 +19,10 @@ from quivercalc.motivic import (
     verify_link_identity,
     verify_unlink_identity,
 )
+from quivercalc.motivic import DiagonalFactor, _factor_product
 from quivercalc.quiver import Quiver, one_vertex
+from quivercalc.quiver import euler_form
+from quivercalc.series import MultiSeries, TruncatedLaurent, VertexMonomial, pochhammer_inv
 
 A2 = Quiver(("a", "b"), ((0, 1), (1, 0)))
 M2 = Quiver(("a", "b"), ((0, 2), (2, 0)))
@@ -233,3 +236,128 @@ def test_diagonalization_monomials_multiply_out():
     for f in result.factors:
         assert f.monomial.total_degree() >= 1
         assert f.monomial.total_degree() <= 3
+
+
+# -- the diagonalization product -------------------------------------------------
+
+def ref_factor_fold(factors, vertices, rounds, window):
+    """One multivariate product per factor, each one-vertex series built anew."""
+    slack = max((abs(f.monomial.qpow) for f in factors), default=0) * rounds
+    factor_window = (window[0] - slack, window[1] + slack)
+    rhs = MultiSeries.one(vertices, rounds, window)
+    for factor in factors:
+        sub_order = rounds // factor.monomial.total_degree()
+        single = motivic_series(one_vertex(factor.loop_count), sub_order, factor_window)
+        rhs = rhs * single.substitute("v", factor.monomial, vertices, out_cap=rounds)
+    return rhs
+
+
+def diagonalization_window(quiver, rounds, result, window):
+    if window is not None:
+        return window
+    loops = max([quiver.max_loops()] + [f.loop_count for f in result.factors])
+    return default_window(rounds, loops)
+
+
+def test_factor_product_matches_per_factor_fold():
+    for q in FLEET:
+        for rounds in (1, 2, 3, 4):
+            for qpow in (-1, 0, 1):
+                result = diagonalize(q, rounds, Conventions(unlink_qpow=qpow))
+                for window in (None, (-10, 10), (5, 30)):
+                    window = diagonalization_window(q, rounds, result, window)
+                    args = (result.factors, q.vertices, rounds, window)
+                    got = _factor_product(*args)
+                    want = ref_factor_fold(*args)
+                    assert (got.cap, got.window) == (want.cap, want.window)
+                    assert got.terms.keys() == want.terms.keys()
+                    for d, coeff in want.terms.items():
+                        # TruncatedLaurent equality compares the (lo, hi) window too
+                        assert got.terms[d] == coeff, (q.vertices, rounds, qpow, window, d)
+
+
+def test_factor_product_builds_each_order_of_a_loop_count():
+    # loop count 1 comes first at degree 2 (order 2), then at degree 1 (order 4)
+    factors = (DiagonalFactor("ab", 1, VertexMonomial((1, 1), 0)),
+               DiagonalFactor("a", 1, VertexMonomial((1, 0), 0)),
+               DiagonalFactor("b", 0, VertexMonomial((0, 1), 1)))
+    args = (factors, A2.vertices, 4, (-10, 10))
+    assert _factor_product(*args).terms == ref_factor_fold(*args).terms
+
+
+def test_factor_product_multiplies_once_per_monomial(monkeypatch):
+    calls = {"mul": 0, "substitute": 0}
+    mul, substitute = MultiSeries.mul, MultiSeries.substitute
+
+    def counting_mul(self, other, hi_cap=None):
+        if self.vertices == MIX3.vertices:
+            calls["mul"] += 1
+        return mul(self, other, hi_cap)
+
+    def counting_substitute(self, *args, **kwargs):
+        calls["substitute"] += 1
+        return substitute(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiSeries, "mul", counting_mul)
+    monkeypatch.setattr(MultiSeries, "substitute", counting_substitute)
+    result = diagonalize(MIX3, 4)
+    distinct = len({f.monomial for f in result.factors})
+    assert distinct < len(result.factors)
+    _factor_product(result.factors, MIX3.vertices, 4, (-10, 10))
+    assert calls == {"mul": distinct, "substitute": distinct}
+
+
+# SHA-256 of the canonical verify_diagonalization JSON, mismatch payloads and
+# their windows included.  (quiver, order, conventions, window, passed)
+VERIFY_DIAGONALIZATION_DIGESTS = (
+    (M2, 5, PRINTED, None, False,
+     "413bc397e4c8a1108e0cf9608e3b6e9925bbaca75399ca287911dc51c513a0c4"),
+    (MIX3, 4, PRINTED, None, False,
+     "ff133bde79564f2cea01f190496176e7f7c7c0c83086bdc10bb3d48e745a42d3"),
+    (M2L, 5, PRINTED, (-10, 10), False,
+     "bd6d3d8669f94bc470dc32fb337cff0ca5938ea2a5e03c1a316fc34083ad7d09"),
+    (A2, 6, CALIBRATED, (5, 30), True,
+     "68acfbbfd1e9fb7686a31188366a9a580e6ceb74332b3b691a3ab97f670504b9"),
+    (M2, 6, CALIBRATED, None, True,
+     "2723c5a3cb29acc6ae4956a379cf58fa7b66e826613173d4c560c48bc0d5c909"),
+)
+
+
+def test_verify_diagonalization_golden_digests():
+    for quiver, rounds, constants, window, passed, digest in VERIFY_DIAGONALIZATION_DIGESTS:
+        report = verify_diagonalization(quiver, rounds, window, Conventions(**constants))
+        assert report.passed is passed
+        text = json.dumps(report.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (quiver.vertices, rounds)
+
+
+def test_calibration_on_zero_lhs_accepts_nothing():
+    for verify in (verify_link_identity, verify_unlink_identity):
+        report = verify(A2, "a", "b", 3, (-200, -190), calibrate=True)
+        assert [m["kind"] for m in report.mismatches] == ["inconclusive"]
+        assert set(report.details["calibration"].values()) == {False}
+
+
+def ref_motivic_series(quiver, order, window):
+    """Every degree's coefficient as a product starting from 1."""
+    terms = {}
+    for d, got in motivic_series(quiver, order, window).terms.items():
+        chi = euler_form(quiver, d, d)
+        hi = window[1] + chi
+        lo = min(window[0] + chi, 0)
+        if hi < 0:
+            continue
+        coeff = TruncatedLaurent.one(lo, hi)
+        for di in d:
+            if di:
+                coeff = coeff.mul(pochhammer_inv(di, lo, hi), hi_cap=hi)
+        terms[d] = coeff.scale(-1 if chi % 2 else 1).shift(-chi)
+    return terms
+
+
+def test_motivic_series_first_factor_window():
+    for q in FLEET + (one_vertex(2),):
+        for window in ((-12, 20), (3, 9), (-30, 2), (0, 0)):
+            got = motivic_series(q, 4, window)
+            for d, coeff in ref_motivic_series(q, 4, window).items():
+                assert got.terms[d] == coeff, (q.vertices, window, d)
