@@ -2,12 +2,15 @@
 
 Rows are eliminated by cross-multiplication and re-scaled by their content,
 so entries stay integral; rationals appear only when reducing an external
-vector against the computed pivots.  Pivot rows are stored sparsely, as
-{column: nonzero int} dicts, so elimination costs the nonzeros of the two
-rows involved rather than the column count.  Callers that know the column
-count can stop feeding rows once the rank reaches it: every further row
-reduces to zero.  The pivot column set is canonical (it depends only on the
-row space), which makes quotient bases deterministic."""
+vector against the computed pivots.  Rows are fed as sparse
+{column: nonzero int} dicts (dense sequences are accepted and converted),
+and pivot rows are stored the same way, so elimination costs the nonzeros
+of the two rows involved rather than the column count.  Callers that know
+the column count can stop feeding rows once the rank reaches it: every
+further row reduces to zero.  Feeding the sparsest rows first keeps
+fill-in low.  The pivot column set is canonical (it depends only on the
+row space, not on the feed order), which makes quotient bases
+deterministic."""
 
 from __future__ import annotations
 
@@ -36,11 +39,13 @@ class IntegerEchelon:
         self.pivots = {}  # leading column -> sparse integer row
 
     def add_row(self, row):
-        """Insert one integer row (a dense sequence of length ncols);
-        returns True when the rank grew."""
-        if len(row) != self.ncols:
-            raise ValueError("row length mismatch")
-        row = {k: row[k] for k in compress(range(self.ncols), row)}
+        """Insert one integer row, either a sparse {column: nonzero int} dict,
+        which the echelon takes over and may keep or modify, or a dense
+        sequence of length ncols; returns True when the rank grew."""
+        if not isinstance(row, dict):
+            if len(row) != self.ncols:
+                raise ValueError("row length mismatch")
+            row = {k: row[k] for k in compress(range(self.ncols), row)}
         while row:
             lead = min(row)
             pivot = self.pivots.get(lead)

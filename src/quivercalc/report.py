@@ -49,12 +49,19 @@ def degree_mismatch(degree, lhs, rhs):
     return {"degree": list(degree), "lhs": lhs.to_json(), "rhs": rhs.to_json()}
 
 
+def inconclusive_unless(compared_nonzero, reason):
+    """One inconclusive mismatch when nothing nonzero was compared, else
+    none: a check that matched only zeros (or only the unit) shows nothing."""
+    if compared_nonzero:
+        return []
+    return [{"kind": "inconclusive", "reason": reason}]
+
+
 def inconclusive_mismatches(lhs, window):
     """One inconclusive mismatch when the left-hand series has no nonzero
     coefficient on the window (a window below all support compares zeros
     with zeros), else none."""
-    if not all(term.is_zero() for term in lhs.terms.values()):
-        return []
-    return [{"kind": "inconclusive",
-             "reason": f"left-hand series is zero on window [{window[0]}, {window[1]}]; "
-                       "nothing was compared"}]
+    return inconclusive_unless(
+        not all(term.is_zero() for term in lhs.terms.values()),
+        f"left-hand series is zero on window [{window[0]}, {window[1]}]; "
+        "nothing was compared")

@@ -453,17 +453,15 @@ def _convolve(left, right, cap, hi_cap):
         if packed_sums:
             for base, acc in packed_sums.pop(d, ()):
                 _unpack(acc, base, hi, step, wb, bias, den, coeffs)
-        if not small:
-            # unpacked digits are nonzero, reduced and inside [lo, hi]
-            out[d] = TruncatedLaurent._trusted(coeffs, lo, hi)
-            continue
-        if coeffs:
-            for e, c in small.items():
-                if e <= hi:
-                    coeffs[e] = coeffs.get(e, 0) + c
-        else:
-            coeffs = {e: c for e, c in small.items() if e <= hi}
-        out[d] = TruncatedLaurent(coeffs, lo, hi)
+        if small:
+            for e, c in coeffs.items():
+                small[e] = small.get(e, 0) + c
+            # schoolbook sums start inside the window but may run past hi,
+            # cancel to zero or be integral Fractions
+            coeffs = {e: c if type(c) is int else _intify(c)
+                      for e, c in small.items() if e <= hi and c}
+        # unpacked digits are nonzero, reduced and inside [lo, hi]
+        out[d] = TruncatedLaurent._trusted(coeffs, lo, hi)
     return out
 
 

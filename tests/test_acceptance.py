@@ -137,7 +137,10 @@ def test_criterion_06_dimension_oracle_equivalence():
     two_loop = one_vertex(2)
     dims = [component_dimension(two_loop, (2,), -4 - 2 * s) for s in range(5)]
     assert dims == [0, 0, 1, 1, 2]
-    finish(6, f"rank = functional dimension on {checked} components", started)
+    # the first nonzero M2 component at d = (3, 3): 1770 monomials
+    assert component_dimension(M2, (3, 3), -36) == \
+        functional_dimension(M2, (3, 3), -36) == 1
+    finish(6, f"rank = functional dimension on {checked + 1} components", started)
 
 
 def test_criterion_07_series_equals_algebra_poincare():

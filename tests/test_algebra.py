@@ -1,5 +1,6 @@
 """Quadratic algebra components: bases, relations, dimensions, identities."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,6 +32,11 @@ FLEET = tuple(one_vertex(k) for k in range(4)) + (A2, M2, M2L, MIX3)
 
 def hdeg_of(quiver, degree, s):
     return -loop_weight(quiver, degree) - 2 * s
+
+
+def dense(rows, ncols):
+    """Sparse {column: value} relation rows as dense lists."""
+    return [[row.get(k, 0) for k in range(ncols)] for row in rows]
 
 
 # -- monomial normalization --------------------------------------------------------
@@ -91,12 +97,51 @@ def test_unit_component():
     assert component_dimension(A2, (0, 0), 0) == 1
 
 
+def _brute_force_basis(quiver, degree, s):
+    """Every choice of degree[i] generator levels in 0..s per vertex
+    (distinct levels at odd vertices), kept when the total homological
+    degree is hdeg_of(quiver, degree, s)."""
+    per_vertex = []
+    for i, count in enumerate(degree):
+        choose = (itertools.combinations if quiver.matrix[i][i] % 2
+                  else itertools.combinations_with_replacement)
+        per_vertex.append([tuple((i, k) for k in levels)
+                           for levels in choose(range(s + 1), count)])
+    target = hdeg_of(quiver, degree, s)
+    return sorted(sum(choice, ()) for choice in itertools.product(*per_vertex)
+                  if sum(-2 * k - quiver.matrix[i][i] for part in choice
+                         for i, k in part) == target)
+
+
+def test_component_basis_matches_brute_force():
+    rng = random.Random(60613)
+    loops_seen = set()
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = rng.randint(0, 3)
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(0, 2)
+        quiver = Quiver(tuple(f"v{k}" for k in range(n)),
+                        tuple(tuple(row) for row in m))
+        degree = tuple(rng.randint(0, 3 if n < 3 else 2) for _ in range(n))
+        s = rng.randint(0, 6)
+        loops_seen.update(m[i][i] % 2 for i in range(n) if degree[i])
+        expected = _brute_force_basis(quiver, degree, s)
+        assert component_basis(quiver, degree, hdeg_of(quiver, degree, s)) == \
+            expected, (m, degree, s)
+        # odd shifts of the homological degree are never reached
+        assert component_basis(quiver, degree, hdeg_of(quiver, degree, s) + 1) == []
+    assert loops_seen == {0, 1}
+
+
 # -- relation rows -------------------------------------------------------------------
 
 def test_two_loop_relation_at_bottom():
     rows, basis = relation_rows(one_vertex(2), (2,), -4)
     assert basis == [((0, 0), (0, 0))]
-    assert rows == [[1]]
+    assert rows == [{0: 1}]
     assert component_dimension(one_vertex(2), (2,), -4) == 0
 
 
@@ -105,7 +150,7 @@ def test_two_loop_relations_coincide_at_k2():
     rows, basis = relation_rows(one_vertex(2), (2,), -8)
     assert basis == [((0, 0), (0, 2)), ((0, 1), (0, 1))]
     assert len(rows) == 2
-    assert rank_of_rows(rows, 2) == 1
+    assert rank_of_rows(dense(rows, 2), 2) == 1
     assert component_dimension(one_vertex(2), (2,), -8) == 1
 
 
@@ -178,8 +223,8 @@ def test_relation_system_rank_equivalence():
         if not basis:
             continue
         compared += 1
-        rank_e = rank_of_rows(extended, len(basis)) if extended else 0
-        rank_s = rank_of_rows(stated, len(basis)) if stated else 0
+        rank_e = rank_of_rows(dense(extended, len(basis)), len(basis)) if extended else 0
+        rank_s = rank_of_rows(dense(stated, len(basis)), len(basis)) if stated else 0
         assert rank_e == rank_s, (m, d, h)
     assert compared >= 100
 
@@ -270,6 +315,11 @@ def test_integer_echelon_matches_dense_reference():
         grew = [ech.add_row(row) for row in rows]
         ref = _dense_reference_echelon(rows)
         assert ech.rank == len(ref) == sum(grew)
+        # the same rows fed as sparse dicts
+        sparse = IntegerEchelon(ncols)
+        assert [sparse.add_row({k: x for k, x in enumerate(row) if x})
+                for row in rows] == grew
+        assert sparse.pivots == ech.pivots
         assert ech.pivot_columns() == sorted(ref)
         # same content-reduced pivot rows, stored by their nonzero entries
         assert ech.pivots == {col: {k: x for k, x in enumerate(row) if x}
@@ -312,6 +362,33 @@ def test_full_rank_component_stops_feeding_rows(monkeypatch):
     assert comp.quotient_basis == []
     assert comp.reduce({basis[0]: 1, basis[-1]: -2}) == []
     assert len(calls) < len(rows)
+
+
+def test_feed_order_keeps_quotient_and_reductions():
+    # AlgebraComponent feeds sparsest rows first; relation_rows builds them
+    # in another order, which must give the same quotient and reductions
+    rng = random.Random(7201)
+    cases = [(M2, (2, 2), s) for s in (8, 10, 12)] + [
+        (M2, (1, 3), 8), (M2, (3, 1), 7), (MIX3, (1, 1, 2), 7),
+        (MIX3, (1, 2, 1), 8), (MIX3, (2, 1, 1), 6)]
+    for quiver, degree, s in cases:
+        h = hdeg_of(quiver, degree, s)
+        comp = AlgebraComponent(quiver, degree, h)
+        assert comp.dim > 0, (degree, s)
+        rows, basis = relation_rows(quiver, degree, h)
+        assert [len(r) for r in rows] != sorted(len(r) for r in rows)
+        built = IntegerEchelon(len(basis))
+        for row in rows:
+            built.add_row(row)
+        assert built.pivot_columns() == comp.echelon.pivot_columns()
+        assert comp.quotient_basis == [mon for t, mon in enumerate(basis)
+                                       if t not in built.pivots]
+        for _ in range(5):
+            combo = {mon: rng.randint(-4, 4) for mon in rng.sample(basis, 3)}
+            vec = [combo.get(mon, 0) for mon in basis]
+            reduced = built.reduce_vector(vec)
+            assert comp.reduce(combo) == [reduced[t] for t in comp.quotient_positions]
+
 
 # -- series-level identities -----------------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Command-line contract: exit codes, determinism, file round trips."""
 
+import hashlib
 import io
 import json
+
+import pytest
 
 from quivercalc.cli import main
 from quivercalc.quiver import Quiver
@@ -163,6 +166,21 @@ def test_diagonalization_below_support_is_inconclusive(tmp_path):
     assert [m["kind"] for m in json.loads(out)["mismatches"]] == ["inconclusive"]
 
 
+@pytest.mark.parametrize("target", ["gr", "homology"])
+def test_unit_component_alone_is_inconclusive(tmp_path, target):
+    # --order 0 reaches only d = 0, whose single component is the unit
+    a2 = write_a2(tmp_path)
+    code, out, err = run_cli("verify", target, a2, "a", "b", "--order", "0",
+                             "--output", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert [m["kind"] for m in payload["mismatches"]] == ["inconclusive"]
+    code, out, err = run_cli("verify", target, a2, "a", "b", "--order", "1")
+    assert (code, err) == (0, "")
+    assert "PASS" in out
+
+
 def test_unlink_without_edge_exits_two(tmp_path):
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({"vertices": ["a", "b"], "matrix": [[0, 0], [0, 0]]}))
@@ -276,6 +294,32 @@ def test_algebra_dims_table(tmp_path):
     dims = [row["dimension"] for row in payload["components"]]
     assert dims == [0, 1, 2, 3]
     assert dims == [row["functional_dimension"] for row in payload["components"]]
+
+
+# The component cells of the algebra-rank benchmark workload, with fixed
+# vertex labels.  The digest pins every dimension those requests print.
+RANK_MATRICES = {"A2": [[0, 1], [1, 0]], "M2": [[0, 2], [2, 0]],
+                 "M2L": [[1, 2], [2, 0]], "MIX3": [[1, 1, 0], [1, 0, 2], [0, 2, 1]],
+                 **{f"L{m}": [[m]] for m in range(4)}}
+RANK_CELLS = ([("A2", (3, 3), 13), ("A2", (4, 4), 12), ("M2L", (2, 3), 12),
+               ("M2L", (2, 2), 16), ("MIX3", (1, 2, 2), 10), ("M2", (3, 3), 14)]
+              + [(f"L{m}", (d,), 14) for m in range(4) for d in range(2, 9)])
+RANK_CELLS_SHA256 = "52a47613d3645c6d5dcd3daad2a480ec49235a545e03fd877fc59a41d4fc9d0a"
+
+
+def test_algebra_dims_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for name, degree, smax in RANK_CELLS:
+        matrix = RANK_MATRICES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"vertices": list("abc"[:len(matrix)]),
+                                    "matrix": matrix}))
+        code, out, err = run_cli("algebra-dims", str(path), "--degree",
+                                 ",".join(map(str, degree)), "--smax", str(smax),
+                                 "--output", "json")
+        assert (code, err) == (0, ""), (name, degree)
+        digest.update(out.encode())
+    assert digest.hexdigest() == RANK_CELLS_SHA256
 
 
 def test_algebra_dims_bad_degree(tmp_path):

@@ -89,8 +89,10 @@ def test_requires_arrow():
 
 
 def test_homology_bound0_unit():
+    # bound 0 reaches only the unit component, so nothing is compared
     report = homology_check(A2, "a", "b", 0)
-    assert report.passed
+    assert [m["kind"] for m in report.mismatches] == ["inconclusive"]
+    assert homology_check(A2, "a", "b", 1).passed
 
 
 def test_homology_doubled_a2_and_m2():
