@@ -9,7 +9,8 @@ identity check with mismatches, a linking, unlinking, diagonalization or
 Poincare check whose window holds no nonzero coefficient, or DT extraction
 that stays unstable after one automatic window widening), 2 on usage or
 input errors (missing or malformed files, unknown vertex labels, empty
-windows, orders, guards or level-weight bounds below their minimum)."""
+windows, a dt window without t^0, orders, guards or level-weight bounds
+below their minimum)."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .motivic import (Conventions, DEFAULT_CONVENTIONS, default_window,
                       diagonalize, motivic_series, verify_diagonalization,
                       verify_link_identity, verify_unlink_identity)
 from .quiver import Quiver, QuiverFormatError, link, unlink
-from .series import TruncationUnderflow
+from .series import SeriesError
 
 
 class InputError(Exception):
@@ -380,10 +381,10 @@ def main(argv=None, out=None, err=None):
             if value < low:
                 _fail(f"--{name} must be >= {low}, got {value}")
         return args.handler(args, out)
-    except InputError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except TruncationUnderflow as exc:
+    except (InputError, SeriesError) as exc:
+        # a SeriesError (TruncationUnderflow among them) means the requested
+        # window cannot carry the computation, e.g. a dt window without t^0,
+        # on which the constant term of the series is not 1
         err.write(f"error: {exc}\n")
         return 2
 

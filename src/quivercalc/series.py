@@ -788,12 +788,6 @@ def _require_constant_one(series, op):
         raise SeriesError(f"{op}: series must have constant term 1")
 
 
-def _drop_constant(series):
-    zero_deg = (0,) * len(series.vertices)
-    terms = {d: c for d, c in series.terms.items() if d != zero_deg}
-    return MultiSeries(series.vertices, series.cap, series.window, terms)
-
-
 def pleth_exp(series):
     """Plethystic exponential Exp(f) = exp(sum_n psi_n(f)/n).  Requires a
     zero constant term; the result has constant term 1."""
@@ -832,19 +826,49 @@ def _mobius(n):
 
 def pleth_log(series):
     """Plethystic logarithm, the inverse of pleth_exp up to the truncation
-    order.  Requires constant term exactly 1 on the stored window."""
+    order.  Requires constant term exactly 1 on the stored window.
+
+    log F comes from one pass over the total x-degree |d| (Brent & Kung,
+    "Fast algorithms for manipulating formal power series", JACM 1978).  For
+    L = log F the Euler operator E = sum x_i d/dx_i gives F E(L) = E(F), that
+    is |d| L_d = |d| F_d - sum |d1| L_d1 F_d2 over d1 + d2 = d with
+    1 <= |d1| < |d|.  With D = lcm(1..cap) the loop keeps G_d = D |d| L_d,
+    which is integral when F is, so D L_d = G_d / |d| is an exact division.
+    Once the slice |d1| = k of G is complete, one MultiSeries.mul by -F
+    adds its terms to every degree above k.  These cap - 1 products
+    multiply the degree pairs of a single product of two series, where the
+    power sum took cap - 1 full products.
+
+    The windows equal those of the power sum sum (-1)^(k+1) u^k / k with
+    u = F - 1.  Both sums expand into the products F_c1 ... F_cm over the
+    compositions d = c1 + ... + cm, and both give degree d the window lo =
+    the least sum of lo(F_ci), hi = the least sum of val(F_ci) plus
+    hi - val of one factor, because the valuation of a sum is never below
+    the least valuation of its terms."""
     _require_constant_one(series, "pleth_log")
-    cap = series.cap
-    u = _drop_constant(series)
-    # log(1 + u) = sum (-1)^(k+1) u^k / k, then Log = sum mu(n)/n psi_n(log);
-    # both sums run on integer scalars D/k and D/n with D = lcm(1..cap), and
-    # the one division by D^2 comes last
+    cap, vertices, window = series.cap, series.vertices, series.window
+    # Log = sum mu(n)/n psi_n(log) runs on integer scalars D/n, and the one
+    # division by D^2 comes last
     den = lcm(*range(1, cap + 1))
-    log = MultiSeries.zero(series.vertices, cap, series.window)
-    power = None
-    for k in range(1, cap + 1):
-        power = u if power is None else power * u
-        log = log + power.scale((-1) ** (k + 1) * (den // k))
+    integral = all(type(v) is int for c in series.terms.values() for v in c.coeffs.values())
+    minus_f = MultiSeries(vertices, cap, window,
+                          {d: -c for d, c in series.terms.items() if any(d)})
+    # grad[d] ends as G_d = D |d| L_d: it starts as D |d| F_d, and once its
+    # degree-k slice is complete, one product with -F adds the terms with
+    # |d1| = k to every degree above k
+    grad = {d: c.scale(den * sum(d)) for d, c in series.terms.items() if any(d)}
+    for k in range(1, cap):
+        done = MultiSeries(vertices, cap, window,
+                           {d: c for d, c in grad.items() if sum(d) == k})
+        for d, c in done.mul(minus_f).terms.items():
+            grad[d] = grad[d] + c if d in grad else c
+    log = {}
+    for d, c in grad.items():
+        n = sum(d)
+        log[d] = TruncatedLaurent._trusted(
+            {e: v // n if integral else _div(v, n) for e, v in c.coeffs.items()},
+            c.lo, c.hi)
+    log = MultiSeries(vertices, cap, window, log)
     out = MultiSeries.zero(series.vertices, cap, series.window)
     for n in range(1, cap + 1):
         mu = _mobius(n)

@@ -89,6 +89,14 @@ def test_empty_window_exits_two(tmp_path):
     assert "empty window" in err
 
 
+def test_dt_window_without_constant_term_exits_two(tmp_path):
+    # t^0 lies outside the window, so the constant term of A_Q is not 1 there
+    code, out, err = run_cli("dt", write_a2(tmp_path), "--order", "2",
+                             "--qmin", "-5", "--qmax", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: pleth_log: series must have constant term 1\n"
+
+
 def test_usage_error_exits_two(tmp_path):
     code, _, _ = run_cli("verify", "bogus-target", write_a2(tmp_path))
     assert code == 2
@@ -320,6 +328,28 @@ def test_algebra_dims_golden_digest(tmp_path):
         assert (code, err) == (0, ""), (name, degree)
         digest.update(out.encode())
     assert digest.hexdigest() == RANK_CELLS_SHA256
+
+
+# The cells of the series-dt benchmark workload, with fixed vertex labels.  The
+# digest pins every invariant, window, stable flag and window_widened they print.
+DT_CELLS = ([("MIX3", 8), ("MIX3", 10)]
+            + [(name, order) for name in ("A2", "M2", "M2L") for order in (7, 8)]
+            + [(f"L{m}", order) for m in range(4) for order in range(7, 13)])
+DT_CELLS_SHA256 = "b7d85099b50cf4d68dceba87f04e7ba5048e2ad8b39a6d86a46667309591d688"
+
+
+def test_dt_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for name, order in DT_CELLS:
+        matrix = RANK_MATRICES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"vertices": list("abc"[:len(matrix)]),
+                                    "matrix": matrix}))
+        code, out, err = run_cli("dt", str(path), "--order", str(order),
+                                 "--output", "json")
+        assert (code, err) == (0, ""), (name, order)
+        digest.update(out.encode())
+    assert digest.hexdigest() == DT_CELLS_SHA256
 
 
 def test_algebra_dims_bad_degree(tmp_path):

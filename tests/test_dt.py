@@ -1,5 +1,8 @@
 """Motivic DT invariant extraction, positivity, and invariance properties."""
 
+from fractions import Fraction
+from math import factorial, prod
+
 import pytest
 
 from quivercalc.dt import DTEntry, DTResult, dt_check, dt_extract
@@ -96,6 +99,46 @@ def test_nonunit_constant_rejected():
     series = MultiSeries.zero(("a",), 2, (0, 4))
     with pytest.raises(ValueError):
         dt_extract(series)
+
+
+def reineke_omega_at_one(m, d):
+    """Omega_d(1) of the m-loop quiver in closed form (Reineke, "Cohomology of
+    quiver moduli, functional equations, and integrality of Donaldson-Thomas
+    type invariants", Compositio Math. 2011):
+    d^-2 sum over e | d of mu(d/e) (-1)^((m-1)(d-e)) C(me-1, e-1)."""
+    def mobius(n):
+        primes = [p for p in range(2, n + 1) if n % p == 0
+                  and all(p % q for q in range(2, p))]
+        if any(n % (p * p) == 0 for p in primes):
+            return 0
+        return (-1) ** len(primes)
+
+    def binom(top, k):  # C(top, k) for any integer top, as m = 0 needs C(-1, k)
+        return prod(range(top, top - k, -1)) // factorial(k)
+
+    total = 0
+    for e in range(1, d + 1):
+        if d % e == 0:
+            sign = -1 if (m - 1) * (d - e) % 2 else 1
+            total += mobius(d // e) * sign * binom(m * e - 1, e - 1)
+    return Fraction(total, d * d)
+
+
+@pytest.mark.parametrize("loops", range(5))
+def test_loop_quiver_matches_reineke_closed_form(loops):
+    order = 12
+    # every degree is stable on this window: for loops >= 1 the support of
+    # Omega_d ends at u^((loops - 1) d^2 + 1), and for loops = 0 only d = 1
+    # is nonzero
+    half = abs(loops - 1) * order ** 2 + 12
+    result = dt_extract(motivic_series(one_vertex(loops), order, (-half, half)))
+    for d in range(1, order + 1):
+        entry = result.entry((d,))
+        assert entry.stable, d
+        assert sum(entry.u_coeffs.values()) == reineke_omega_at_one(loops, d), d
+    if loops == 3:
+        assert [sum(result.entry((d,)).u_coeffs.values()) for d in range(1, 8)] == [
+            1, 1, 3, 10, 40, 171, 791]
 
 
 # -- structural properties ---------------------------------------------------------

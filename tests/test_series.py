@@ -583,3 +583,15 @@ def test_pleth_log_matches_power_sum_reference():
         s = rand_operand_series(rng, cap=rng.randint(1, 4))
         s.terms[(0, 0)] = TruncatedLaurent.one(*s.window)
         assert same_series(pleth_log(s), ref_pleth_log(s))
+    # one vertex up to cap 8 and three vertices up to cap 3, each cap once as
+    # drawn and once with about half of its terms replaced by all-zero stubs
+    # (a window and no coefficients)
+    for vertices, top in ((("a",), 8), (("a", "b", "c"), 3)):
+        for cap in range(1, top + 1):
+            for stub_share in (0, 0.5):
+                s = rand_operand_series(rng, vertices, cap)
+                for d, c in s.terms.items():
+                    if rng.random() < stub_share:
+                        s.terms[d] = TruncatedLaurent.zero(c.lo, c.hi)
+                s.terms[(0,) * len(vertices)] = TruncatedLaurent.one(*s.window)
+                assert same_series(pleth_log(s), ref_pleth_log(s)), (vertices, cap)
