@@ -19,6 +19,7 @@ algebra's dimensions; both statements are implemented as exact checks."""
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from math import comb, perm
 
@@ -102,14 +103,22 @@ def _level_tuples(count, total, strict):
 def component_basis(quiver, degree, hdeg):
     """Monomial basis of the free supercommutative layer in one bidegree:
     all canonical generator words with degree[i] generators at vertex i and
-    total homological degree hdeg."""
-    n = len(quiver)
-    if len(degree) != n or any(x < 0 for x in degree):
+    total homological degree hdeg, as a fresh list in canonical order."""
+    degree = tuple(degree)
+    if len(degree) != len(quiver) or any(x < 0 for x in degree):
         raise ValueError(f"bad dimension vector {degree}")
+    return list(_basis_monomials(quiver, degree, hdeg))
+
+
+@lru_cache(maxsize=1024)
+def _basis_monomials(quiver, degree, hdeg):
+    """The enumeration behind component_basis, as a tuple, cached because
+    relation_rows asks again for every complement of every larger
+    component."""
     budget = _k_budget(quiver, degree, hdeg)
     if budget is None:
-        return []
-    used = [i for i in range(n) if degree[i]]
+        return ()
+    used = [i for i in range(len(quiver)) if degree[i]]
     # remaining k-weight -> canonical prefixes over the vertices so far
     partial = {budget: [()]}
     for pos, i in enumerate(used):
@@ -129,9 +138,7 @@ def component_basis(quiver, degree, hdeg):
                     grown.setdefault(remaining - share, []).extend(
                         p + t for p in prefixes for t in tails)
         partial = grown
-    monomials = partial.get(0, [])
-    monomials.sort()
-    return monomials
+    return tuple(sorted(partial.get(0, ())))
 
 
 def _quadratic_pairs(m_ij, i, j, system):
@@ -159,7 +166,15 @@ def relation_rows(quiver, degree, hdeg, system="extended"):
     is expanded into canonical monomials.  Each row is a sparse
     {basis position: nonzero int} dict; rows that cancel to zero are
     dropped.  Rows come in build order (vertex pair, derivative orders,
-    relation degree, complement)."""
+    relation degree, complement).
+
+    A term g(i, a) g(j, b) w, with w a canonical complement monomial, is
+    made canonical by inserting the pair into w.  Even generators commute
+    with everything, so the Koszul sign counts only odd transpositions: one
+    when both generators are odd and g(i, a) > g(j, b), and, for each odd
+    generator of the pair, the odd generators of w below it (a bisection
+    into w's odd generators).  The term vanishes when an odd generator of
+    the pair equals the other one or occurs in w."""
     basis = component_basis(quiver, degree, hdeg)
     if not basis:
         return [], basis
@@ -168,7 +183,6 @@ def relation_rows(quiver, degree, hdeg, system="extended"):
     budget = _k_budget(quiver, degree, hdeg)
     n = len(quiver)
     rows = []
-    complement_bases = {}  # (comp_degree, complement hdeg) -> basis
     for i in range(n):
         for j in range(i, n):
             m_ij = quiver.matrix[i][j]
@@ -180,18 +194,20 @@ def relation_rows(quiver, degree, hdeg, system="extended"):
             if comp_degree[i] < 0 or comp_degree[j] < 0:
                 continue
             comp_degree = tuple(comp_degree)
+            odd_i, odd_j = parities[i], parities[j]
+            # complements of the relation coefficients of level sum `total`
+            # (generator levels a + b = total), each with its odd generators
+            complements = []
+            for total in range(budget + 1):
+                rel_hdeg = (-2 * total - quiver.matrix[i][i]
+                            - quiver.matrix[j][j])
+                words = component_basis(quiver, comp_degree, hdeg - rel_hdeg)
+                complements.append([
+                    (w, tuple(g for g in w if parities[g[0]])
+                     if odd_i or odd_j else ()) for w in words])
             for p, q in _quadratic_pairs(m_ij, i, j, system):
                 for total in range(p + q, budget + 1):
-                    # relation coefficient of z^(total - p - q): generator
-                    # levels (a, b) with a + b = total
-                    rel_hdeg = (-2 * total - quiver.matrix[i][i]
-                                - quiver.matrix[j][j])
-                    comp_key = (comp_degree, hdeg - rel_hdeg)
-                    complements = complement_bases.get(comp_key)
-                    if complements is None:
-                        complements = component_basis(quiver, *comp_key)
-                        complement_bases[comp_key] = complements
-                    if not complements:
+                    if not complements[total]:
                         continue
                     terms = []
                     for a in range(p, total + 1):
@@ -199,17 +215,35 @@ def relation_rows(quiver, degree, hdeg, system="extended"):
                         if b < q:
                             continue
                         c = perm(a, p) * perm(b, q)
-                        if c:
-                            terms.append((c, (i, a), (j, b)))
-                    for comp in complements:
-                        row = {}
-                        for c, ga, gb in terms:
-                            nf = normalize_word((ga, gb) + comp, parities)
-                            if nf is None:
+                        if not c:
+                            continue
+                        ga, gb = (i, a), (j, b)
+                        if odd_i and odd_j:
+                            if ga == gb:
                                 continue
-                            sign, mon = nf
-                            t = index[mon]
-                            x = row.get(t, 0) + sign * c
+                            if ga > gb:
+                                c = -c
+                        lo, hi = (ga, gb) if ga <= gb else (gb, ga)
+                        terms.append((c, ga, gb, lo, hi))
+                    for w, odd in complements[total]:
+                        row = {}
+                        for c, ga, gb, lo, hi in terms:
+                            if odd_i:
+                                x = bisect_left(odd, ga)
+                                if x < len(odd) and odd[x] == ga:
+                                    continue
+                                if x & 1:
+                                    c = -c
+                            if odd_j:
+                                x = bisect_left(odd, gb)
+                                if x < len(odd) and odd[x] == gb:
+                                    continue
+                                if x & 1:
+                                    c = -c
+                            s = bisect_right(w, lo)
+                            u = bisect_right(w, hi, s)
+                            t = index[w[:s] + (lo,) + w[s:u] + (hi,) + w[u:]]
+                            x = row.get(t, 0) + c
                             if x:
                                 row[t] = x
                             else:
@@ -249,11 +283,12 @@ class AlgebraComponent:
     def reduce(self, combo):
         """Quotient coordinates of a linear combination of monomials, given
         as a dict monomial -> coefficient."""
-        vec = [0] * len(self.basis)
+        vec = {}
         for mon, c in combo.items():
-            vec[self.index[mon]] += c
+            t = self.index[mon]
+            vec[t] = vec.get(t, 0) + c
         reduced = self.echelon.reduce_vector(vec)
-        return [reduced[t] for t in self.quotient_positions]
+        return [reduced.get(t, 0) for t in self.quotient_positions]
 
 
 @lru_cache(maxsize=2048)
@@ -454,6 +489,13 @@ def _uncollapsed_degree(degree, ia, ib, c):
     return tuple(dd) + (c,)
 
 
+@lru_cache(maxsize=64)
+def _unlinked(quiver, a, b):
+    """unlink(quiver, a, b), built once for every block of a homology check
+    rather than once per block."""
+    return unlink(quiver, a, b)
+
+
 def unlink_differential(quiver, a, b, degree, big_h, c):
     """Differential block on the unlinked quiver's algebra.
 
@@ -473,7 +515,7 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
         raise ValueError("unlink_differential requires at least one arrow between the pair")
     if c < 0:
         raise ValueError("star count must be >= 0")
-    unlinked = unlink(quiver, a, b)
+    unlinked = _unlinked(quiver, a, b)
     star = len(unlinked) - 1
     parities = tuple(generator_parity(unlinked, v) for v in range(len(unlinked)))
     src_degree = _uncollapsed_degree(degree, ia, ib, c)
@@ -527,7 +569,7 @@ def homology_check(quiver, a, b, bound, s_max=8):
     ib = quiver.index(b)
     if quiver.matrix[ia][ib] < 1:
         raise ValueError("homology_check requires at least one arrow between the pair")
-    unlinked = unlink(quiver, a, b)
+    unlinked = _unlinked(quiver, a, b)
     n = len(quiver)
     mismatches = []
     components = 0

@@ -139,7 +139,11 @@ class TruncatedLaurent:
         for e, c in other.coeffs.items():
             if e <= hi:
                 out[e] = out.get(e, 0) + c
-        return TruncatedLaurent(out, lo, hi)
+        # both operands' exponents lie in [lo, hi]; sums may cancel to zero
+        # or be integral Fractions
+        return TruncatedLaurent._trusted(
+            {e: c if type(c) is int else _intify(c) for e, c in out.items() if c},
+            lo, hi)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedLaurent):
@@ -874,4 +878,11 @@ def pleth_log(series):
         mu = _mobius(n)
         if mu:
             out = out + log.psi(n).scale(mu * (den // n))
-    return out.scale(Fraction(1, den * den))
+    # the division by D^2: exact // where the quotient is integral, the int
+    # a Fraction quotient would be intified to
+    dd = den * den
+    return MultiSeries(vertices, cap, out.window, {
+        d: TruncatedLaurent._trusted(
+            {e: v // dd if type(v) is int and not v % dd else _div(v, dd)
+             for e, v in c.coeffs.items()}, c.lo, c.hi)
+        for d, c in out.terms.items()})

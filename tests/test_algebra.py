@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from quivercalc import algebra
 from quivercalc.algebra import (
     AlgebraComponent,
     algebra_component,
@@ -136,6 +137,18 @@ def test_component_basis_matches_brute_force():
     assert loops_seen == {0, 1}
 
 
+def test_component_basis_returns_fresh_list():
+    degree, h = (2, 2), hdeg_of(M2, (2, 2), 4)
+    first = component_basis(M2, degree, h)
+    expected = list(first)
+    first.append(((0, 99),))
+    first.reverse()
+    assert component_basis(M2, degree, h) == expected
+    assert component_basis(M2, [2, 2], h) == expected
+    maxsize = algebra._basis_monomials.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
+
+
 # -- relation rows -------------------------------------------------------------------
 
 def test_two_loop_relation_at_bottom():
@@ -227,6 +240,79 @@ def test_relation_system_rank_equivalence():
         rank_s = rank_of_rows(dense(stated, len(basis)), len(basis)) if stated else 0
         assert rank_e == rank_s, (m, d, h)
     assert compared >= 100
+
+
+def _ref_relation_rows(quiver, degree, hdeg, system):
+    """relation_rows as it was built by normalizing every whole word
+    g(i, a) g(j, b) w with normalize_word: the oracle for the insertion
+    sign rule."""
+    basis = component_basis(quiver, degree, hdeg)
+    if not basis:
+        return [], basis
+    index = {mon: t for t, mon in enumerate(basis)}
+    n = len(quiver)
+    parities = tuple(quiver.matrix[v][v] % 2 for v in range(n))
+    budget = (-hdeg - loop_weight(quiver, degree)) // 2
+    rows = []
+    for i in range(n):
+        for j in range(i, n):
+            m_ij = quiver.matrix[i][j]
+            comp_degree = list(degree)
+            comp_degree[i] -= 1
+            comp_degree[j] -= 1
+            if m_ij == 0 or comp_degree[i] < 0 or comp_degree[j] < 0:
+                continue
+            for p, q in algebra._quadratic_pairs(m_ij, i, j, system):
+                for total in range(p + q, budget + 1):
+                    rel_hdeg = (-2 * total - quiver.matrix[i][i]
+                                - quiver.matrix[j][j])
+                    for comp in component_basis(quiver, comp_degree,
+                                                hdeg - rel_hdeg):
+                        row = {}
+                        for a in range(p, total + 1):
+                            b = total - a
+                            c = math.perm(a, p) * math.perm(b, q)
+                            if b < q or not c:
+                                continue
+                            nf = normalize_word(((i, a), (j, b)) + comp, parities)
+                            if nf is None:
+                                continue
+                            sign, mon = nf
+                            t = index[mon]
+                            row[t] = row.get(t, 0) + sign * c
+                            if not row[t]:
+                                del row[t]
+                        if row:
+                            rows.append(row)
+    return rows, basis
+
+
+def test_relation_rows_match_normalize_word_reference():
+    rng = random.Random(8128)
+    compared = set()
+    for trial in range(160):
+        n = rng.randint(1, 3)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            # odd and even loop counts in turn at vertex 0
+            m[i][i] = rng.randint(0, 3) if i else trial % 4
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(0, 3)
+        quiver = Quiver(tuple(f"v{k}" for k in range(n)),
+                        tuple(tuple(row) for row in m))
+        degree = tuple(rng.randint(0, 3 if n < 3 else 2) for _ in range(n))
+        h = hdeg_of(quiver, degree, rng.randint(0, 6))
+        for system in ("extended", "stated"):
+            rows, basis = relation_rows(quiver, degree, h, system)
+            assert (rows, basis) == _ref_relation_rows(quiver, degree, h, system), \
+                (m, degree, h, system)
+            if rows:
+                odd = any(m[v][v] % 2 for v in range(n) if degree[v])
+                # only odd generators give Koszul signs, i.e. negative entries
+                signed = any(x < 0 for row in rows for x in row.values())
+                compared.add((system, odd, signed))
+    assert compared >= {(system, odd, odd) for system in ("extended", "stated")
+                        for odd in (False, True)}
 
 
 def test_unknown_relation_system_rejected():
@@ -329,6 +415,51 @@ def test_integer_echelon_matches_dense_reference():
             vec = [rng.randint(-5, 5) for _ in range(ncols)]
             assert ech.reduce_vector(vec) == _dense_reference_reduce(ref, vec)
     assert full_rank_cases >= 30
+
+
+def test_reduce_vector_dict_matches_dense():
+    # the 300 seeded matrices of test_integer_echelon_matches_dense_reference:
+    # the same seed and the same draws
+    rng = random.Random(20261018)
+    fractional = 0
+    for trial in range(300):
+        ncols = rng.randint(1, 8)
+        nrows = rng.randint(0, 10)
+        rows = []
+        for _ in range(nrows):
+            kind = rng.random()
+            if kind < 0.1:
+                rows.append([0] * ncols)
+            elif kind < 0.2 and rows:
+                rows.append(list(rng.choice(rows)))
+            else:
+                rows.append([rng.choice((0, 0, 0, rng.randint(-9, 9)))
+                             for _ in range(ncols)])
+        if trial % 10 == 0:
+            rows = [[int(i == j) * rng.choice((-3, -1, 2)) + int(j > i)
+                     for j in range(ncols)] for i in range(ncols)] + rows
+        ech = IntegerEchelon(ncols)
+        for row in rows:
+            ech.add_row(row)
+        ref = _dense_reference_echelon(rows)
+        for _ in range(3):
+            vec = [rng.randint(-5, 5) for _ in range(ncols)]
+            from_dense = ech.reduce_vector(vec)
+            from_dict = ech.reduce_vector({k: x for k, x in enumerate(vec) if x})
+            assert from_dense == [from_dict.get(k, 0) for k in range(ncols)] \
+                == _dense_reference_reduce(ref, vec)
+            assert all(x for x in from_dict.values())
+            # ints where integral, reduced Fractions elsewhere
+            assert all(type(x) is int or x.denominator > 1
+                       for x in from_dense + list(from_dict.values()))
+            # Fraction input: denominators are cleared first
+            thirds = ech.reduce_vector({k: Fraction(x, 3)
+                                        for k, x in enumerate(vec) if x})
+            assert thirds == {k: Fraction(x) / 3 for k, x in from_dict.items()}
+            assert all(type(x) is int or x.denominator > 1
+                       for x in thirds.values())
+            fractional += any(type(x) is Fraction for x in from_dict.values())
+    assert fractional >= 30
 
 
 def test_integer_echelon_length_mismatch():
