@@ -264,7 +264,7 @@ class AlgebraComponent:
         rows, basis = relation_rows(quiver, self.degree, hdeg)
         self.basis = basis
         self.index = {mon: t for t, mon in enumerate(basis)}
-        self.echelon = IntegerEchelon(len(basis))
+        self.echelon = IntegerEchelon()
         # sparsest rows first (the pivot order of structured Gaussian
         # elimination) keeps fill-in low; the pivot columns and reductions
         # depend only on the row space, not on the feed order
@@ -273,22 +273,24 @@ class AlgebraComponent:
             if self.echelon.rank == len(basis):
                 break
             self.echelon.add_row(row)
-        pivot_set = set(self.echelon.pivot_columns())
-        self.quotient_basis = [mon for t, mon in enumerate(basis)
-                               if t not in pivot_set]
-        self.quotient_positions = [t for t in range(len(basis))
-                                   if t not in pivot_set]
-        self.dim = len(self.quotient_basis)
+        free = [t for t in range(len(basis)) if t not in self.echelon.pivots]
+        self.quotient_basis = [basis[t] for t in free]
+        # basis position of each non-pivot monomial -> its quotient coordinate
+        self.quotient_index = {t: j for j, t in enumerate(free)}
+        self.dim = len(free)
 
     def reduce(self, combo):
         """Quotient coordinates of a linear combination of monomials, given
-        as a dict monomial -> coefficient."""
+        as a dict monomial -> coefficient, as a sparse {quotient coordinate:
+        nonzero value} dict; empty when the combination lies in the span of
+        the relations."""
         vec = {}
         for mon, c in combo.items():
             t = self.index[mon]
             vec[t] = vec.get(t, 0) + c
-        reduced = self.echelon.reduce_vector(vec)
-        return [reduced.get(t, 0) for t in self.quotient_positions]
+        coordinate = self.quotient_index
+        return {coordinate[t]: x
+                for t, x in self.echelon.reduce_vector(vec).items()}
 
 
 @lru_cache(maxsize=2048)
@@ -449,31 +451,32 @@ def gr_linking_check(quiver, a, b, bound, s_max=8, spot_degree=2, spot_s=3):
 
 class DifferentialBlock:
     """The unlinking differential restricted to one star-count slice, as an
-    exact matrix from the c-slice quotient basis to the (c-1)-slice one."""
+    exact sparse matrix from the c-slice quotient basis to the (c-1)-slice
+    one: columns[j] is the image of source quotient coordinate j, as a
+    {target quotient coordinate: nonzero value} dict."""
 
-    def __init__(self, source_key, target_key, matrix, source_dim, target_dim):
+    def __init__(self, source_key, target_key, columns, source_dim, target_dim):
         self.source_key = source_key
         self.target_key = target_key
-        self.matrix = matrix  # target_dim rows, source_dim columns
+        self.columns = columns
         self.source_dim = source_dim
         self.target_dim = target_dim
 
     def rank(self):
-        if not self.matrix or self.source_dim == 0:
-            return 0
-        return rank_of_rows(self.matrix, self.source_dim)
+        # column rank equals rank; a zero block skips the echelon
+        return rank_of_rows(self.columns) if any(self.columns) else 0
 
     def compose_is_zero(self, next_block):
         """True when self . next_block = 0 (next_block feeds this block)."""
         if next_block.target_dim != self.source_dim:
             raise ValueError("blocks are not composable")
-        for col in range(next_block.source_dim):
-            mid = [(k, next_block.matrix[k][col])
-                   for k in range(next_block.target_dim)
-                   if next_block.matrix[k][col]]
-            for row in self.matrix:
-                if sum(row[k] * x for k, x in mid) != 0:
-                    return False
+        for mid in next_block.columns:
+            image = {}
+            for k, x in mid.items():
+                for row, y in self.columns[k].items():
+                    image[row] = image.get(row, 0) + x * y
+            if any(image.values()):
+                return False
         return True
 
 
@@ -524,7 +527,7 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
     target_key = {"degree": list(degree), "H": big_h, "c": c - 1}
     if c == 0:
         return DifferentialBlock(source_key, target_key,
-                                 [], source.dim, 0)
+                                 [{} for _ in range(source.dim)], source.dim, 0)
     tgt_degree = _uncollapsed_degree(degree, ia, ib, c - 1)
     target = algebra_component(unlinked, tgt_degree, big_h - c + 1)
     p = m_ab - 1
@@ -548,9 +551,7 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
                     image[w] = image.get(w, 0) + val
             prefix_parity ^= parities[v]
         columns.append(target.reduce(image))
-    matrix = [[columns[col][row] for col in range(source.dim)]
-              for row in range(target.dim)]
-    return DifferentialBlock(source_key, target_key, matrix,
+    return DifferentialBlock(source_key, target_key, columns,
                              source.dim, target.dim)
 
 

@@ -8,9 +8,9 @@ Exit status: 0 on success / verified pass, 1 on a verified failure (an
 identity check with mismatches, a linking, unlinking, diagonalization or
 Poincare check whose window holds no nonzero coefficient, or DT extraction
 that stays unstable after one automatic window widening), 2 on usage or
-input errors (missing or malformed files, unknown vertex labels, empty
-windows, a dt window without t^0, orders, guards or level-weight bounds
-below their minimum)."""
+input errors (missing or malformed files, unknown vertex labels, a window
+given by one bound only or an empty one, a dt window without t^0, orders,
+guards or level-weight bounds below their minimum)."""
 
 from __future__ import annotations
 
@@ -55,8 +55,7 @@ def _check_vertices(quiver, *labels):
 
 
 def _window(args, quiver, order):
-    qmin = getattr(args, "qmin", None)
-    qmax = getattr(args, "qmax", None)
+    qmin, qmax = args.qmin, args.qmax
     if (qmin is None) != (qmax is None):
         _fail("--qmin and --qmax must be given together")
     if qmin is None:
@@ -67,7 +66,7 @@ def _window(args, quiver, order):
 
 
 def _conventions(args):
-    path = getattr(args, "config", None)
+    path = args.config
     if path is None:
         return DEFAULT_CONVENTIONS
     try:
@@ -250,22 +249,19 @@ def cmd_verify(args, out):
         if args.a == args.b:
             _fail("vertex pair must be distinct")
     conventions = _conventions(args)
+    window, default = _window(args, quiver, args.order)
     try:
         if args.target == "linking":
-            window, _ = _window(args, quiver, args.order)
             report = verify_link_identity(quiver, args.a, args.b, args.order,
                                           window, conventions, args.calibrate)
         elif args.target == "unlinking":
-            window, _ = _window(args, quiver, args.order)
             report = verify_unlink_identity(quiver, args.a, args.b, args.order,
                                             window, conventions, args.calibrate)
         elif args.target == "diagonalization":
-            window = None
-            if getattr(args, "qmin", None) is not None:
-                window, _ = _window(args, quiver, args.order)
-            report = verify_diagonalization(quiver, args.order, window, conventions)
+            # the default window also covers the diagonal factors' loops
+            report = verify_diagonalization(quiver, args.order,
+                                            None if default else window, conventions)
         elif args.target == "poincare":
-            window, _ = _window(args, quiver, args.order)
             report = poincare_check(quiver, args.order, window)
         elif args.target == "gr":
             report = gr_linking_check(quiver, args.a, args.b, args.order,
@@ -350,20 +346,13 @@ def build_parser():
     sub = subs.add_parser("verify", help="run an exact identity check")
     sub.add_argument("target", choices=("linking", "unlinking", "diagonalization",
                                         "poincare", "gr", "homology"))
-    sub.add_argument("quiver", help="path to a quiver JSON file")
+    _add_common(sub, config=True)
     sub.add_argument("a", nargs="?", default=None, help="first vertex label")
     sub.add_argument("b", nargs="?", default=None, help="second vertex label")
-    sub.add_argument("--order", type=int, default=3,
-                     help="truncation order / dimension bound (default 3)")
-    sub.add_argument("--qmin", type=int, default=None)
-    sub.add_argument("--qmax", type=int, default=None)
     sub.add_argument("--smax", type=int, default=8,
                      help="level-weight bound for gr/homology (default 8)")
     sub.add_argument("--calibrate", action="store_true",
                      help="also scan substitution constants q^(k/2), k=-2..2")
-    sub.add_argument("--output", choices=("text", "json"), default="text")
-    sub.add_argument("--config", default=None,
-                     help="JSON file overriding substitution conventions")
     sub.set_defaults(handler=cmd_verify, minimums={"order": 0, "smax": 0})
 
     return parser

@@ -1,23 +1,21 @@
 """Fraction-free exact row reduction over the integers.
 
 Rows are eliminated by cross-multiplication and re-scaled by their content,
-so entries stay integral.  Rows are fed as sparse {column: nonzero int}
-dicts (dense sequences are accepted and converted), and pivot rows are
-stored the same way, so elimination costs the nonzeros of the two rows
-involved rather than the column count.  External vectors, sparse or dense,
-are reduced the same way: integer numerators over one common denominator,
-visiting only the pivot columns they reach, so rationals appear only in
-the result.  Callers that know the column count can stop feeding rows once
-the rank reaches it: every further row reduces to zero.  Feeding the
-sparsest rows first keeps fill-in low.  The pivot column set is canonical
-(it depends only on the row space, not on the feed order), which makes
-quotient bases deterministic."""
+so entries stay integral.  Every matrix is sparse: rows are fed as
+{column: nonzero int} dicts and pivot rows are stored the same way, so
+elimination costs the nonzeros of the two rows involved rather than the
+column count.  External {column: value} vectors are reduced the same way:
+integer numerators over one common denominator, visiting only the pivot
+columns they reach, so rationals appear only in the result.  Callers that
+know the column count can stop feeding rows once the rank reaches it: every
+further row reduces to zero.  Feeding the sparsest rows first keeps fill-in
+low.  The pivot column set is canonical (it depends only on the row space,
+not on the feed order), which makes quotient bases deterministic."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd, lcm
 
 
@@ -36,18 +34,13 @@ class IntegerEchelon:
     """Incremental integer echelon form: feed rows, read off rank, pivot
     columns, and reductions of further vectors modulo the row space."""
 
-    def __init__(self, ncols):
-        self.ncols = ncols
+    def __init__(self):
         self.pivots = {}  # leading column -> sparse integer row
 
     def add_row(self, row):
-        """Insert one integer row, either a sparse {column: nonzero int} dict,
-        which the echelon takes over and may keep or modify, or a dense
-        sequence of length ncols; returns True when the rank grew."""
-        if not isinstance(row, dict):
-            if len(row) != self.ncols:
-                raise ValueError("row length mismatch")
-            row = {k: row[k] for k in compress(range(self.ncols), row)}
+        """Insert one sparse {column: nonzero int} row, which the echelon
+        takes over and may keep or modify; returns True when the rank
+        grew."""
         while row:
             lead = min(row)
             pivot = self.pivots.get(lead)
@@ -77,21 +70,15 @@ class IntegerEchelon:
         return sorted(self.pivots)
 
     def reduce_vector(self, vec):
-        """Eliminate all pivot columns from vec; the result is the canonical
-        representative supported on non-pivot columns, with ints where a
-        value is integral and Fractions elsewhere.
+        """Eliminate all pivot columns from a sparse {column: int or
+        Fraction} vector; the result is the canonical representative
+        supported on non-pivot columns, as a dict of its nonzero entries,
+        with ints where a value is integral and Fractions elsewhere.
 
-        vec is a sparse {column: int or Fraction} dict, answered by a dict of
-        the nonzero results, or a dense sequence of length ncols, answered by
-        a list.  Denominators are cleared once; the pivot columns the vector
-        reaches are then visited in increasing order from a heap, each step
-        scaling the integer numerators and their common denominator by the
-        pivot's reduced leading entry."""
-        dense = not isinstance(vec, dict)
-        if dense:
-            if len(vec) != self.ncols:
-                raise ValueError("vector length mismatch")
-            vec = dict(enumerate(vec))
+        Denominators are cleared once; the pivot columns the vector reaches
+        are then visited in increasing order from a heap, each step scaling
+        the integer numerators and their common denominator by the pivot's
+        reduced leading entry."""
         den = lcm(*(x.denominator for x in vec.values()))
         num = {k: x.numerator * (den // x.denominator)
                for k, x in vec.items() if x}
@@ -123,24 +110,16 @@ class IntegerEchelon:
                     num[k] = x - c * p
                 else:
                     del num[k]
-        out = {k: x // den if x % den == 0 else Fraction(x, den)
-               for k, x in num.items()}
-        if not dense:
-            return out
-        vec = [0] * self.ncols
-        for k, x in out.items():
-            vec[k] = x
-        return vec
+        return {k: x // den if x % den == 0 else Fraction(x, den)
+                for k, x in num.items()}
 
 
-def rank_of_rows(rows, ncols):
-    """Exact rank of a matrix given as dense rows of ints or Fractions; each
-    row is cleared of denominators and fed sparse."""
-    ech = IntegerEchelon(ncols)
+def rank_of_rows(rows):
+    """Exact rank of a matrix given as sparse {column: int or Fraction} rows;
+    each row is cleared of denominators and fed as it is."""
+    ech = IntegerEchelon()
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError("row length mismatch")
-        m = lcm(*(x.denominator for x in row))
+        m = lcm(*(x.denominator for x in row.values()))
         ech.add_row({k: x.numerator * (m // x.denominator)
-                     for k, x in enumerate(row) if x})
+                     for k, x in row.items() if x})
     return ech.rank

@@ -89,6 +89,23 @@ def test_empty_window_exits_two(tmp_path):
     assert "empty window" in err
 
 
+@pytest.mark.parametrize("target", ["linking", "unlinking", "diagonalization",
+                                    "poincare", "gr", "homology"])
+@pytest.mark.parametrize("flag", ["--qmin", "--qmax"])
+def test_verify_one_window_flag_exits_two(tmp_path, target, flag):
+    code, out, err = run_cli("verify", target, write_a2(tmp_path), "a", "b",
+                             flag, "10")
+    assert (code, out) == (2, "")
+    assert err == "error: --qmin and --qmax must be given together\n"
+
+
+def test_verify_gr_empty_window_exits_two(tmp_path):
+    code, out, err = run_cli("verify", "gr", write_a2(tmp_path), "a", "b",
+                             "--qmin", "5", "--qmax", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: empty window: --qmin 5 > --qmax -5\n"
+
+
 def test_dt_window_without_constant_term_exits_two(tmp_path):
     # t^0 lies outside the window, so the constant term of A_Q is not 1 there
     code, out, err = run_cli("dt", write_a2(tmp_path), "--order", "2",
@@ -350,6 +367,31 @@ def test_dt_golden_digest(tmp_path):
         assert (code, err) == (0, ""), (name, order)
         digest.update(out.encode())
     assert digest.hexdigest() == DT_CELLS_SHA256
+
+
+# One homology cell and the order-5 gr cell per quiver of the algebra-homology
+# benchmark workload, with fixed vertex labels.  The digest pins the verdicts
+# and the component and composition counts they print.
+HOMOLOGY_CELLS = [("homology", "A2", "a", "b", 4, 10),
+                  ("homology", "M2", "a", "b", 4, 10),
+                  ("homology", "M2L", "a", "b", 4, 10),
+                  ("homology", "MIX3", "b", "c", 4, 8)]
+GR_CELLS = [("gr", name, a, b, 5, 8) for _, name, a, b, _, _ in HOMOLOGY_CELLS]
+HOMOLOGY_GR_SHA256 = "5007e5e757dce57bca1db18b426142061b1aca7ed78a881abae3ff9a0e13f389"
+
+
+def test_homology_and_gr_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for target, name, a, b, order, smax in HOMOLOGY_CELLS + GR_CELLS:
+        matrix = RANK_MATRICES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"vertices": list("abc"[:len(matrix)]),
+                                    "matrix": matrix}))
+        code, out, err = run_cli("verify", target, str(path), a, b, "--order",
+                                 str(order), "--smax", str(smax), "--output", "json")
+        assert (code, err) == (0, ""), (target, name)
+        digest.update(out.encode())
+    assert digest.hexdigest() == HOMOLOGY_GR_SHA256
 
 
 def test_algebra_dims_bad_degree(tmp_path):

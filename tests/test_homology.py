@@ -1,8 +1,12 @@
 """The unlinking differential: blocks, d^2 = 0, homology dimensions."""
 
+from fractions import Fraction
+
 import pytest
 
+from quivercalc import algebra
 from quivercalc.algebra import (
+    DifferentialBlock,
     component_dimension,
     homology_check,
     loop_weight,
@@ -12,6 +16,7 @@ from quivercalc.quiver import Quiver, one_vertex
 
 A2 = Quiver(("a", "b"), ((0, 1), (1, 0)))
 M2 = Quiver(("a", "b"), ((0, 2), (2, 0)))
+MIX3 = Quiver(("a", "b", "c"), ((1, 1, 0), (1, 0, 2), (0, 2, 1)))
 
 
 def test_doubled_a2_star_line_block():
@@ -23,14 +28,15 @@ def test_doubled_a2_star_line_block():
         block = unlink_differential(A2, "a", "b", (1, 1), big_h, 1)
         assert block.source_dim == 1
         assert block.target_dim == k + 1
-        assert block.matrix == [[1]] * (k + 1)
+        assert block.columns == [{row: 1 for row in range(k + 1)}]
         assert block.rank() == (1 if k >= 0 else 0)
 
 
 def test_zero_star_block_is_zero():
     block = unlink_differential(A2, "a", "b", (1, 1), -4, 0)
     assert block.target_dim == 0
-    assert block.matrix == []
+    assert block.source_dim > 0
+    assert block.columns == [{}] * block.source_dim
     assert block.rank() == 0
 
 
@@ -49,7 +55,7 @@ def test_m2_block_uses_falling_factorials():
     block = unlink_differential(M2, "a", "b", (1, 1), -2 * 2, 1)
     assert block.source_dim == 1
     assert block.target_dim == 2
-    assert block.matrix == [[-1], [-2]]
+    assert block.columns == [{0: -1, 1: -2}]
     assert block.rank() == 1
 
 
@@ -115,3 +121,98 @@ def test_homology_matches_component_dimension_directly():
         b1 = unlink_differential(A2, "a", "b", (1, 1), big_h, 1)
         h0 = b1.target_dim - b1.rank()
         assert h0 == component_dimension(A2, (1, 1), big_h) == k
+
+
+# -- sparse blocks against dense references -----------------------------------------
+
+def hand_block(columns, target_dim):
+    return DifferentialBlock({}, {}, columns, len(columns), target_dim)
+
+
+def test_identity_composed_with_identity_is_nonzero():
+    identity = hand_block([{0: 1}, {1: 1}], 2)
+    assert not identity.compose_is_zero(identity)
+    assert identity.rank() == 2
+
+
+def test_cancelling_composition_is_zero():
+    # (1 1) . (1, -1)^T = 1 - 1
+    row = hand_block([{0: 1}, {0: 1}], 1)
+    col = hand_block([{0: 1, 1: -1}], 2)
+    assert row.compose_is_zero(col)
+    assert row.rank() == col.rank() == 1
+
+
+def test_zero_partial_sum_is_not_a_zero_composition():
+    # (1 1 1) . (1, -1, 1)^T: the partial sums run 1, 0, 1
+    row = hand_block([{0: 1}, {0: 1}, {0: 1}], 1)
+    assert not row.compose_is_zero(hand_block([{0: 1, 1: -1, 2: 1}], 3))
+    # the first output row cancels, the second does not
+    rows = hand_block([{0: 1, 1: 1}, {0: 1, 1: 2}], 2)
+    assert not rows.compose_is_zero(hand_block([{0: 1, 1: -1}], 2))
+    assert rows.compose_is_zero(hand_block([{}], 2))
+
+
+def dense_matrix(block):
+    """The block as target_dim dense rows, checking the sparse format."""
+    matrix = [[0] * block.source_dim for _ in range(block.target_dim)]
+    assert len(block.columns) == block.source_dim
+    for col, entries in enumerate(block.columns):
+        for row, x in entries.items():
+            assert 0 <= row < block.target_dim and x != 0
+            matrix[row][col] = x
+    return matrix
+
+
+def dense_rank(matrix):
+    """Rank by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def dense_product_is_zero(left, right, inner):
+    return all(sum(left[i][k] * right[k][j] for k in range(inner)) == 0
+               for i in range(len(left)) for j in range(len(right[0]) if right else 0))
+
+
+# MIX3 at bound 3 has at most one star generator, so no block pair composes
+@pytest.mark.parametrize("quiver, a, b, bound, compositions",
+                         [(M2, "a", "b", 4, True), (MIX3, "b", "c", 3, False)])
+def test_blocks_match_dense_reference(monkeypatch, quiver, a, b, bound, compositions):
+    blocks = {}
+    original = algebra.unlink_differential
+
+    def recording(*args):
+        block = original(*args)
+        key = (tuple(block.source_key["degree"]), block.source_key["H"])
+        blocks[key + (block.source_key["c"],)] = block
+        return block
+
+    monkeypatch.setattr(algebra, "unlink_differential", recording)
+    report = homology_check(quiver, a, b, bound)
+    assert report.passed
+    ranked = composed = nontrivial = 0
+    for (degree, big_h, c), block in blocks.items():
+        matrix = dense_matrix(block)
+        assert block.rank() == dense_rank(matrix)
+        ranked += block.rank() > 0
+        feeding = blocks.get((degree, big_h, c + 1))
+        if c >= 1 and feeding is not None:
+            assert block.compose_is_zero(feeding) == dense_product_is_zero(
+                matrix, dense_matrix(feeding), block.source_dim)
+            composed += 1
+            nontrivial += bool(block.target_dim and feeding.source_dim)
+    assert ranked > 0
+    assert composed == report.details["compositions_checked"]
+    assert bool(nontrivial) == compositions
