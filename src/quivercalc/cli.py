@@ -10,7 +10,8 @@ Poincare check whose window holds no nonzero coefficient, or DT extraction
 that stays unstable after one automatic window widening), 2 on usage or
 input errors (missing or malformed files, unknown vertex labels, a window
 given by one bound only or an empty one, a dt window without t^0, orders,
-guards or level-weight bounds below their minimum)."""
+guards or level-weight bounds below their minimum, a verify option its
+target does not read)."""
 
 from __future__ import annotations
 
@@ -239,6 +240,17 @@ def cmd_algebra_dims(args, out):
     return 0
 
 
+# the options each verify target reads, beside --order and --output
+_VERIFY_OPTIONS = {
+    "linking": ("--qmin", "--qmax", "--calibrate", "--config"),
+    "unlinking": ("--qmin", "--qmax", "--calibrate", "--config"),
+    "diagonalization": ("--qmin", "--qmax", "--config"),
+    "poincare": ("--qmin", "--qmax"),
+    "gr": ("--smax",),
+    "homology": ("--smax",),
+}
+
+
 def cmd_verify(args, out):
     quiver = _load_quiver(args.quiver)
     needs_pair = args.target in ("linking", "unlinking", "gr", "homology")
@@ -248,8 +260,16 @@ def cmd_verify(args, out):
         _check_vertices(quiver, args.a, args.b)
         if args.a == args.b:
             _fail("vertex pair must be distinct")
-    conventions = _conventions(args)
     window, default = _window(args, quiver, args.order)
+    given = {"--qmin": args.qmin is not None, "--qmax": args.qmax is not None,
+             "--calibrate": args.calibrate, "--config": args.config is not None,
+             "--smax": args.smax is not None}
+    unread = [option for option, present in given.items()
+              if present and option not in _VERIFY_OPTIONS[args.target]]
+    if unread:
+        _fail(f"verify {args.target} does not read {', '.join(unread)}")
+    conventions = _conventions(args)
+    s_max = 8 if args.smax is None else args.smax
     try:
         if args.target == "linking":
             report = verify_link_identity(quiver, args.a, args.b, args.order,
@@ -265,10 +285,10 @@ def cmd_verify(args, out):
             report = poincare_check(quiver, args.order, window)
         elif args.target == "gr":
             report = gr_linking_check(quiver, args.a, args.b, args.order,
-                                      s_max=args.smax)
+                                      s_max=s_max)
         elif args.target == "homology":
             report = homology_check(quiver, args.a, args.b, args.order,
-                                    s_max=args.smax)
+                                    s_max=s_max)
         else:
             _fail(f"unknown verify target {args.target!r}")
     except ValueError as exc:
@@ -349,7 +369,7 @@ def build_parser():
     _add_common(sub, config=True)
     sub.add_argument("a", nargs="?", default=None, help="first vertex label")
     sub.add_argument("b", nargs="?", default=None, help="second vertex label")
-    sub.add_argument("--smax", type=int, default=8,
+    sub.add_argument("--smax", type=int, default=None,
                      help="level-weight bound for gr/homology (default 8)")
     sub.add_argument("--calibrate", action="store_true",
                      help="also scan substitution constants q^(k/2), k=-2..2")
@@ -367,7 +387,7 @@ def main(argv=None, out=None, err=None):
         # numeric arguments with a lower bound, declared per subcommand
         for name, low in getattr(args, "minimums", {}).items():
             value = getattr(args, name)
-            if value < low:
+            if value is not None and value < low:
                 _fail(f"--{name} must be >= {low}, got {value}")
         return args.handler(args, out)
     except (InputError, SeriesError) as exc:

@@ -88,15 +88,40 @@ def default_window(order, max_loops):
 
 def motivic_series(quiver, order, window):
     """A_Q truncated at total x-degree `order`, every coefficient
-    materialized on the requested t-exponent window."""
+    materialized on the requested t-exponent window.
+
+    The coefficient of x^d is (-t)^(-chi(d,d)) times the product P of the
+    P_n = pochhammer_inv(n) over the nonzero parts n of d, needed up to
+    t^hi with hi = whi + chi(d,d).  Every P_n is a power series in t with
+    exact integer coefficients, so P up to t^hi is the same for any order of
+    the parts and any cut at or above hi: one product per multiset of parts
+    serves every degree.  The parts are sorted in descending order, and each
+    prefix of them is multiplied once, up to the largest hi of the degrees
+    that extend it.  A degree keeps the terms up to its own hi, on the
+    window ((k+1) lo, hi) for k nonzero parts, lo = min(wlo + chi, 0): the
+    window of 1 on (lo, hi) times k factors on (lo, hi) each."""
     wlo, whi = window
     if wlo > whi:
         raise ValueError(f"motivic_series: empty window [{wlo}, {whi}]")
-    n = len(quiver)
-    terms = {}
-    poch_cache = {}
-    for d in iter_multidegrees(n, order):
+    degrees = []
+    reach = {}  # prefix of descending parts -> largest hi of a degree extending it
+    for d in iter_multidegrees(len(quiver), order):
         chi = euler_form(quiver, d, d)
+        parts = tuple(sorted(filter(None, d), reverse=True))
+        degrees.append((d, chi, parts))
+        for k in range(1, len(parts) + 1):
+            if reach.get(parts[:k], -1) < whi + chi:
+                reach[parts[:k]] = whi + chi
+    products = {}
+    # a prefix sorts before its extensions; a reach below 0 serves only stubs
+    for prefix, hi in sorted(reach.items()):
+        if hi < 0:
+            continue
+        poch = pochhammer_inv(prefix[-1], 0, hi)
+        products[prefix] = (products[prefix[:-1]].mul(poch, hi_cap=hi)
+                            if len(prefix) > 1 else poch)
+    terms = {}
+    for d, chi, parts in degrees:
         hi = whi + chi
         lo = min(wlo + chi, 0)
         if hi < 0:
@@ -105,21 +130,12 @@ def motivic_series(quiver, order, window):
             # requested window; record an all-zero stub there
             terms[d] = TruncatedLaurent({}, wlo, whi)
             continue
-        coeff = None
-        for di in d:
-            if di == 0:
-                continue
-            key = (di, lo, hi)
-            poch = poch_cache.get(key)
-            if poch is None:
-                poch = pochhammer_inv(di, lo, hi)
-                poch_cache[key] = poch
-            if coeff is None:
-                # the window of 1 * poch, without the product
-                coeff = TruncatedLaurent(poch.coeffs, 2 * lo, hi)
-            else:
-                coeff = coeff.mul(poch, hi_cap=hi)
-        if coeff is None:
+        if parts:
+            # nonzero ints at exponents 0..hi
+            coeff = TruncatedLaurent._trusted(
+                {e: c for e, c in products[parts].coeffs.items() if e <= hi},
+                (len(parts) + 1) * lo, hi)
+        else:
             coeff = TruncatedLaurent.one(lo, hi)
         if chi % 2:
             coeff = coeff.scale(-1)
@@ -174,10 +190,12 @@ def _verify_substitution_identity(kind, quiver, a, b, order, window,
     mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(substituted(mono.qpow))]
     details = {"transformed_quiver": transformed.to_json(), "new_vertex": new_label}
     if calibrate:
-        # a constant holds only where something nonzero was compared
+        # a constant holds only where something nonzero was compared; the
+        # configured constant's verdict is the report's own
         details["calibration"] = {
-            str(power): not inconclusive
-            and not lhs.first_mismatches(substituted(power), limit=1)
+            str(power): not inconclusive and not (
+                mismatches if power == mono.qpow
+                else lhs.first_mismatches(substituted(power), limit=1))
             for power in range(-2, 3)}
     return VerificationReport(
         name=f"{kind}-identity",
@@ -295,7 +313,12 @@ def _factor_product(factors, vertices, rounds, window):
     through x-degree `rounds`, with one multivariate product per distinct
     monomial: factors sharing it are multiplied in v first.  Substituting
     v -> q^(qpow/2) x^m sends each v-degree to its own x-degree with a fixed
-    t-shift, so every product window carries through unchanged."""
+    t-shift, so every product window carries through unchanged.
+
+    The groups are multiplied in descending total degree of their monomial,
+    ties in order of first appearance (a stable sort).  A high-degree
+    factor has few terms below the cap, so the accumulator stays sparse
+    until the dense degree-1 factors come last."""
     slack = max((abs(f.monomial.qpow) for f in factors), default=0) * rounds
     factor_window = (window[0] - slack, window[1] + slack)
     groups = {}
@@ -303,7 +326,8 @@ def _factor_product(factors, vertices, rounds, window):
         groups.setdefault(factor.monomial, []).append(factor.loop_count)
     singles = {}
     rhs = MultiSeries.one(vertices, rounds, window)
-    for mono, loop_counts in groups.items():
+    for mono, loop_counts in sorted(groups.items(),
+                                    key=lambda group: -group[0].total_degree()):
         sub_order = rounds // mono.total_degree()
         product = None
         for loops in loop_counts:

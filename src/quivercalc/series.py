@@ -171,8 +171,8 @@ class TruncatedLaurent:
         """Multiply by t^j (exact; the window shifts with the exponents)."""
         if j == 0:
             return self
-        return TruncatedLaurent({e + j: c for e, c in self.coeffs.items()},
-                                self.lo + j, self.hi + j)
+        return TruncatedLaurent._trusted({e + j: c for e, c in self.coeffs.items()},
+                                         self.lo + j, self.hi + j)
 
     def truncated(self, hi):
         """Forget knowledge above t^hi."""

@@ -106,6 +106,32 @@ def test_verify_gr_empty_window_exits_two(tmp_path):
     assert err == "error: empty window: --qmin 5 > --qmax -5\n"
 
 
+# The options each verify target reads, beside --order and --output.
+VERIFY_READS = {"linking": {"window", "--calibrate", "--config"},
+                "unlinking": {"window", "--calibrate", "--config"},
+                "diagonalization": {"window", "--config"},
+                "poincare": {"window"},
+                "gr": {"--smax"}, "homology": {"--smax"}}
+
+
+@pytest.mark.parametrize("target", sorted(VERIFY_READS))
+@pytest.mark.parametrize("option", ["window", "--calibrate", "--config", "--smax"])
+def test_verify_rejects_options_its_target_does_not_read(tmp_path, target, option):
+    config = tmp_path / "calibrated.json"
+    config.write_text(json.dumps({"preset": "calibrated"}))
+    flags = {"window": ("--qmin", "-10", "--qmax", "30"), "--calibrate": ("--calibrate",),
+             "--config": ("--config", str(config)), "--smax": ("--smax", "3")}[option]
+    code, out, err = run_cli("verify", target, write_a2(tmp_path), "a", "b",
+                             "--order", "2", *flags)
+    if option in VERIFY_READS[target]:
+        assert (code, err) == (0, ""), out
+        assert "PASS" in out
+    else:
+        named = "--qmin, --qmax" if option == "window" else option
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {target} does not read {named}\n"
+
+
 def test_dt_window_without_constant_term_exits_two(tmp_path):
     # t^0 lies outside the window, so the constant term of A_Q is not 1 there
     code, out, err = run_cli("dt", write_a2(tmp_path), "--order", "2",
@@ -392,6 +418,34 @@ def test_homology_and_gr_golden_digest(tmp_path):
         assert (code, err) == (0, ""), (target, name)
         digest.update(out.encode())
     assert digest.hexdigest() == HOMOLOGY_GR_SHA256
+
+
+# Link and unlink checks of the identity-verify benchmark workload, with fixed
+# vertex labels, once with --calibrate and once under the printed constants.
+# The digests pin the verdicts, the calibration scans and the refutations'
+# mismatch payloads with their windows.
+LINK_CELLS = [(kind, name, order) for kind in ("linking", "unlinking")
+              for name in ("A2", "M2", "M2L", "MIX3") for order in (6, 10)]
+LINK_CALIBRATE_SHA256 = "6e2262753117733fb6e0a5ba55341e3c442156d688352838a09925674a390cab"
+LINK_PRINTED_SHA256 = "3dbcdeb2386c1c0b3daff31d473305f1f47af4cd0edffe6be08611c611082e6d"
+
+
+def test_link_and_unlink_golden_digests(tmp_path):
+    printed = tmp_path / "printed.json"
+    printed.write_text(json.dumps({"preset": "printed"}))
+    for flags, exit_code, expected in ((("--calibrate",), 0, LINK_CALIBRATE_SHA256),
+                                       (("--config", str(printed)), 1, LINK_PRINTED_SHA256)):
+        digest = hashlib.sha256()
+        for kind, name, order in LINK_CELLS:
+            matrix = RANK_MATRICES[name]
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"vertices": list("abc"[:len(matrix)]),
+                                        "matrix": matrix}))
+            code, out, err = run_cli("verify", kind, str(path), "a", "b", "--order",
+                                     str(order), *flags, "--output", "json")
+            assert (code, err) == (exit_code, ""), (kind, name, order, flags)
+            digest.update(out.encode())
+        assert digest.hexdigest() == expected, flags
 
 
 def test_algebra_dims_bad_degree(tmp_path):

@@ -22,7 +22,8 @@ from quivercalc.motivic import (
 from quivercalc.motivic import DiagonalFactor, _factor_product
 from quivercalc.quiver import Quiver, one_vertex
 from quivercalc.quiver import euler_form
-from quivercalc.series import MultiSeries, TruncatedLaurent, VertexMonomial, pochhammer_inv
+from quivercalc.series import (MultiSeries, TruncatedLaurent, VertexMonomial,
+                               iter_multidegrees, pochhammer_inv)
 
 A2 = Quiver(("a", "b"), ((0, 1), (1, 0)))
 M2 = Quiver(("a", "b"), ((0, 2), (2, 0)))
@@ -136,6 +137,23 @@ def test_calibration_scan_isolates_constants():
         report = verify_unlink_identity(q, "a", "b", 3, calibrate=True)
         assert report.details["calibration"] == {
             "-2": False, "-1": False, "0": True, "1": False, "2": False}
+
+
+def test_calibrated_check_substitutes_once_per_constant(monkeypatch):
+    # the configured constant's substitution serves its calibration entry too
+    calls = []
+    substitute = MultiSeries.substitute
+
+    def counting_substitute(self, vertex, monomial, *args, **kwargs):
+        calls.append(monomial.qpow)
+        return substitute(self, vertex, monomial, *args, **kwargs)
+
+    monkeypatch.setattr(MultiSeries, "substitute", counting_substitute)
+    for verify in (verify_link_identity, verify_unlink_identity):
+        calls.clear()
+        report = verify(MIX3, "a", "b", 4, calibrate=True)
+        assert report.passed
+        assert sorted(calls) == [-2, -1, 0, 1, 2]
 
 
 def test_printed_constants_fail():
@@ -260,20 +278,25 @@ def diagonalization_window(quiver, rounds, result, window):
 
 
 def test_factor_product_matches_per_factor_fold():
-    for q in FLEET:
-        for rounds in (1, 2, 3, 4):
-            for qpow in (-1, 0, 1):
-                result = diagonalize(q, rounds, Conventions(unlink_qpow=qpow))
-                for window in (None, (-10, 10), (5, 30)):
-                    window = diagonalization_window(q, rounds, result, window)
-                    args = (result.factors, q.vertices, rounds, window)
-                    got = _factor_product(*args)
-                    want = ref_factor_fold(*args)
-                    assert (got.cap, got.window) == (want.cap, want.window)
-                    assert got.terms.keys() == want.terms.keys()
-                    for d, coeff in want.terms.items():
-                        # TruncatedLaurent equality compares the (lo, hi) window too
-                        assert got.terms[d] == coeff, (q.vertices, rounds, qpow, window, d)
+    # _factor_product multiplies the monomial groups highest degree first and
+    # the reference folds the factors in order of appearance, so this also
+    # checks that no window depends on the order of the products; the wide
+    # default window costs the most, so it keeps the constants -1..1
+    cases = [(q, rounds, qpow, window) for q in FLEET for rounds in (1, 2, 3, 4)
+             for window in (None, (-10, 10), (5, 30))
+             for qpow in ((-1, 0, 1) if window is None else (-3, -1, 0, 1, 2))]
+    cases.append((MIX3, 5, 0, (-10, 10)))
+    for q, rounds, qpow, window in cases:
+        result = diagonalize(q, rounds, Conventions(unlink_qpow=qpow))
+        window = diagonalization_window(q, rounds, result, window)
+        args = (result.factors, q.vertices, rounds, window)
+        got = _factor_product(*args)
+        want = ref_factor_fold(*args)
+        assert (got.cap, got.window) == (want.cap, want.window)
+        assert got.terms.keys() == want.terms.keys()
+        for d, coeff in want.terms.items():
+            # TruncatedLaurent equality compares the (lo, hi) window too
+            assert got.terms[d] == coeff, (q.vertices, rounds, qpow, window, d)
 
 
 def test_factor_product_builds_each_order_of_a_loop_count():
@@ -339,13 +362,15 @@ def test_calibration_on_zero_lhs_accepts_nothing():
 
 
 def ref_motivic_series(quiver, order, window):
-    """Every degree's coefficient as a product starting from 1."""
+    """Every degree's coefficient as a product starting from 1, one degree
+    at a time and in the order of its parts."""
     terms = {}
-    for d, got in motivic_series(quiver, order, window).terms.items():
+    for d in iter_multidegrees(len(quiver), order):
         chi = euler_form(quiver, d, d)
         hi = window[1] + chi
         lo = min(window[0] + chi, 0)
         if hi < 0:
+            terms[d] = TruncatedLaurent({}, *window)
             continue
         coeff = TruncatedLaurent.one(lo, hi)
         for di in d:
@@ -355,9 +380,23 @@ def ref_motivic_series(quiver, order, window):
     return terms
 
 
+# four vertices whose permuted degrees share their parts under different
+# Euler forms, so one Pochhammer product serves several cuts
+Q4 = Quiver(("a", "b", "c", "d"),
+            ((0, 1, 0, 2), (1, 2, 1, 0), (0, 1, 1, 1), (2, 0, 1, 3)))
+
+
 def test_motivic_series_first_factor_window():
-    for q in FLEET + (one_vertex(2),):
-        for window in ((-12, 20), (3, 9), (-30, 2), (0, 0)):
-            got = motivic_series(q, 4, window)
-            for d, coeff in ref_motivic_series(q, 4, window).items():
-                assert got.terms[d] == coeff, (q.vertices, window, d)
+    assert euler_form(Q4, (1, 2, 0, 0), (1, 2, 0, 0)) != euler_form(
+        Q4, (0, 0, 2, 1), (0, 0, 2, 1))
+    for q in FLEET + (one_vertex(2), Q4):
+        for order in range(7):
+            for window in ((-12, 20), (3, 9), (-30, 2), (0, 0), (-3, 60)):
+                got = motivic_series(q, order, window).terms
+                want = ref_motivic_series(q, order, window)
+                assert got.keys() == want.keys()
+                for d, coeff in want.items():
+                    # equality compares the coefficients and the (lo, hi) window
+                    assert got[d] == coeff, (q.vertices, order, window, d)
+                    assert ({e: type(c) for e, c in got[d].coeffs.items()}
+                            == {e: type(c) for e, c in coeff.coeffs.items()})
