@@ -11,13 +11,19 @@ that stays unstable after one automatic window widening), 2 on usage or
 input errors (missing or malformed files, unknown vertex labels, a window
 given by one bound only or an empty one, a dt window without t^0, orders,
 guards or level-weight bounds below their minimum, a verify option its
-target does not read)."""
+target does not read).
+
+`main` returns that status, for argparse usage errors (2) and --help (0)
+too, and writes only to the streams it is given.  It may be called any
+number of times in one process; every call reuses one parser."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 
 from .algebra import (component_dimension, functional_dimension,
                       gr_linking_check, homology_check, loop_weight,
@@ -316,7 +322,11 @@ def _add_common(sub, order=True, window=True, config=False, min_order=0):
                          help="JSON file overriding substitution conventions")
 
 
+@cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every later
+    one.  It holds no per-call state: parse_args returns a fresh Namespace,
+    and the `minimums` dicts it hands out are only read."""
     parser = argparse.ArgumentParser(
         prog="quivercalc",
         description="Exact motivic series, DT invariants, and quadratic-algebra "
@@ -381,8 +391,12 @@ def build_parser():
 def main(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # --help (0) or a usage error (2), already written to out or err
+        return exc.code
     try:
         # numeric arguments with a lower bound, declared per subcommand
         for name, low in getattr(args, "minimums", {}).items():

@@ -676,6 +676,10 @@ class MultiSeries:
                         f"vertex {label!r} missing from output vertex set {out_vertices}")
                 mapping.append(pos[label])
         qpow = monomial.qpow
+        # one [lo, hi, coefficients, summed] accumulator per output degree,
+        # closed once: the window is the one repeated TruncatedLaurent
+        # addition gives (min of the lo's, min of the hi's), without its
+        # copy of the running sum per contribution
         acc = {}
         for d, c in self.terms.items():
             k = d[vi]
@@ -690,9 +694,27 @@ class MultiSeries:
             ndt = tuple(nd)
             if sum(ndt) > cap:
                 continue
-            shifted = c.shift(qpow * k)
-            acc[ndt] = acc[ndt] + shifted if ndt in acc else shifted
-        return MultiSeries(out_vertices, cap, self.window, acc)
+            j = qpow * k
+            slot = acc.get(ndt)
+            if slot is None:
+                acc[ndt] = [c.lo + j, c.hi + j,
+                            {e + j: v for e, v in c.coeffs.items()}, False]
+                continue
+            slot[0] = min(slot[0], c.lo + j)
+            slot[1] = min(slot[1], c.hi + j)
+            coeffs = slot[2]
+            for e, v in c.coeffs.items():
+                e += j
+                coeffs[e] = coeffs.get(e, 0) + v
+            slot[3] = True
+        terms = {}
+        for ndt, (lo, hi, coeffs, summed) in acc.items():
+            if summed:
+                # sums may cancel to zero or be integral Fractions
+                coeffs = {e: v if type(v) is int else _intify(v)
+                          for e, v in coeffs.items() if v and e <= hi}
+            terms[ndt] = TruncatedLaurent._trusted(coeffs, lo, hi)
+        return MultiSeries(out_vertices, cap, self.window, terms)
 
     # -- comparison -----------------------------------------------------------
 

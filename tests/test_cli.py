@@ -3,10 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from quivercalc.cli import main
+import quivercalc
+from quivercalc.cli import build_parser, main
 from quivercalc.quiver import Quiver
 
 A2_OBJ = {"vertices": ["a", "b"], "matrix": [[0, 1], [1, 0]]}
@@ -14,10 +18,7 @@ A2_OBJ = {"vertices": ["a", "b"], "matrix": [[0, 1], [1, 0]]}
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
-    try:
-        code = main(list(argv), out=out, err=err)
-    except SystemExit as exc:  # argparse usage failures
-        code = exc.code
+    code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -140,11 +141,41 @@ def test_dt_window_without_constant_term_exits_two(tmp_path):
     assert err == "error: pleth_log: series must have constant term 1\n"
 
 
-def test_usage_error_exits_two(tmp_path):
-    code, _, _ = run_cli("verify", "bogus-target", write_a2(tmp_path))
-    assert code == 2
+def test_usage_error_exits_two(tmp_path, capsys):
+    # argparse's usage errors go to the err stream main was given, and main
+    # returns 2 instead of raising SystemExit
+    code, out, err = run_cli("verify", "bogus-target", write_a2(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:")
     code, _, err = run_cli("verify", "homology", write_a2(tmp_path))
     assert code == 2
+    code, out, err = run_cli("verify", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage:")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    # one process runs a usage error and then each option with and without
+    # its neighbour's; every call prints what a fresh process prints, so no
+    # default or parsed value leaks from one call into the next
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(quivercalc.__file__)),
+        os.environ.get("PYTHONPATH")))))
+    a2 = write_a2(tmp_path)
+    build_parser.cache_clear()
+    for argv in (("verify", "bogus-target", a2),
+                 ("verify", "gr", a2, "a", "b", "--order", "2", "--smax", "3",
+                  "--output", "json"),
+                 ("verify", "gr", a2, "a", "b", "--order", "2", "--output", "json"),
+                 ("verify", "linking", a2, "a", "b", "--calibrate", "--output", "json"),
+                 ("verify", "linking", a2, "a", "b", "--output", "json")):
+        fresh = subprocess.run([sys.executable, "-m", "quivercalc", *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        assert run_cli(*argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
 
 
 def test_negative_series_order_exits_two(tmp_path):

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from quivercalc import motivic
 from quivercalc.motivic import (
     CALIBRATED,
     Conventions,
@@ -20,7 +22,7 @@ from quivercalc.motivic import (
     verify_unlink_identity,
 )
 from quivercalc.motivic import DiagonalFactor, _factor_product
-from quivercalc.quiver import Quiver, one_vertex
+from quivercalc.quiver import Quiver, link, one_vertex, unlink
 from quivercalc.quiver import euler_form
 from quivercalc.series import (MultiSeries, TruncatedLaurent, VertexMonomial,
                                iter_multidegrees, pochhammer_inv)
@@ -140,20 +142,83 @@ def test_calibration_scan_isolates_constants():
 
 
 def test_calibrated_check_substitutes_once_per_constant(monkeypatch):
-    # the configured constant's substitution serves its calibration entry too
+    # the configured constant's substitution serves its calibration entry
+    # too, and a wrong constant that fails through |d| = 2 is substituted
+    # only that far
     calls = []
     substitute = MultiSeries.substitute
 
-    def counting_substitute(self, vertex, monomial, *args, **kwargs):
-        calls.append(monomial.qpow)
-        return substitute(self, vertex, monomial, *args, **kwargs)
+    def counting_substitute(self, vertex, monomial, out_vertices, out_cap=None):
+        calls.append((monomial.qpow, out_cap))
+        return substitute(self, vertex, monomial, out_vertices, out_cap)
 
     monkeypatch.setattr(MultiSeries, "substitute", counting_substitute)
-    for verify in (verify_link_identity, verify_unlink_identity):
+    for verify, qpow in ((verify_link_identity, CALIBRATED["link_qpow"]),
+                         (verify_unlink_identity, CALIBRATED["unlink_qpow"])):
         calls.clear()
         report = verify(MIX3, "a", "b", 4, calibrate=True)
         assert report.passed
-        assert sorted(calls) == [-2, -1, 0, 1, 2]
+        assert sorted(calls) == [(power, 4 if power == qpow else 2)
+                                 for power in range(-2, 3)]
+
+
+def test_calibration_scan_checks_past_degree_two(monkeypatch):
+    # a left-hand side corrupted at |d| = 3 agrees with the calibrated
+    # constant through |d| = 2 only; the scan must still refute it there
+    series = motivic.motivic_series
+
+    def corrupted(quiver, order, window):
+        out = series(quiver, order, window)
+        if quiver is not A2:
+            return out
+        term = out.terms[(2, 1)]
+        bump = TruncatedLaurent.monomial(term.valuation(), 1, term.lo, term.hi)
+        return MultiSeries(out.vertices, out.cap, out.window,
+                           {**out.terms, (2, 1): term + bump})
+
+    monkeypatch.setattr(motivic, "motivic_series", corrupted)
+    printed = Conventions.from_dict(PRINTED)
+    for verify in (verify_link_identity, verify_unlink_identity):
+        report = verify(A2, "a", "b", 4, conventions=printed, calibrate=True)
+        assert not any(report.details["calibration"].values())
+
+
+def full_calibration_scan(kind, quiver, order, window, conventions):
+    """Every constant q^(k/2), k = -2..2, checked by a full substitution
+    through `order`; true only where something nonzero was compared."""
+    if kind == "linking":
+        transformed = link(quiver, "a", "b")
+        mono = link_substitution(quiver, "a", "b", conventions)
+    else:
+        transformed = unlink(quiver, "a", "b")
+        mono = unlink_substitution(quiver, "a", "b", conventions)
+    if window is None:
+        window = default_window(order, max(quiver.max_loops(), transformed.max_loops()))
+    lhs = motivic_series(quiver, order, window)
+    rhs = motivic_series(transformed, order, window)
+    compared = not all(term.is_zero() for term in lhs.terms.values())
+    return {str(power): compared and not lhs.first_mismatches(
+                rhs.substitute(transformed.vertices[-1], replace(mono, qpow=power),
+                               quiver.vertices, out_cap=order), limit=1)
+            for power in range(-2, 3)}
+
+
+@pytest.mark.parametrize("kind", ["linking", "unlinking"])
+def test_calibration_matches_full_substitution_scan(kind):
+    verify = verify_link_identity if kind == "linking" else verify_unlink_identity
+    printed = Conventions.from_dict(PRINTED)
+    below = (-200, -190)  # below all support: nothing is compared
+    for quiver in FLEET:
+        for order in range(9):
+            for window in (None, (-4, 0), below):
+                for conventions in (DEFAULT_CONVENTIONS, printed):
+                    report = verify(quiver, "a", "b", order, window, conventions,
+                                    calibrate=True)
+                    scan = report.details["calibration"]
+                    assert scan == full_calibration_scan(
+                        kind, quiver, order, window, conventions), (quiver, order, window)
+                    if window == below:
+                        assert not any(scan.values())
 
 
 def test_printed_constants_fail():

@@ -552,6 +552,69 @@ def test_series_mul_one_parity_many_valuations():
         assert same_series(x.mul(x, hi_cap), ref_series_mul(x, x, hi_cap))
 
 
+def ref_substitute(series, vertex, monomial, out_vertices, out_cap):
+    """The substitution summed by repeated TruncatedLaurent addition."""
+    vi = series.vertices.index(vertex)
+    pos = {label: i for i, label in enumerate(out_vertices)}
+    acc = {}
+    for d, c in series.terms.items():
+        k = d[vi]
+        nd = [k * e for e in monomial.exponents]
+        for i, di in enumerate(d):
+            if i != vi:
+                nd[pos[series.vertices[i]]] += di
+        nd = tuple(nd)
+        if sum(nd) > out_cap:
+            continue
+        shifted = c.shift(monomial.qpow * k)
+        acc[nd] = acc[nd] + shifted if nd in acc else shifted
+    return MultiSeries(out_vertices, out_cap, series.window, acc)
+
+
+def test_substitute_matches_repeated_addition():
+    # x_d -> q^(qpow/2) x_a x_b sends (i, j, k) to (i + k, j + k), so several
+    # input degrees land on one output degree, with mixed windows, Fraction
+    # coefficients and, where a term is built as its partner's negative,
+    # sums that cancel to zero
+    rng = random.Random(20261018)
+    cancelled = fractions = 0
+    for _ in range(150):
+        qpow = rng.randint(-3, 3)
+        target = VertexMonomial((1, 1), qpow)
+        series = rand_operand_series(rng, vertices=("a", "b", "d"), cap=4)
+        terms = dict(series.terms)
+        partner = terms.get((1, 1, 0))
+        forced = partner is not None and not partner.is_zero() and rng.random() < 0.5
+        if forced:
+            # (0, 0, 1) is the only other degree landing on (1, 1)
+            terms[(0, 0, 1)] = (-partner).shift(-qpow)
+        series = MultiSeries(series.vertices, 4, series.window, terms)
+        for out_cap in (2, None):
+            got = series.substitute("d", target, ("a", "b"), out_cap=out_cap)
+            want = ref_substitute(series, "d", target, ("a", "b"),
+                                  4 if out_cap is None else out_cap)
+            assert same_series(got, want)
+        if forced:
+            assert got.terms[(1, 1)].is_zero()
+            cancelled += 1
+        fractions += any(type(v) is Fraction
+                         for c in got.terms.values() for v in c.coeffs.values())
+    assert cancelled and fractions
+
+
+def test_substitute_single_vertex_matches_repeated_addition():
+    # one input vertex: the provable cap is (cap + 1) * deg - 1
+    rng = random.Random(7)
+    for _ in range(60):
+        series = rand_operand_series(rng, vertices=("v",), cap=rng.randint(0, 5))
+        expo = rng.choice(((1, 2), (2, 1), (0, 3), (1, 1, 1)))
+        target = VertexMonomial(expo, rng.randint(-2, 2))
+        out = tuple("abc"[:len(expo)])
+        got = series.substitute("v", target, out)
+        assert got.cap == (series.cap + 1) * sum(expo) - 1
+        assert same_series(got, ref_substitute(series, "v", target, out, got.cap))
+
+
 def ref_pleth_log(series):
     """The power-sum Log with Fraction scalars at every step."""
     def mobius(n):
