@@ -13,7 +13,7 @@ from .motivic import (Conventions, DEFAULT_CONVENTIONS, DiagonalFactor,
                       link_substitution, motivic_series, unlink_substitution,
                       verify_diagonalization, verify_link_identity,
                       verify_unlink_identity)
-from .dt import DTResult, dt_check, dt_extract
+from .dt import DTResult, dt_check, dt_extract, dt_window
 from .algebra import (algebra_component, component_basis, component_dimension,
                       functional_dimension, gr_linking_check, homology_check,
                       poincare_check, relation_rows, unlink_differential)
@@ -29,7 +29,7 @@ __all__ = [
     "DiagonalizationResult", "default_window", "diagonalize",
     "link_substitution", "motivic_series", "unlink_substitution",
     "verify_diagonalization", "verify_link_identity", "verify_unlink_identity",
-    "DTResult", "dt_check", "dt_extract",
+    "DTResult", "dt_check", "dt_extract", "dt_window",
     "algebra_component", "component_basis", "component_dimension",
     "functional_dimension", "gr_linking_check", "homology_check",
     "poincare_check", "relation_rows", "unlink_differential",

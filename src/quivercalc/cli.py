@@ -7,8 +7,8 @@ no timing data) so identical invocations produce byte-identical output.
 Exit status: 0 on success / verified pass, 1 on a verified failure (an
 identity check with mismatches, a linking, unlinking, diagonalization or
 Poincare check whose window holds no nonzero coefficient, or DT extraction
-that stays unstable after one automatic window widening), 2 on usage or
-input errors (missing or malformed files, unknown vertex labels, a window
+with an unstable degree or a non-integral or negative invariant), 2 on usage
+or input errors (missing or malformed files, unknown vertex labels, a window
 given by one bound only or an empty one, a dt window without t^0, orders,
 guards or level-weight bounds below their minimum, a verify option its
 target does not read).
@@ -28,7 +28,7 @@ from functools import cache
 from .algebra import (component_dimension, functional_dimension,
                       gr_linking_check, homology_check, loop_weight,
                       poincare_check)
-from .dt import dt_extract
+from .dt import dt_check, dt_extract, dt_window
 from .motivic import (Conventions, DEFAULT_CONVENTIONS, default_window,
                       diagonalize, motivic_series, verify_diagonalization,
                       verify_link_identity, verify_unlink_identity)
@@ -61,15 +61,16 @@ def _check_vertices(quiver, *labels):
             _fail(f"unknown vertex {label!r}; quiver has {list(quiver.vertices)}")
 
 
-def _window(args, quiver, order):
+def _window(args):
+    """The --qmin/--qmax window, or None when neither is given."""
     qmin, qmax = args.qmin, args.qmax
     if (qmin is None) != (qmax is None):
         _fail("--qmin and --qmax must be given together")
     if qmin is None:
-        return default_window(order, quiver.max_loops()), True
+        return None
     if qmin > qmax:
         _fail(f"empty window: --qmin {qmin} > --qmax {qmax}")
-    return (qmin, qmax), False
+    return (qmin, qmax)
 
 
 def _conventions(args):
@@ -140,7 +141,7 @@ def cmd_info(args, out):
 
 def cmd_series(args, out):
     quiver = _load_quiver(args.quiver)
-    window, _ = _window(args, quiver, args.order)
+    window = _window(args) or default_window(args.order, quiver.max_loops())
     series = motivic_series(quiver, args.order, window)
     if args.output == "json":
         _print_json(series.to_json(), out)
@@ -151,26 +152,18 @@ def cmd_series(args, out):
 
 def cmd_dt(args, out):
     quiver = _load_quiver(args.quiver)
-    window, auto = _window(args, quiver, args.order)
-    series = motivic_series(quiver, args.order, window)
-    result = dt_extract(series, guard=args.guard)
-    widened = False
-    if not result.all_stable() and auto:
-        # one automatic retry on a doubled window
-        window = (2 * window[0], 2 * window[1])
-        series = motivic_series(quiver, args.order, window)
-        result = dt_extract(series, guard=args.guard)
-        widened = True
+    window = _window(args) or dt_window(quiver, args.order, args.guard)
+    result = dt_extract(motivic_series(quiver, args.order, window), guard=args.guard)
     if args.output == "json":
-        payload = result.to_json()
-        payload["window_widened"] = widened
-        _print_json(payload, out)
+        _print_json(result.to_json(), out)
     else:
         for entry in result.entries:
-            flag = "" if entry.stable else "  UNSTABLE"
+            flag = ("  UNSTABLE" if not entry.stable
+                    else "" if entry.is_positive() else "  NOT POSITIVE")
             omega = {e: c for e, c in sorted(entry.u_coeffs.items())} or 0
             out.write(f"Omega{entry.degree}: {omega}{flag}\n")
-    return 0 if result.all_stable() else 1
+    # dt_check needs every degree stable, and then checks positivity
+    return 0 if result.all_stable() and dt_check(result).passed else 1
 
 
 def _transform(args, out, op, opname):
@@ -266,7 +259,8 @@ def cmd_verify(args, out):
         _check_vertices(quiver, args.a, args.b)
         if args.a == args.b:
             _fail("vertex pair must be distinct")
-    window, default = _window(args, quiver, args.order)
+    given_window = _window(args)
+    window = given_window or default_window(args.order, quiver.max_loops())
     given = {"--qmin": args.qmin is not None, "--qmax": args.qmax is not None,
              "--calibrate": args.calibrate, "--config": args.config is not None,
              "--smax": args.smax is not None}
@@ -285,8 +279,8 @@ def cmd_verify(args, out):
                                             window, conventions, args.calibrate)
         elif args.target == "diagonalization":
             # the default window also covers the diagonal factors' loops
-            report = verify_diagonalization(quiver, args.order,
-                                            None if default else window, conventions)
+            report = verify_diagonalization(quiver, args.order, given_window,
+                                            conventions)
         elif args.target == "poincare":
             report = poincare_check(quiver, args.order, window)
         elif args.target == "gr":

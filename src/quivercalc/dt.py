@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .quiver import euler_form
 from .report import VerificationReport
 from .series import (TruncatedLaurent, exact_str, iter_multidegrees,
                      pleth_log)
@@ -78,14 +79,49 @@ class DTResult:
         }
 
 
+def dt_window(quiver, order, guard):
+    """The one t-window on which dt_extract(motivic_series(quiver, order,
+    window), guard) is stable in every degree 1 <= |d| <= order:
+    (-(guard + 1), top + guard + 1), top = max_d (1 - chi(d,d)), or 0 when
+    there is no such degree.
+
+    Omega_d is a Laurent polynomial with u-exponents |e| <= 1 - chi(d,d),
+    the dimension of the moduli space of d-dimensional representations
+    (Meinhardt & Reineke, J. reine angew. Math. 2019).  A degree is stable
+    when its Omega window reaches `guard` past that support on both sides.
+
+    Upper edge.  F_d, the coefficient of x^d, has valuation
+    |d| + sum_ij m_ij d_i d_j >= 1 and is known up to the window's hi.  So
+    every product of F's in Log is known past hi, Log_d is known exactly up
+    to hi, and Omega_d = -(t - t^-1) Log_d up to hi - 1.  Stability needs
+    hi - 1 - (1 - chi(d,d)) >= guard, and hi is the least value that meets
+    it for the degree attaining top.
+
+    Lower edge.  Only the window's hi bounds the work: every factor of F_d
+    is a power series in t, and lo only records that nothing lies below it.
+    With lo = -(guard + 1) and chi = chi(d,d), motivic_series gives F_d the
+    window edge (k+1) min(lo + chi, 0) - chi for k nonzero parts of d, and
+    Log_d's edge is at most that, Omega_d's one less.  Stability needs
+    Log_d's edge <= chi - guard.  For chi <= guard + 1 the edge is
+    k chi - (k+1)(guard + 1) <= chi - 2(guard + 1), and for chi > guard + 1
+    it is -chi < chi - guard.  Both edges lie at or below -(guard + 1), so
+    an all-zero Omega_d also gets a window at least 2 guard wide."""
+    top = max((1 - euler_form(quiver, d, d)
+               for d in iter_multidegrees(len(quiver), order) if any(d)), default=0)
+    return (-(guard + 1), top + guard + 1)
+
+
 def dt_extract(series, guard=5):
     """DT invariants of a motivic series with constant term 1.
 
     Each nonzero-degree coefficient c of Log(series) is multiplied by
-    -(t - t^-1) and re-expressed in u.  A degree is marked stable when at
-    least `guard` consecutive known-zero coefficients separate its support
-    from both window edges, certifying (at this window) that the invariant
-    is a genuine Laurent polynomial."""
+    -(t - t^-1) and re-expressed in u; the entry's window is the product's
+    provable window, (lo(c) - 1, hi(c) - 1) on a motivic series, where c has
+    valuation >= 1.  A degree is marked stable when at least `guard`
+    consecutive known-zero coefficients separate its support from both
+    window edges, certifying (at this window) that the invariant is a
+    genuine Laurent polynomial.  On a motivic series built on
+    `dt_window(quiver, order, guard)` every degree is stable."""
     if guard < 1:
         raise ValueError("guard band must be >= 1")
     logged = pleth_log(series)  # validates the constant term

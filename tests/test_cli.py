@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import quivercalc
 from quivercalc.cli import build_parser, main
+from quivercalc.dt import DTEntry, DTResult
 from quivercalc.quiver import Quiver
 
 A2_OBJ = {"vertices": ["a", "b"], "matrix": [[0, 1], [1, 0]]}
@@ -367,6 +369,40 @@ def test_dt_default_window_is_stable(tmp_path):
     assert all(entry["stable"] for entry in payload["invariants"])
 
 
+@pytest.mark.parametrize("matrix, order", [([[1, 1, 0], [1, 0, 2], [0, 2, 1]], 12),
+                                           ([[3]], 20)])
+def test_dt_euler_form_window_is_stable_at_high_order(tmp_path, matrix, order):
+    # MIX3 at order 12 and the 3-loop vertex at order 20 left degrees unstable
+    # on a window linear in the order, even after doubling it
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": list("abc"[:len(matrix)]), "matrix": matrix}))
+    code, out, err = run_cli("dt", str(path), "--order", str(order), "--output", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert "window_widened" not in payload
+    assert all(entry["stable"] and entry["positive"] for entry in payload["invariants"])
+
+
+@pytest.mark.parametrize("bad", [-1, Fraction(1, 2)])
+def test_dt_stable_but_not_positive_exits_one(tmp_path, monkeypatch, bad):
+    # a stable result with a negative or non-integral coefficient fails the
+    # positivity check, in text and in JSON
+    def fake_extract(series, guard):
+        return DTResult(series.vertices, series.cap, guard, [
+            DTEntry((1, 0), {0: 1}, (-6, 6), True),
+            DTEntry((0, 1), {0: bad}, (-6, 6), True)])
+
+    monkeypatch.setattr("quivercalc.cli.dt_extract", fake_extract)
+    a2 = write_a2(tmp_path)
+    code, out, err = run_cli("dt", a2, "--order", "1")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["Omega(1, 0): {0: 1}",
+                                f"Omega(0, 1): {{0: {bad!r}}}  NOT POSITIVE"]
+    code, out, err = run_cli("dt", a2, "--order", "1", "--output", "json")
+    assert (code, err) == (1, "")
+    assert [e["positive"] for e in json.loads(out)["invariants"]] == [True, False]
+
+
 def test_algebra_dims_table(tmp_path):
     a2 = write_a2(tmp_path)
     code, out, _ = run_cli("algebra-dims", a2, "--degree", "1,1",
@@ -405,15 +441,18 @@ def test_algebra_dims_golden_digest(tmp_path):
 
 
 # The cells of the series-dt benchmark workload, with fixed vertex labels.  The
-# digest pins every invariant, window, stable flag and window_widened they print.
+# first digest pins everything they print; the second pins only the
+# (degree, omega, stable) triples, which no choice of window may move.
 DT_CELLS = ([("MIX3", 8), ("MIX3", 10)]
             + [(name, order) for name in ("A2", "M2", "M2L") for order in (7, 8)]
             + [(f"L{m}", order) for m in range(4) for order in range(7, 13)])
-DT_CELLS_SHA256 = "b7d85099b50cf4d68dceba87f04e7ba5048e2ad8b39a6d86a46667309591d688"
+DT_CELLS_SHA256 = "ce684aecbbfad3d4ac90753b8059bc5edafc3396b2bfc22be5ee4d5992b1ab16"
+DT_INVARIANTS_SHA256 = "5d685e24b999e71ce692eda8d226e7222f514104f498134b23291e0329cd2c80"
 
 
 def test_dt_golden_digest(tmp_path):
     digest = hashlib.sha256()
+    invariants = hashlib.sha256()
     for name, order in DT_CELLS:
         matrix = RANK_MATRICES[name]
         path = tmp_path / f"{name}.json"
@@ -423,6 +462,9 @@ def test_dt_golden_digest(tmp_path):
                                  "--output", "json")
         assert (code, err) == (0, ""), (name, order)
         digest.update(out.encode())
+        invariants.update(json.dumps([[e["degree"], e["omega"], e["stable"]]
+                                      for e in json.loads(out)["invariants"]]).encode())
+    assert invariants.hexdigest() == DT_INVARIANTS_SHA256
     assert digest.hexdigest() == DT_CELLS_SHA256
 
 
