@@ -9,9 +9,8 @@ identity check with mismatches, a linking, unlinking, diagonalization or
 Poincare check whose window holds no nonzero coefficient, or DT extraction
 with an unstable degree or a non-integral or negative invariant), 2 on usage
 or input errors (missing or malformed files, unknown vertex labels, a window
-given by one bound only or an empty one, a dt window without t^0, orders,
-guards or level-weight bounds below their minimum, a verify option its
-target does not read).
+given by one bound only or an empty one, orders, guards or level-weight
+bounds below their minimum, a verify option its target does not read).
 
 `main` returns that status, for argparse usage errors (2) and --help (0)
 too, and writes only to the streams it is given.  It may be called any
@@ -33,7 +32,7 @@ from .motivic import (Conventions, DEFAULT_CONVENTIONS, default_window,
                       diagonalize, motivic_series, verify_diagonalization,
                       verify_link_identity, verify_unlink_identity)
 from .quiver import Quiver, QuiverFormatError, link, unlink
-from .series import SeriesError
+from .series import SeriesError, exact_str
 
 
 class InputError(Exception):
@@ -152,7 +151,7 @@ def cmd_series(args, out):
 
 def cmd_dt(args, out):
     quiver = _load_quiver(args.quiver)
-    window = _window(args) or dt_window(quiver, args.order, args.guard)
+    window = dt_window(quiver, args.order, args.guard)
     result = dt_extract(motivic_series(quiver, args.order, window), guard=args.guard)
     if args.output == "json":
         _print_json(result.to_json(), out)
@@ -160,7 +159,9 @@ def cmd_dt(args, out):
         for entry in result.entries:
             flag = ("  UNSTABLE" if not entry.stable
                     else "" if entry.is_positive() else "  NOT POSITIVE")
-            omega = {e: c for e, c in sorted(entry.u_coeffs.items())} or 0
+            omega = ("{" + ", ".join(f"{e}: {exact_str(c)}" for e, c
+                                     in sorted(entry.u_coeffs.items())) + "}"
+                     if entry.u_coeffs else "0")
             out.write(f"Omega{entry.degree}: {omega}{flag}\n")
     # dt_check needs every degree stable, and then checks positivity
     return 0 if result.all_stable() and dt_check(result).passed else 1
@@ -259,8 +260,7 @@ def cmd_verify(args, out):
         _check_vertices(quiver, args.a, args.b)
         if args.a == args.b:
             _fail("vertex pair must be distinct")
-    given_window = _window(args)
-    window = given_window or default_window(args.order, quiver.max_loops())
+    window = _window(args)
     given = {"--qmin": args.qmin is not None, "--qmax": args.qmax is not None,
              "--calibrate": args.calibrate, "--config": args.config is not None,
              "--smax": args.smax is not None}
@@ -278,9 +278,7 @@ def cmd_verify(args, out):
             report = verify_unlink_identity(quiver, args.a, args.b, args.order,
                                             window, conventions, args.calibrate)
         elif args.target == "diagonalization":
-            # the default window also covers the diagonal factors' loops
-            report = verify_diagonalization(quiver, args.order, given_window,
-                                            conventions)
+            report = verify_diagonalization(quiver, args.order, window, conventions)
         elif args.target == "poincare":
             report = poincare_check(quiver, args.order, window)
         elif args.target == "gr":
@@ -336,7 +334,7 @@ def build_parser():
     sub.set_defaults(handler=cmd_series)
 
     sub = subs.add_parser("dt", help="extract motivic DT invariants")
-    _add_common(sub)
+    _add_common(sub, window=False)
     sub.add_argument("--guard", type=int, default=5,
                      help="stabilization guard band (default 5)")
     sub.set_defaults(handler=cmd_dt, minimums={"order": 0, "guard": 1})
@@ -400,8 +398,7 @@ def main(argv=None, out=None, err=None):
         return args.handler(args, out)
     except (InputError, SeriesError) as exc:
         # a SeriesError (TruncationUnderflow among them) means the requested
-        # window cannot carry the computation, e.g. a dt window without t^0,
-        # on which the constant term of the series is not 1
+        # window cannot carry the computation
         err.write(f"error: {exc}\n")
         return 2
 

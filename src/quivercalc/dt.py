@@ -11,7 +11,6 @@ invariance statements."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .quiver import euler_form
@@ -120,8 +119,13 @@ def dt_extract(series, guard=5):
     valuation >= 1.  A degree is marked stable when at least `guard`
     consecutive known-zero coefficients separate its support from both
     window edges, certifying (at this window) that the invariant is a
-    genuine Laurent polynomial.  On a motivic series built on
-    `dt_window(quiver, order, guard)` every degree is stable."""
+    genuine Laurent polynomial.  An all-zero entry has no support to fence
+    off, so its known zeros are counted from the window's lo: it is stable
+    once the window is 2 * guard wide.  That certifies a zero only when the
+    window reaches past the degree's possible support |e| <= 1 - chi(d,d),
+    as it does on `dt_window`; on a window ending below that support a
+    nonzero invariant would read as a stable zero.  On a motivic series
+    built on `dt_window(quiver, order, guard)` every degree is stable."""
     if guard < 1:
         raise ValueError("guard band must be >= 1")
     logged = pleth_log(series)  # validates the constant term
@@ -154,7 +158,6 @@ def dt_extract(series, guard=5):
 def dt_check(result):
     """Assert integrality and nonnegativity of every u-coefficient of a
     stabilized DT result; mismatches carry the offending coefficients."""
-    started = time.perf_counter()
     unstable = [e.degree for e in result.entries if not e.stable]
     if unstable:
         raise ValueError(
@@ -175,5 +178,4 @@ def dt_check(result):
                     "vertices": list(result.vertices)},
         mismatches=mismatches,
         conventions=dict(DT_CONVENTION),
-        seconds=time.perf_counter() - started,
     )

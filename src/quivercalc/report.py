@@ -10,16 +10,14 @@ from dataclasses import dataclass, field
 class VerificationReport:
     """Outcome of one exact identity check.
 
-    pass/fail is fully determined by the mismatch list.  seconds is kept on
-    the object for humans but left out of the canonical JSON so identical
-    invocations stay byte-identical."""
+    pass/fail is fully determined by the mismatch list.  Nothing timed is
+    kept, so identical invocations give byte-identical canonical JSON."""
 
     name: str
     parameters: dict
     mismatches: list
     conventions: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
-    seconds: float = 0.0
 
     @property
     def passed(self):

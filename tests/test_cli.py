@@ -135,12 +135,27 @@ def test_verify_rejects_options_its_target_does_not_read(tmp_path, target, optio
         assert err == f"error: verify {target} does not read {named}\n"
 
 
-def test_dt_window_without_constant_term_exits_two(tmp_path):
-    # t^0 lies outside the window, so the constant term of A_Q is not 1 there
-    code, out, err = run_cli("dt", write_a2(tmp_path), "--order", "2",
-                             "--qmin", "-5", "--qmax", "-1")
+def test_dt_window_without_constant_term_exits_two(tmp_path, monkeypatch):
+    # no argv reaches a window without t^0 any more; main still turns the
+    # SeriesError its handler raises there (the constant term of A_Q is not 1
+    # on it) into exit 2 with one line
+    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order, guard: (-5, -1))
+    code, out, err = run_cli("dt", write_a2(tmp_path), "--order", "2")
     assert (code, out) == (2, "")
     assert err == "error: pleth_log: series must have constant term 1\n"
+
+
+@pytest.mark.parametrize("flags", [("--qmin", "-6", "--qmax", "0"), ("--qmin", "-6"),
+                                   ("--qmax", "0")])
+def test_dt_rejects_a_window(tmp_path, flags):
+    # dt always runs on dt_window: a lower --qmin widens the window enough for
+    # an all-zero entry to read as a stable zero, e.g. Omega_1 = 0 instead of 1
+    # on the 0-loop vertex
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"vertices": ["v"], "matrix": [[0]]}))
+    code, out, err = run_cli("dt", str(zero), "--order", "1", *flags)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 def test_usage_error_exits_two(tmp_path, capsys):
@@ -351,11 +366,11 @@ def test_dt_text_output(tmp_path):
     assert "Omega(1, 1): {1: 1}" in out
 
 
-def test_dt_unstable_window_exits_one(tmp_path):
+def test_dt_unstable_window_exits_one(tmp_path, monkeypatch):
+    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order, guard: (-6, 6))
     two = tmp_path / "two.json"
     two.write_text(json.dumps({"vertices": ["v"], "matrix": [[2]]}))
-    code, out, _ = run_cli("dt", str(two), "--order", "2",
-                           "--qmin", "-6", "--qmax", "6")
+    code, out, _ = run_cli("dt", str(two), "--order", "2")
     assert code == 1
     assert "UNSTABLE" in out
 
@@ -396,8 +411,11 @@ def test_dt_stable_but_not_positive_exits_one(tmp_path, monkeypatch, bad):
     a2 = write_a2(tmp_path)
     code, out, err = run_cli("dt", a2, "--order", "1")
     assert (code, err) == (1, "")
+    # exact values, as in the JSON: 1/2, not Fraction(1, 2)
+    shown = {-1: "-1", Fraction(1, 2): "1/2"}[bad]
     assert out.splitlines() == ["Omega(1, 0): {0: 1}",
-                                f"Omega(0, 1): {{0: {bad!r}}}  NOT POSITIVE"]
+                                f"Omega(0, 1): {{0: {shown}}}  NOT POSITIVE"]
+    assert "Fraction(" not in out
     code, out, err = run_cli("dt", a2, "--order", "1", "--output", "json")
     assert (code, err) == (1, "")
     assert [e["positive"] for e in json.loads(out)["invariants"]] == [True, False]
