@@ -5,10 +5,14 @@ Generators g(i, k) for each vertex i and integer k >= 0 carry bidegree
 square to zero).  Writing e_i(z) = sum_k g(i, k) z^k, the defining relations
 are the coefficients of
 
-    (d/dz)^p e_i(z) * (d/dz)^q e_j(z) = 0        for p + q < m_ij,
+    e_i(z) * (d/dz)^p e_j(z) = 0        for p < m_ij,  i <= j.
 
-which span the same quadratic subspace as the one-sided system q = 0,
-p < m_ij (checked by the test suite).  Components are indexed by a
+They span the same quadratic subspace as the extended system
+e_i^(p) e_j^(q) = (d/dz)^p e_i * (d/dz)^q e_j, p + q < m_ij.  By the Leibniz
+rule e_i^(p+1) e_j^(q) = d(e_i^(p) e_j^(q)) - e_i^(p) e_j^(q+1), and the z^n
+coefficient of df is (n + 1) f_(n+1), in the same bidegree; so induction on
+p puts every extended coefficient into the span of the one-sided ones
+(checked in rank by the test suite).  Components are indexed by a
 dimension vector d and a homological degree h; their exact dimensions come
 from fraction-free row reduction of the relation matrix, and independently
 from a functional realization whose Hilbert series is a restricted
@@ -26,7 +30,8 @@ from .linalg import IntegerEchelon, rank_of_rows
 from .quiver import link, unlink
 from .report import (VerificationReport, degree_mismatch, inconclusive_mismatches,
                      inconclusive_unless)
-from .series import MultiSeries, TruncatedLaurent, iter_multidegrees
+from .series import (MultiSeries, TruncatedLaurent, iter_multidegrees,
+                     partition_product_coeffs)
 from .motivic import default_window, motivic_series
 
 # A generator is the plain tuple (vertex index, k); monomials are tuples of
@@ -140,23 +145,19 @@ def _basis_monomials(quiver, degree, hdeg):
     return tuple(sorted(partial.get(0, ())))
 
 
-def _quadratic_pairs(m_ij, i, j):
-    """(p, q) derivative orders of the relation series for one vertex pair:
-    p + q < m_ij, and p <= q for a loop pair i == j, whose (q, p) series is
-    the same up to sign."""
-    return [(p, q) for p in range(m_ij) for q in range(m_ij - p)
-            if i != j or p <= q]
-
-
 def relation_rows(quiver, degree, hdeg):
     """Rows of the relation matrix in one bidegree, over component_basis.
 
-    Every coefficient of every relation series (d^p e_i)(z) (d^q e_j)(z),
-    multiplied by every complementary basis monomial of the right bidegree,
-    is expanded into canonical monomials.  Each row is a sparse
-    {basis position: nonzero int} dict; rows that cancel to zero are
-    dropped.  Rows come in build order (vertex pair, derivative orders,
-    relation degree, complement).
+    Every coefficient of every relation series e_i(z) (d^p e_j)(z),
+    p < m_ij and i <= j, multiplied by every complementary basis monomial
+    of the right bidegree, is expanded into canonical monomials: the
+    coefficient of level sum `total` is the sum over b >= p of
+    perm(b, p) g(i, total - b) g(j, b).  The extended series
+    (d^p e_i)(d^q e_j), p + q < m_ij, add no row to the span (see the module
+    docstring), and the quotient basis and every reduction depend only on
+    that span.  Each row is a sparse {basis position: nonzero int} dict;
+    rows that cancel to zero are dropped.  Rows come in build order (vertex
+    pair, derivative order, relation degree, complement).
 
     A term g(i, a) g(j, b) w, with w a canonical complement monomial, is
     made canonical by inserting the pair into w.  Even generators commute
@@ -195,19 +196,14 @@ def relation_rows(quiver, degree, hdeg):
                 complements.append([
                     (w, tuple(g for g in w if parities[g[0]])
                      if odd_i or odd_j else ()) for w in words])
-            for p, q in _quadratic_pairs(m_ij, i, j):
-                for total in range(p + q, budget + 1):
+            for p in range(m_ij):
+                for total in range(p, budget + 1):
                     if not complements[total]:
                         continue
                     terms = []
-                    for a in range(p, total + 1):
-                        b = total - a
-                        if b < q:
-                            continue
-                        c = perm(a, p) * perm(b, q)
-                        if not c:
-                            continue
-                        ga, gb = (i, a), (j, b)
+                    for b in range(p, total + 1):
+                        c = perm(b, p)
+                        ga, gb = (i, total - b), (j, b)
                         if odd_i and odd_j:
                             if ga == gb:
                                 continue
@@ -299,17 +295,6 @@ def component_dimension(quiver, degree, hdeg):
     return algebra_component(quiver, degree, hdeg).dim
 
 
-@lru_cache(maxsize=1024)
-def _partition_product_coeffs(parts, top):
-    """Coefficients of prod over r in parts of 1/(1-t^r) through t^top."""
-    dp = [0] * (top + 1)
-    dp[0] = 1
-    for r in parts:
-        for j in range(r, top + 1):
-            dp[j] += dp[j - r]
-    return tuple(dp)
-
-
 def functional_dimension(quiver, degree, hdeg):
     """Dimension by the functional realization: the component's dual is
     F_d * Lambda_d with F_d the product of (z_{i,r} - z_{i,r'})^{m_ii} and
@@ -329,10 +314,8 @@ def functional_dimension(quiver, degree, hdeg):
     target = s - deg_f
     if target < 0:
         return 0
-    parts = tuple(r for i in range(n) for r in range(1, degree[i] + 1))
-    if not parts:
-        return 1 if target == 0 else 0
-    return _partition_product_coeffs(parts, target)[target]
+    parts = tuple(sorted(r for i in range(n) for r in range(1, degree[i] + 1)))
+    return partition_product_coeffs(parts, target)[target]
 
 
 # -- series-level check -------------------------------------------------------
@@ -526,8 +509,6 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
                 for bk in range(p, k + p + 1):
                     ak = k + p - bk
                     coeff = perm(bk, p)
-                    if coeff == 0:
-                        continue
                     word = mon[:pos] + ((ia, ak), (ib, bk)) + mon[pos + 1:]
                     nf = normalize_word(word, parities)
                     if nf is None:

@@ -5,12 +5,13 @@ either human-readable text or canonical JSON (sorted keys, two-space indent,
 no timing data) so identical invocations produce byte-identical output.
 
 Exit status: 0 on success / verified pass, 1 on a verified failure (an
-identity check with mismatches, a linking, unlinking, diagonalization or
-Poincare check whose window holds no nonzero coefficient, or DT extraction
-with an unstable degree or a non-integral or negative invariant), 2 on usage
-or input errors (missing or malformed files, unknown vertex labels, a window
-given by one bound only or an empty one, orders, guards or level-weight
-bounds below their minimum, a verify option its target does not read).
+identity check with mismatches, an inconclusive check that compared nothing
+nonzero with |d| >= 1, such as --order 0 or a --qmax below 1, or DT
+extraction with an unstable degree or a non-integral or negative invariant),
+2 on usage or input errors (missing, unreadable or malformed files, unknown
+vertex labels, a window given by one bound only or an empty one, orders,
+guards or level-weight bounds below their minimum, a verify option or vertex
+labels its target does not read).
 
 `main` returns that status, for argparse usage errors (2) and --help (0)
 too, and writes only to the streams it is given.  It may be called any
@@ -48,6 +49,8 @@ def _load_quiver(path):
         return Quiver.load(path)
     except FileNotFoundError:
         _fail(f"{path}: no such file")
+    except OSError as exc:
+        _fail(f"{path}: {exc.strerror}")
     except (QuiverFormatError, ValueError) as exc:
         _fail(f"{path}: {exc}")
 
@@ -80,6 +83,8 @@ def _conventions(args):
         return Conventions.load(path)
     except FileNotFoundError:
         _fail(f"{path}: no such file")
+    except OSError as exc:
+        _fail(f"{path}: {exc.strerror}")
     except (ValueError, json.JSONDecodeError) as exc:
         _fail(f"{path}: {exc}")
 
@@ -240,28 +245,29 @@ def cmd_algebra_dims(args, out):
     return 0
 
 
-# the options each verify target reads, beside --order and --output
+# the options each verify target reads, beside --order and --output; the
+# targets that read vertex labels need both
 _VERIFY_OPTIONS = {
-    "linking": ("--qmin", "--qmax", "--calibrate", "--config"),
-    "unlinking": ("--qmin", "--qmax", "--calibrate", "--config"),
+    "linking": ("vertex labels", "--qmin", "--qmax", "--calibrate", "--config"),
+    "unlinking": ("vertex labels", "--qmin", "--qmax", "--calibrate", "--config"),
     "diagonalization": ("--qmin", "--qmax", "--config"),
     "poincare": ("--qmin", "--qmax"),
-    "gr": ("--smax",),
-    "homology": ("--smax",),
+    "gr": ("vertex labels", "--smax"),
+    "homology": ("vertex labels", "--smax"),
 }
 
 
 def cmd_verify(args, out):
     quiver = _load_quiver(args.quiver)
-    needs_pair = args.target in ("linking", "unlinking", "gr", "homology")
-    if needs_pair:
+    if "vertex labels" in _VERIFY_OPTIONS[args.target]:
         if args.a is None or args.b is None:
             _fail(f"verify {args.target} needs two vertex labels")
         _check_vertices(quiver, args.a, args.b)
         if args.a == args.b:
             _fail("vertex pair must be distinct")
     window = _window(args)
-    given = {"--qmin": args.qmin is not None, "--qmax": args.qmax is not None,
+    given = {"vertex labels": args.a is not None,
+             "--qmin": args.qmin is not None, "--qmax": args.qmax is not None,
              "--calibrate": args.calibrate, "--config": args.config is not None,
              "--smax": args.smax is not None}
     unread = [option for option, present in given.items()

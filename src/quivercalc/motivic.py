@@ -350,8 +350,9 @@ def verify_diagonalization(quiver, rounds, window=None,
                            conventions=DEFAULT_CONVENTIONS):
     """Check that A_Q agrees through x-degree `rounds` with the product of
     one-loop-vertex series evaluated at the tracked factor monomials, one
-    multivariate product per distinct monomial.  A left-hand side that is
-    zero on the window makes the check inconclusive."""
+    multivariate product per distinct monomial.  A left-hand side with no
+    nonzero coefficient at |d| >= 1 on the window makes the check
+    inconclusive."""
     result = diagonalize(quiver, rounds, conventions)
     if window is None:
         loops = max([quiver.max_loops()] + [f.loop_count for f in result.factors])
@@ -359,8 +360,8 @@ def verify_diagonalization(quiver, rounds, window=None,
     lhs = motivic_series(quiver, rounds, window)
     mismatches = inconclusive_mismatches(lhs, window)
     if not mismatches:
-        # the left-hand side is zero only on windows below t^0, where 1
-        # itself cannot be stored, so the right-hand side waits until here
+        # on windows below t^0, where 1 itself cannot be stored, the
+        # left-hand side is zero, so the right-hand side waits until here
         rhs = _factor_product(result.factors, quiver.vertices, rounds, window)
         mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(rhs)]
     return VerificationReport(

@@ -57,9 +57,10 @@ def inconclusive_unless(compared_nonzero, reason):
 
 def inconclusive_mismatches(lhs, window):
     """One inconclusive mismatch when the left-hand series has no nonzero
-    coefficient on the window (a window below all support compares zeros
-    with zeros), else none."""
+    coefficient with |d| >= 1 on the window, else none.  A window below all
+    support compares zeros with zeros, and the constant term 1 = 1 holds for
+    every quiver, so neither shows anything."""
     return inconclusive_unless(
-        not all(term.is_zero() for term in lhs.terms.values()),
-        f"left-hand series is zero on window [{window[0]}, {window[1]}]; "
-        "nothing was compared")
+        any(sum(d) and not term.is_zero() for d, term in lhs.terms.items()),
+        f"left-hand series has no nonzero coefficient with |d| >= 1 on window "
+        f"[{window[0]}, {window[1]}]; nothing beyond the unit was compared")

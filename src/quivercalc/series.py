@@ -763,14 +763,19 @@ class MultiSeries:
 
 # -- q-Pochhammer expansion ---------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _restricted_partition_counts(max_part, jmax):
-    """Number of partitions of j into parts <= max_part, for j = 0..jmax."""
-    dp = [0] * (jmax + 1)
+@lru_cache(maxsize=2048)
+def partition_product_coeffs(parts, top):
+    """Coefficients of prod over r in parts of 1/(1 - t^r) through t^top,
+    a tuple: restricted partition counts, with equal parts told apart.
+    pochhammer_inv asks for parts 1..n, functional_dimension for the sorted
+    parts 1..d_i of every vertex i.  The bound is above the distinct keys of
+    every benchmark workload (at most 784, identity-verify at seed 121), so
+    none evicts."""
+    dp = [0] * (top + 1)
     dp[0] = 1
-    for k in range(1, max_part + 1):
-        for j in range(k, jmax + 1):
-            dp[j] += dp[j - k]
+    for r in parts:
+        for j in range(r, top + 1):
+            dp[j] += dp[j - r]
     return tuple(dp)
 
 
@@ -794,7 +799,7 @@ def pochhammer_inv(n, lo, hi):
     jmax = (hi - shift) // 2
     if jmax < 0:
         return TruncatedLaurent({}, out_lo, hi)
-    counts = _restricted_partition_counts(n, jmax)
+    counts = partition_product_coeffs(tuple(range(1, n + 1)), jmax)
     sign = -1 if n % 2 else 1
     coeffs = {shift + 2 * j: sign * counts[j] for j in range(jmax + 1)}
     return TruncatedLaurent(coeffs, out_lo, hi)

@@ -218,44 +218,67 @@ def test_quotient_basis_and_reduce():
     assert reduced == {}
 
 
-# -- relation-system equivalence (stated vs extended) ---------------------------------
+# -- relation systems: one-sided (built), extended, stated ---------------------------
 
 def test_relation_system_rank_equivalence():
+    # relation_rows builds the one-sided system e_i(z) (d/dz)^q e_j(z),
+    # q < m_ij; the extended system p + q < m_ij and the stated system (both
+    # orientations) span the same space.  Entries up to 4 give pairs p, q >= 1
+    # that neither one-sided orientation contains.
     rng = random.Random(20250601)
     compared = 0
-    while compared < 100:
+    beyond_orientation = 0
+    while compared < 120:
         n = rng.randint(1, 3)
         m = [[0] * n for _ in range(n)]
         for i in range(n):
-            m[i][i] = rng.randint(0, 3)
+            m[i][i] = rng.randint(0, 4)
             for j in range(i + 1, n):
-                m[i][j] = m[j][i] = rng.randint(0, 3)
+                m[i][j] = m[j][i] = rng.randint(0, 4)
         quiver = Quiver(tuple(f"v{k}" for k in range(n)),
                         tuple(tuple(row) for row in m))
         d = tuple(rng.randint(0, 2) for _ in range(n))
         if sum(d) == 0:
             continue
         h = hdeg_of(quiver, d, rng.randint(0, 5))
-        extended, basis = relation_rows(quiver, d, h)
-        stated, _ = _ref_relation_rows(quiver, d, h, "stated")
+        built, basis = relation_rows(quiver, d, h)
         if not basis:
             continue
+        extended, _ = _ref_relation_rows(quiver, d, h, "extended")
+        stated, _ = _ref_relation_rows(quiver, d, h, "stated")
         compared += 1
-        rank_e = rank_of_rows(extended)
-        rank_s = rank_of_rows(stated)
-        assert rank_e == rank_s, (m, d, h)
+        rank = rank_of_rows(built)
+        assert rank == rank_of_rows(extended) == rank_of_rows(stated), (m, d, h)
+        beyond_orientation += len(extended) > len(stated)
     assert compared >= 100
+    assert beyond_orientation >= 20
+
+
+def test_relation_rows_m2_33_row_count():
+    # the extended system p + q < m_ij built 8,426 rows here
+    rows, basis = relation_rows(M2, (3, 3), -40)
+    assert len(rows) == 5786
+    assert len(basis) > 5
+
+
+def test_m2_33_nonzero_component_oracle():
+    assert component_dimension(M2, (3, 3), -40) == \
+        functional_dimension(M2, (3, 3), -40) == 5
 
 
 def _quadratic_pairs(system, m_ij, i, j):
-    """(p, q) derivative orders of the relation series for one vertex pair,
-    in the extended system p + q < m_ij (p <= q for a loop pair) or in the
-    stated one-sided system q = 0, p < m_ij."""
+    """(p, q) derivative orders of the relation series
+    (d/dz)^p e_i(z) (d/dz)^q e_j(z) for one vertex pair i <= j: the
+    one-sided system of relation_rows (p = 0, q < m_ij), the extended system
+    p + q < m_ij (p <= q for a loop pair, whose (q, p) series is the same up
+    to sign), or the stated system, the one-sided one in both orientations."""
+    if system == "one-sided":
+        return [(0, q) for q in range(m_ij)]
     if system == "extended":
         return [(p, q) for p in range(m_ij) for q in range(m_ij - p)
                 if i != j or p <= q]
-    # the one-sided system states e_i(z) (d/dz)^p e_j(z) for ordered pairs;
-    # unordered processing keeps both orientations
+    # e_i(z) (d/dz)^p e_j(z) for ordered pairs; unordered processing keeps
+    # both orientations
     pairs = [(p, 0) for p in range(m_ij)]
     if i != j:
         pairs += [(0, p) for p in range(1, m_ij)]
@@ -263,10 +286,10 @@ def _quadratic_pairs(system, m_ij, i, j):
 
 
 def _ref_relation_rows(quiver, degree, hdeg, system):
-    """Rows of the extended or stated relation system, built by normalizing
-    every whole word g(i, a) g(j, b) w with normalize_word: the oracle for
-    relation_rows' insertion sign rule, and the stated system it must
-    match in rank."""
+    """Rows of the one-sided, extended or stated relation system, built by
+    normalizing every whole word g(i, a) g(j, b) w with normalize_word: the
+    one-sided rows are the oracle for relation_rows' insertion sign rule,
+    the other two systems must match them in rank."""
     basis = component_basis(quiver, degree, hdeg)
     if not basis:
         return [], basis
@@ -324,7 +347,7 @@ def test_relation_rows_match_normalize_word_reference():
         degree = tuple(rng.randint(0, 3 if n < 3 else 2) for _ in range(n))
         h = hdeg_of(quiver, degree, rng.randint(0, 6))
         rows, basis = relation_rows(quiver, degree, h)
-        assert (rows, basis) == _ref_relation_rows(quiver, degree, h, "extended"), \
+        assert (rows, basis) == _ref_relation_rows(quiver, degree, h, "one-sided"), \
             (m, degree, h)
         if rows:
             odd = any(m[v][v] % 2 for v in range(n) if degree[v])
@@ -530,7 +553,9 @@ def test_poincare_one_loop_hand_values():
 
 
 def test_poincare_empty_quiver():
-    assert poincare_check(Quiver((), ()), 2).passed
+    # the empty quiver's series is the constant 1: nothing beyond the unit
+    report = poincare_check(Quiver((), ()), 2)
+    assert [m["kind"] for m in report.mismatches] == ["inconclusive"]
 
 
 def test_poincare_fleet_order3():

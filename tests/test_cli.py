@@ -115,6 +115,7 @@ VERIFY_READS = {"linking": {"window", "--calibrate", "--config"},
                 "diagonalization": {"window", "--config"},
                 "poincare": {"window"},
                 "gr": {"--smax"}, "homology": {"--smax"}}
+PAIR_TARGETS = ("linking", "unlinking", "gr", "homology")
 
 
 @pytest.mark.parametrize("target", sorted(VERIFY_READS))
@@ -124,7 +125,8 @@ def test_verify_rejects_options_its_target_does_not_read(tmp_path, target, optio
     config.write_text(json.dumps({"preset": "calibrated"}))
     flags = {"window": ("--qmin", "-10", "--qmax", "30"), "--calibrate": ("--calibrate",),
              "--config": ("--config", str(config)), "--smax": ("--smax", "3")}[option]
-    code, out, err = run_cli("verify", target, write_a2(tmp_path), "a", "b",
+    labels = ("a", "b") if target in PAIR_TARGETS else ()
+    code, out, err = run_cli("verify", target, write_a2(tmp_path), *labels,
                              "--order", "2", *flags)
     if option in VERIFY_READS[target]:
         assert (code, err) == (0, ""), out
@@ -133,6 +135,26 @@ def test_verify_rejects_options_its_target_does_not_read(tmp_path, target, optio
         named = "--qmin, --qmax" if option == "window" else option
         assert (code, out) == (2, "")
         assert err == f"error: verify {target} does not read {named}\n"
+
+
+@pytest.mark.parametrize("target", ["diagonalization", "poincare"])
+@pytest.mark.parametrize("labels", [("zz", "yy"), ("a", "b"), ("a",)])
+def test_verify_rejects_labels_its_target_does_not_read(tmp_path, target, labels):
+    code, out, err = run_cli("verify", target, write_a2(tmp_path), *labels,
+                             "--order", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: verify {target} does not read vertex labels\n"
+
+
+def test_directory_as_input_file_exits_two(tmp_path):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for argv in (("info", str(folder)),
+                 ("verify", "linking", write_a2(tmp_path), "a", "b", "--config",
+                  str(folder))):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {folder}: Is a directory\n"
 
 
 def test_dt_window_without_constant_term_exits_two(tmp_path, monkeypatch):
@@ -244,10 +266,11 @@ def test_empty_window_identity_is_inconclusive(tmp_path):
         payload = json.loads(out)
         assert payload["passed"] is False
         assert [m["kind"] for m in payload["mismatches"]] == ["inconclusive"]
-    # the constant term alone still gives a verdict
-    code, out, _ = run_cli("verify", "unlinking", a2, "a", "b", "--qmin", "-4",
-                           "--qmax", "0")
-    assert code == 0 and "PASS" in out
+    # the constant term 1 = 1 alone gives no verdict either
+    code, out, err = run_cli("verify", "unlinking", a2, "a", "b", "--qmin", "-4",
+                             "--qmax", "0", "--output", "json")
+    assert (code, err) == (1, "")
+    assert [m["kind"] for m in json.loads(out)["mismatches"]] == ["inconclusive"]
 
 
 def test_poincare_below_support_is_inconclusive(tmp_path):
@@ -261,6 +284,25 @@ def test_poincare_below_support_is_inconclusive(tmp_path):
 def test_diagonalization_below_support_is_inconclusive(tmp_path):
     code, out, err = run_cli("verify", "diagonalization", write_a2(tmp_path), "--qmin",
                              "-200", "--qmax", "-190", "--output", "json")
+    assert (code, err) == (1, "")
+    assert [m["kind"] for m in json.loads(out)["mismatches"]] == ["inconclusive"]
+
+
+@pytest.mark.parametrize("argv", [("linking", "a", "b", "--order", "0"),
+                                  ("poincare", "--order", "0")])
+def test_series_check_at_order_zero_is_inconclusive(tmp_path, argv):
+    # order 0 compares only the constant term 1 = 1
+    code, out, err = run_cli("verify", argv[0], write_a2(tmp_path), *argv[1:],
+                             "--output", "json")
+    assert (code, err) == (1, "")
+    assert [m["kind"] for m in json.loads(out)["mismatches"]] == ["inconclusive"]
+
+
+def test_empty_quiver_diagonalization_is_inconclusive(tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": [], "matrix": []}))
+    code, out, err = run_cli("verify", "diagonalization", str(empty), "--output",
+                             "json")
     assert (code, err) == (1, "")
     assert [m["kind"] for m in json.loads(out)["mismatches"]] == ["inconclusive"]
 

@@ -14,6 +14,7 @@ from quivercalc.series import (
     VertexMonomial,
     exact_str,
     iter_multidegrees,
+    partition_product_coeffs,
     pleth_exp,
     pleth_log,
     pochhammer_inv,
@@ -215,6 +216,21 @@ def test_pochhammer_leading_exponent():
         p = pochhammer_inv(n, 0, 3 * n * (n + 1))
         assert p.valuation() == n * (n + 1)
         assert p.coeff(n * (n + 1)) == (-1) ** n
+
+
+def test_partition_product_coeffs_brute_force():
+    # ways to write j as sum m_r * parts[r], one multiplicity per entry
+    def brute(parts, j):
+        if not parts:
+            return int(j == 0)
+        return sum(brute(parts[1:], j - m * parts[0])
+                   for m in range(j // parts[0] + 1))
+
+    for parts in ((), (1,), (1, 2, 3), (1, 1, 2), (1, 1, 2, 2, 3)):
+        assert partition_product_coeffs(parts, 12) == \
+            tuple(brute(parts, j) for j in range(13))
+    maxsize = partition_product_coeffs.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
 
 
 # -- MultiSeries ---------------------------------------------------------------
