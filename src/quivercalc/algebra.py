@@ -22,7 +22,7 @@ algebra's dimensions; both statements are implemented as exact checks."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
 from math import comb, perm
 
@@ -160,19 +160,40 @@ def relation_rows(quiver, degree, hdeg):
     pair, derivative order, relation degree, complement).
 
     A term g(i, a) g(j, b) w, with w a canonical complement monomial, is
-    made canonical by inserting the pair into w.  Even generators commute
-    with everything, so the Koszul sign counts only odd transpositions: one
-    when both generators are odd and g(i, a) > g(j, b), and, for each odd
-    generator of the pair, the odd generators of w below it (a bisection
-    into w's odd generators).  The term vanishes when an odd generator of
-    the pair equals the other one or occurs in w."""
+    looked up by an additive integer code.  With s the component's k-weight
+    budget (so every level k <= s) and width = max(degree).bit_length(),
+    generator (v, k) owns the bit field that starts at bit
+    (v * (s + 1) + k) * width, and a monomial's code sums that field's
+    lowest bit over its generators: each field holds that generator's
+    multiplicity.  In a monomial with at most degree[v] generators at each
+    vertex v, a multiplicity never exceeds degree[v] < 2 ** width, so no
+    field carries into the next; the code gives back every multiplicity,
+    hence the canonical monomial, so it is injective.  It is additive, so
+    the code of g(i, a) g(j, b) w is w's code, computed once per complement,
+    plus the pair's code, computed once per relation term, and each term
+    costs one dict lookup.
+
+    Even generators commute with everything, so the Koszul sign counts only
+    odd transpositions: one when both generators are odd and
+    g(i, a) > g(j, b), and, for each odd generator of the pair, the odd
+    generators of w below it (a bisection into w's odd generators).  The
+    term vanishes when an odd generator of the pair equals the other one or
+    occurs in w."""
     basis = component_basis(quiver, degree, hdeg)
     if not basis:
         return [], basis
-    index = {mon: t for t, mon in enumerate(basis)}
     parities = tuple(generator_parity(quiver, v) for v in range(len(quiver)))
     budget = _k_budget(quiver, degree, hdeg)
     n = len(quiver)
+    width = max(degree).bit_length()
+    stride = (budget + 1) * width
+    field = {(v, k): 1 << (v * stride + k * width)
+             for v in range(n) if degree[v] for k in range(budget + 1)}
+
+    def code(mon):
+        return sum(map(field.__getitem__, mon))
+
+    index = {code(mon): t for t, mon in enumerate(basis)}
     rows = []
     for i in range(n):
         for j in range(i, n):
@@ -187,14 +208,15 @@ def relation_rows(quiver, degree, hdeg):
             comp_degree = tuple(comp_degree)
             odd_i, odd_j = parities[i], parities[j]
             # complements of the relation coefficients of level sum `total`
-            # (generator levels a + b = total), each with its odd generators
+            # (generator levels a + b = total), each with its code and its
+            # odd generators
             complements = []
             for total in range(budget + 1):
                 rel_hdeg = (-2 * total - quiver.matrix[i][i]
                             - quiver.matrix[j][j])
                 words = component_basis(quiver, comp_degree, hdeg - rel_hdeg)
                 complements.append([
-                    (w, tuple(g for g in w if parities[g[0]])
+                    (code(w), tuple(g for g in w if parities[g[0]])
                      if odd_i or odd_j else ()) for w in words])
             for p in range(m_ij):
                 for total in range(p, budget + 1):
@@ -209,11 +231,10 @@ def relation_rows(quiver, degree, hdeg):
                                 continue
                             if ga > gb:
                                 c = -c
-                        lo, hi = (ga, gb) if ga <= gb else (gb, ga)
-                        terms.append((c, ga, gb, lo, hi))
-                    for w, odd in complements[total]:
+                        terms.append((c, ga, gb, field[ga] + field[gb]))
+                    for cw, odd in complements[total]:
                         row = {}
-                        for c, ga, gb, lo, hi in terms:
+                        for c, ga, gb, pair in terms:
                             if odd_i:
                                 x = bisect_left(odd, ga)
                                 if x < len(odd) and odd[x] == ga:
@@ -226,9 +247,7 @@ def relation_rows(quiver, degree, hdeg):
                                     continue
                                 if x & 1:
                                     c = -c
-                            s = bisect_right(w, lo)
-                            u = bisect_right(w, hi, s)
-                            t = index[w[:s] + (lo,) + w[s:u] + (hi,) + w[u:]]
+                            t = index[cw + pair]
                             x = row.get(t, 0) + c
                             if x:
                                 row[t] = x

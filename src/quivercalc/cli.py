@@ -274,6 +274,9 @@ def cmd_verify(args, out):
               if present and option not in _VERIFY_OPTIONS[args.target]]
     if unread:
         _fail(f"verify {args.target} does not read {', '.join(unread)}")
+    if args.target == "diagonalization" and args.order < 1:
+        # diagonalize runs at least one round, as on the diagonalize command
+        _fail(f"--order must be >= 1, got {args.order}")
     conventions = _conventions(args)
     s_max = 8 if args.smax is None else args.smax
     try:

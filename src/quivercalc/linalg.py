@@ -1,16 +1,20 @@
 """Fraction-free exact row reduction over the integers.
 
-Rows are eliminated by cross-multiplication and re-scaled by their content,
-so entries stay integral.  Every matrix is sparse: rows are fed as
-{column: nonzero int} dicts and pivot rows are stored the same way, so
-elimination costs the nonzeros of the two rows involved rather than the
-column count.  External {column: value} vectors are reduced the same way:
-integer numerators over one common denominator, visiting only the pivot
-columns they reach, so rationals appear only in the result.  Callers that
-know the column count can stop feeding rows once the rank reaches it: every
-further row reduces to zero.  Feeding the sparsest rows first keeps fill-in
-low.  The pivot column set is canonical (it depends only on the row space,
-not on the feed order), which makes quotient bases deterministic."""
+A row meets a pivot with lead a while its own lead is b; it becomes
+(a / g) row - (b / g) pivot, g = gcd(a, b): the least positive multiple of
+the row whose lead an integer multiple of the pivot cancels, so entries
+stay integral.  A row is divided by its content only when it becomes a
+pivot, so every stored pivot is primitive with a positive lead.  Every
+matrix is sparse: rows are fed as {column: nonzero int} dicts and pivot
+rows are stored the same way, so elimination costs the nonzeros of the two
+rows involved rather than the column count.  External {column: value}
+vectors are reduced the same way: integer numerators over one common
+denominator, visiting only the pivot columns they reach, so rationals
+appear only in the result.  Callers that know the column count can stop
+feeding rows once the rank reaches it: every further row reduces to zero.
+Feeding the sparsest rows first keeps fill-in low.  The pivot column set is
+canonical (it depends only on the row space, not on the feed order), which
+makes quotient bases deterministic."""
 
 from __future__ import annotations
 
@@ -40,7 +44,13 @@ class IntegerEchelon:
     def add_row(self, row):
         """Insert one sparse {column: nonzero int} row, which the echelon
         takes over and may keep or modify; returns True when the rank
-        grew."""
+        grew.
+
+        Each step against a pivot with lead a cancels the row's lead b by
+        (a / g) row - (b / g) pivot, g = gcd(a, b), so the row is scaled only
+        when a does not divide b, and is not divided by its content between
+        steps.  A row that becomes a pivot is divided by its content and
+        given a positive lead."""
         while row:
             lead = min(row)
             pivot = self.pivots.get(lead)
@@ -51,6 +61,9 @@ class IntegerEchelon:
                 return True
             a = pivot[lead]
             b = row[lead]
+            g = gcd(a, b)
+            a //= g
+            b //= g
             if a != 1:
                 row = {k: a * x for k, x in row.items()}
             for k, p in pivot.items():
@@ -59,7 +72,6 @@ class IntegerEchelon:
                     row[k] = x
                 else:
                     del row[k]
-            row = _content_reduce(row)
         return False
 
     @property

@@ -262,8 +262,9 @@ def test_relation_rows_m2_33_row_count():
 
 
 def test_m2_33_nonzero_component_oracle():
-    assert component_dimension(M2, (3, 3), -40) == \
-        functional_dimension(M2, (3, 3), -40) == 5
+    for hdeg, dim in ((-40, 5), (-44, 18)):
+        assert component_dimension(M2, (3, 3), hdeg) == \
+            functional_dimension(M2, (3, 3), hdeg) == dim, hdeg
 
 
 def _quadratic_pairs(system, m_ij, i, j):
@@ -334,6 +335,8 @@ def _ref_relation_rows(quiver, degree, hdeg, system):
 def test_relation_rows_match_normalize_word_reference():
     rng = random.Random(8128)
     compared = set()
+    top_degrees = set()
+    multiplicities = set()
     for trial in range(160):
         n = rng.randint(1, 3)
         m = [[0] * n for _ in range(n)]
@@ -344,17 +347,35 @@ def test_relation_rows_match_normalize_word_reference():
                 m[i][j] = m[j][i] = rng.randint(0, 3)
         quiver = Quiver(tuple(f"v{k}" for k in range(n)),
                         tuple(tuple(row) for row in m))
-        degree = tuple(rng.randint(0, 3 if n < 3 else 2) for _ in range(n))
+        if n == 1:
+            # degrees 4 and 8 let a multiplicity reach a power of two, where
+            # the field width of relation_rows' monomial code steps up; an
+            # odd vertex takes distinct levels, so 8 only for even loops
+            degree = (rng.choice((0, 1, 2, 3, 4) if m[0][0] % 2 else (0, 2, 3, 4, 8)),)
+        else:
+            degree = tuple(rng.randint(0, 3 if n < 3 else 2) for _ in range(n))
         h = hdeg_of(quiver, degree, rng.randint(0, 6))
         rows, basis = relation_rows(quiver, degree, h)
         assert (rows, basis) == _ref_relation_rows(quiver, degree, h, "one-sided"), \
             (m, degree, h)
         if rows:
+            top_degrees.add(max(degree))
+            multiplicities.update(max(mon.count(g) for g in mon) for mon in basis)
             odd = any(m[v][v] % 2 for v in range(n) if degree[v])
             # only odd generators give Koszul signs, i.e. negative entries
             signed = any(x < 0 for row in rows for x in row.values())
             compared.add((odd, signed))
     assert compared >= {(False, False), (True, True)}
+    # a degree-8 component, and a generator of multiplicity 4 in a 3-bit field
+    assert 8 in top_degrees and 4 in multiplicities
+    # every level up to 10 of the two-loop vertex at degrees 4 and 8: a
+    # field of one bit, too narrow for these degrees, first gives two
+    # monomials one code at degree 5 and level 9
+    two_loop = one_vertex(2)
+    for degree, s in itertools.product(((4,), (8,)), range(11)):
+        h = hdeg_of(two_loop, degree, s)
+        assert relation_rows(two_loop, degree, h) == \
+            _ref_relation_rows(two_loop, degree, h, "one-sided"), (degree, s)
 
 
 # -- exact elimination ----------------------------------------------------------------
@@ -412,30 +433,53 @@ def _dense_reference_reduce(pivots, vec):
     return vec
 
 
+def _seeded_dense_rows(rng, trial):
+    """One matrix of the dense-reference echelon tests, as (ncols, dense
+    rows), drawn from rng."""
+    ncols = rng.randint(1, 8)
+    nrows = rng.randint(0, 10)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * ncols)
+        elif kind < 0.2 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.6:
+            # leading entries sharing a factor 2 or 3, so that elimination
+            # meets gcd(a, b) > 1 with a / gcd(a, b) != 1
+            lead = rng.randrange(ncols)
+            rows.append([0] * lead + [rng.choice((2, 4, 6, -6))]
+                        + [rng.choice((0, rng.randint(-9, 9)))
+                           for _ in range(ncols - lead - 1)])
+        else:
+            # mostly-zero rows with entries of both signs, so leading
+            # entries are often negative
+            rows.append([rng.choice((0, 0, 0, rng.randint(-9, 9)))
+                         for _ in range(ncols)])
+    if trial % 10 == 0:
+        # a square full-rank block fed first, then dependent rows
+        rows = [[int(i == j) * rng.choice((-3, -1, 2)) + int(j > i)
+                 for j in range(ncols)] for i in range(ncols)] + rows
+    return ncols, rows
+
+
 def test_integer_echelon_matches_dense_reference():
     rng = random.Random(20261018)
     full_rank_cases = 0
+    gcd_steps = 0
     for trial in range(300):
-        ncols = rng.randint(1, 8)
-        nrows = rng.randint(0, 10)
-        rows = []
-        for _ in range(nrows):
-            kind = rng.random()
-            if kind < 0.1:
-                rows.append([0] * ncols)
-            elif kind < 0.2 and rows:
-                rows.append(list(rng.choice(rows)))
-            else:
-                # mostly-zero rows with entries of both signs, so leading
-                # entries are often negative
-                rows.append([rng.choice((0, 0, 0, rng.randint(-9, 9)))
-                             for _ in range(ncols)])
-        if trial % 10 == 0:
-            # a square full-rank block fed first, then dependent rows
-            rows = [[int(i == j) * rng.choice((-3, -1, 2)) + int(j > i)
-                     for j in range(ncols)] for i in range(ncols)] + rows
+        ncols, rows = _seeded_dense_rows(rng, trial)
         ech = IntegerEchelon()
-        grew = [ech.add_row(sparse(row)) for row in rows]
+        grew = []
+        for row in map(sparse, rows):
+            lead = min(row, default=None)
+            pivot = ech.pivots.get(lead)
+            if pivot is not None:
+                # the first elimination step scales the row by a / gcd(a, b)
+                g = math.gcd(pivot[lead], row[lead])
+                gcd_steps += g > 1 and pivot[lead] // g != 1
+            grew.append(ech.add_row(row))
         ref = _dense_reference_echelon(rows)
         assert ech.rank == len(ref) == sum(grew)
         # scaling column k by 1/(k + 2) keeps the rank; rows get denominators
@@ -450,6 +494,7 @@ def test_integer_echelon_matches_dense_reference():
             assert densify(ech.reduce_vector(sparse(vec)), ncols) \
                 == _dense_reference_reduce(ref, vec)
     assert full_rank_cases >= 30
+    assert gcd_steps >= 30
 
 
 def test_reduce_vector_dict_matches_dense():
@@ -458,21 +503,7 @@ def test_reduce_vector_dict_matches_dense():
     rng = random.Random(20261018)
     fractional = 0
     for trial in range(300):
-        ncols = rng.randint(1, 8)
-        nrows = rng.randint(0, 10)
-        rows = []
-        for _ in range(nrows):
-            kind = rng.random()
-            if kind < 0.1:
-                rows.append([0] * ncols)
-            elif kind < 0.2 and rows:
-                rows.append(list(rng.choice(rows)))
-            else:
-                rows.append([rng.choice((0, 0, 0, rng.randint(-9, 9)))
-                             for _ in range(ncols)])
-        if trial % 10 == 0:
-            rows = [[int(i == j) * rng.choice((-3, -1, 2)) + int(j > i)
-                     for j in range(ncols)] for i in range(ncols)] + rows
+        ncols, rows = _seeded_dense_rows(rng, trial)
         ech = IntegerEchelon()
         for row in rows:
             ech.add_row(sparse(row))

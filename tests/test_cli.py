@@ -230,9 +230,11 @@ def test_zero_dt_guard_exits_two(tmp_path):
 
 
 def test_zero_diagonalize_order_exits_two(tmp_path):
-    code, out, err = run_cli("diagonalize", write_a2(tmp_path), "--order", "0")
-    assert (code, out) == (2, "")
-    assert err == "error: --order must be >= 1, got 0\n"
+    a2 = write_a2(tmp_path)
+    for argv in (("diagonalize", a2), ("verify", "diagonalization", a2)):
+        code, out, err = run_cli(*argv, "--order", "0")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: --order must be >= 1, got 0\n"
 
 
 def test_negative_verify_order_and_smax_exit_two(tmp_path):
