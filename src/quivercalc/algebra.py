@@ -323,6 +323,17 @@ def functional_dimension(quiver, degree, hdeg):
     s = _k_budget(quiver, degree, hdeg)
     if s is None:
         return 0
+    parts, deg_f = _functional_layout(quiver, degree)
+    target = s - deg_f
+    if target < 0:
+        return 0
+    return partition_product_coeffs(parts, target)[target]
+
+
+def _functional_layout(quiver, degree):
+    """(parts, deg F_d) of the functional realization of degree d: the
+    dimension at k-weight s is the coefficient of t^(s - deg F_d) in the
+    product of 1/(1 - t^r) over the sorted parts r = 1..d_i of every i."""
     n = len(quiver)
     m = quiver.matrix
     deg_f = 0
@@ -330,11 +341,8 @@ def functional_dimension(quiver, degree, hdeg):
         deg_f += m[i][i] * comb(degree[i], 2)
         for j in range(i + 1, n):
             deg_f += m[i][j] * degree[i] * degree[j]
-    target = s - deg_f
-    if target < 0:
-        return 0
     parts = tuple(sorted(r for i in range(n) for r in range(1, degree[i] + 1)))
-    return partition_product_coeffs(parts, target)[target]
+    return parts, deg_f
 
 
 # -- series-level check -------------------------------------------------------
@@ -345,26 +353,12 @@ def poincare_check(quiver, order, window=None):
 
         coeff_d(A_Q) = (-1)^(m.d) sum_s dim(d, -m.d - 2s) t^(|d| + m.d + 2s)
 
-    with dimensions from functional_dimension, exactly on the window."""
+    with dimensions from the functional realization, exactly on the window."""
     if window is None:
         window = default_window(order, quiver.max_loops())
     wlo, whi = window
     lhs = motivic_series(quiver, order, window)
-    n = len(quiver)
-    terms = {}
-    for d in iter_multidegrees(n, order):
-        weight = loop_weight(quiver, d)
-        base = sum(d) + weight
-        sign = -1 if weight % 2 else 1
-        coeffs = {}
-        s = 0
-        while base + 2 * s <= whi:
-            f = functional_dimension(quiver, d, -weight - 2 * s)
-            if f:
-                coeffs[base + 2 * s] = sign * f
-            s += 1
-        terms[d] = TruncatedLaurent(coeffs, min(wlo, base), whi)
-    rhs = MultiSeries(quiver.vertices, order, window, terms)
+    rhs = _poincare_series(quiver, order, window)
     mismatches = ([degree_mismatch(*m) for m in lhs.first_mismatches(rhs)]
                   + inconclusive_mismatches(lhs, window))
     return VerificationReport(
@@ -373,6 +367,25 @@ def poincare_check(quiver, order, window=None):
                     "window": [wlo, whi]},
         mismatches=mismatches,
     )
+
+
+def _poincare_series(quiver, order, window):
+    """The right-hand side of poincare_check.  Every level s of a degree is
+    read from one partition product, taken up to the highest level the
+    window reaches."""
+    wlo, whi = window
+    terms = {}
+    for d in iter_multidegrees(len(quiver), order):
+        weight = loop_weight(quiver, d)
+        base = sum(d) + weight
+        sign = -1 if weight % 2 else 1
+        parts, deg_f = _functional_layout(quiver, d)
+        # level s sits at t^(base + 2s) and has dimension counts[s - deg_f]
+        top = (whi - base) // 2 - deg_f
+        counts = partition_product_coeffs(parts, top) if top >= 0 else ()
+        coeffs = {base + 2 * (deg_f + j): sign * c for j, c in enumerate(counts) if c}
+        terms[d] = TruncatedLaurent(coeffs, min(wlo, base), whi)
+    return MultiSeries(quiver.vertices, order, window, terms)
 
 
 _NOTHING_COMPARED = ("every dimension with |d| >= 1 in range is zero; only the "

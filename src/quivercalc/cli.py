@@ -242,7 +242,7 @@ def cmd_algebra_dims(args, out):
         for r in rows:
             out.write(f"  h={r['hdeg']}: dim={r['dimension']} "
                       f"functional={r['functional_dimension']}\n")
-    return 0
+    return 0 if all(r["dimension"] == r["functional_dimension"] for r in rows) else 1
 
 
 # the options each verify target reads, beside --order and --output; the

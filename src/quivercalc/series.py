@@ -359,7 +359,9 @@ def _convolve(left, right, cap, hi_cap):
     A digit of a packed sum adds up at most min(#long rows, #long cols)
     pairs of at most min(span) products each, every product bounded by
     max|a| * max|b|; that bound plus a sign bit is the digit width of the
-    whole call.  Other pairs run the schoolbook loop."""
+    whole call.  Other pairs run the schoolbook loop, except that the first
+    contribution to a degree whose shorter operand has one term is that
+    operand's term times the other operand, built in one comprehension."""
     rows = _operands(left, cap)
     cols = _operands(right, cap)
     long_rows = [op for op in rows if len(op[2]) >= _PACK_MIN_TERMS]
@@ -427,17 +429,24 @@ def _convolve(left, right, cap, hi_cap):
                               + packed_a * packed_b)
                     acc[0] = v
             elif ca and cb:
+                # the shorter operand runs the outer loop
+                outer, inner = (ca, cb) if len(ca) <= len(cb) else (cb, ca)
                 small = slot[2]
+                if small is None and len(outer) == 1:
+                    # the first contribution of a one-term operand (the 1 of
+                    # a one-vertex factor) is the other operand shifted and
+                    # scaled, cut at hi
+                    (eo, co), = outer.items()
+                    top = hi - eo
+                    slot[2] = {eo + ei: co * ci for ei, ci in inner.items() if ei <= top}
+                    continue
                 if small is None:
                     small = slot[2] = {}
-                # the shorter operand runs the outer loop
-                if len(ca) <= len(cb):
-                    outer, inner = ca, cb
+                if outer is ca:
                     exps = sorted_cols.get(id(cb))
                     if exps is None:
                         exps = sorted_cols[id(cb)] = sorted(cb)
                 else:
-                    outer, inner = cb, ca
                     if sorted_a is None:
                         sorted_a = sorted(ca)
                     exps = sorted_a
@@ -638,7 +647,9 @@ class MultiSeries:
         onto the vertex list out_vertices (which must contain every remaining
         input vertex).  The monomial must have total degree >= 1; degrees
         that land above the cap are dropped, which is sound because they sit
-        beyond the truncation order."""
+        beyond the truncation order.  A term x^d lands on total degree
+        |d| + d_vertex * (deg - 1), which is tested before its output
+        multidegree is built."""
         try:
             vi = self.vertices.index(vertex)
         except ValueError:
@@ -683,6 +694,8 @@ class MultiSeries:
         acc = {}
         for d, c in self.terms.items():
             k = d[vi]
+            if sum(d) + k * (deg - 1) > cap:
+                continue
             nd = [0] * len(out_vertices)
             for i, di in enumerate(d):
                 if i != vi and di:
@@ -692,8 +705,6 @@ class MultiSeries:
                     if ej:
                         nd[j] += k * ej
             ndt = tuple(nd)
-            if sum(ndt) > cap:
-                continue
             j = qpow * k
             slot = acc.get(ndt)
             if slot is None:
@@ -768,9 +779,9 @@ def partition_product_coeffs(parts, top):
     """Coefficients of prod over r in parts of 1/(1 - t^r) through t^top,
     a tuple: restricted partition counts, with equal parts told apart.
     pochhammer_inv asks for parts 1..n, functional_dimension for the sorted
-    parts 1..d_i of every vertex i.  The bound is above the distinct keys of
-    every benchmark workload (at most 784, identity-verify at seed 121), so
-    none evicts."""
+    parts 1..d_i of every vertex i, and poincare_check once per degree up to
+    its top level.  The bound is above the distinct keys of every benchmark
+    workload (at most 378, identity-verify at seed 121), so none evicts."""
     dp = [0] * (top + 1)
     dp[0] = 1
     for r in parts:
@@ -801,8 +812,10 @@ def pochhammer_inv(n, lo, hi):
         return TruncatedLaurent({}, out_lo, hi)
     counts = partition_product_coeffs(tuple(range(1, n + 1)), jmax)
     sign = -1 if n % 2 else 1
-    coeffs = {shift + 2 * j: sign * counts[j] for j in range(jmax + 1)}
-    return TruncatedLaurent(coeffs, out_lo, hi)
+    # every count is positive (all parts 1 is a partition), at exponents
+    # shift..hi inside the window
+    return TruncatedLaurent._trusted(
+        {shift + 2 * j: sign * c for j, c in enumerate(counts)}, out_lo, hi)
 
 
 # -- plethystic exponential and logarithm --------------------------------------

@@ -23,6 +23,7 @@ from quivercalc.algebra import (
 from quivercalc.linalg import IntegerEchelon, rank_of_rows
 from quivercalc.motivic import default_window, motivic_series
 from quivercalc.quiver import Quiver, one_vertex
+from quivercalc.series import MultiSeries, TruncatedLaurent, iter_multidegrees
 
 A2 = Quiver(("a", "b"), ((0, 1), (1, 0)))
 M2 = Quiver(("a", "b"), ((0, 2), (2, 0)))
@@ -593,6 +594,37 @@ def test_poincare_fleet_order3():
     for quiver in FLEET:
         report = poincare_check(quiver, 3)
         assert report.passed, f"{quiver.vertices}: {report.summary()}"
+
+
+def ref_poincare_series(quiver, order, window):
+    """The right-hand side of poincare_check, one functional_dimension per
+    level."""
+    wlo, whi = window
+    terms = {}
+    for d in iter_multidegrees(len(quiver), order):
+        weight = loop_weight(quiver, d)
+        base = sum(d) + weight
+        coeffs = {}
+        s = 0
+        while base + 2 * s <= whi:
+            coeffs[base + 2 * s] = ((-1) ** weight
+                                    * functional_dimension(quiver, d, -weight - 2 * s))
+            s += 1
+        terms[d] = TruncatedLaurent(coeffs, min(wlo, base), whi)
+    return MultiSeries(quiver.vertices, order, window, terms)
+
+
+def test_poincare_series_matches_per_level_reference():
+    # including windows below all support and windows cut inside it
+    for quiver in FLEET + (Quiver((), ()),):
+        for order in range(6):
+            for window in (default_window(order, quiver.max_loops()), (-9, -1),
+                           (-4, 0), (0, 7), (3, 20)):
+                got = algebra._poincare_series(quiver, order, window)
+                want = ref_poincare_series(quiver, order, window)
+                assert got.terms.keys() == want.terms.keys()
+                for d, coeff in want.terms.items():
+                    assert got.terms[d] == coeff, (quiver.vertices, order, window, d)
 
 
 def test_gr_linking_doubled_a2_and_m2():

@@ -476,6 +476,21 @@ def test_algebra_dims_table(tmp_path):
     assert dims == [row["functional_dimension"] for row in payload["components"]]
 
 
+def test_algebra_dims_disagreement_exits_one(tmp_path, monkeypatch):
+    # a rank dimension that differs from the functional one is a failure
+    a2 = write_a2(tmp_path)
+    monkeypatch.setattr("quivercalc.cli.functional_dimension",
+                        lambda quiver, degree, hdeg: 1 if hdeg == -4 else 0)
+    code, out, err = run_cli("algebra-dims", a2, "--degree", "1,1",
+                             "--smax", "3", "--output", "json")
+    assert (code, err) == (1, "")
+    rows = json.loads(out)["components"]
+    assert [(r["dimension"], r["functional_dimension"]) for r in rows] == [
+        (0, 0), (1, 0), (2, 1), (3, 0)]
+    code, out, _ = run_cli("algebra-dims", a2, "--degree", "1,1", "--smax", "0")
+    assert code == 0 and "dim=0 functional=0" in out
+
+
 # The component cells of the algebra-rank benchmark workload, with fixed
 # vertex labels.  The digest pins every dimension those requests print.
 RANK_MATRICES = {"A2": [[0, 1], [1, 0]], "M2": [[0, 2], [2, 0]],

@@ -1,6 +1,7 @@
 """Motivic generating series, substitution identities, diagonalization."""
 
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -221,6 +222,54 @@ def test_calibration_matches_full_substitution_scan(kind):
                         assert not any(scan.values())
 
 
+LOOP_QUIVERS = tuple(one_vertex(m) for m in range(4))
+
+
+def substitution_cases():
+    """(transformed quiver, output vertices, exponents of x_a x_b) for
+    linking and unlinking every pair of the fleet, and for the m-loop
+    vertex, m = 0..3, substituted into two fresh variables: a loop vertex
+    is a transformed side whose only vertex is the fresh one."""
+    for quiver in FLEET:
+        for a, b in itertools.combinations(quiver.vertices, 2):
+            expo = link_substitution(quiver, a, b).exponents
+            yield link(quiver, a, b), quiver.vertices, expo
+            if quiver.arrows(a, b):
+                yield unlink(quiver, a, b), quiver.vertices, expo
+    for loops in LOOP_QUIVERS:
+        yield loops, ("a", "b"), (1, 1)
+
+
+def test_read_degrees_substitute_like_the_full_series():
+    # the transformed side built on read degrees only substitutes to the
+    # same coefficients and windows as the full series, at every constant
+    # and every cap up to the order
+    for transformed, out_vertices, expo in substitution_cases():
+        fresh = transformed.vertices[-1]
+        for order in range(1, 8):
+            window = default_window(order, transformed.max_loops())
+            full = motivic_series(transformed, order, window)
+            read = motivic._motivic_terms(
+                transformed, order, window,
+                motivic._read_degrees(len(transformed) - 1, order))
+            assert set(read.terms) == {d for d in full.terms if sum(d) + d[-1] <= order}
+            for power in range(-2, 3):
+                mono = VertexMonomial(expo, power)
+                for cap in range(order + 1):
+                    got = read.substitute(fresh, mono, out_vertices, out_cap=cap)
+                    want = full.substitute(fresh, mono, out_vertices, out_cap=cap)
+                    assert got.terms.keys() == want.terms.keys()
+                    for d, coeff in want.terms.items():
+                        # equality compares the coefficients and the (lo, hi) window
+                        assert got.terms[d] == coeff, (transformed.vertices, order, d)
+
+
+def test_read_degrees_of_linked_mix3_at_order_ten():
+    linked = link(MIX3, "a", "b")
+    assert len(list(iter_multidegrees(len(linked), 10))) == 1001
+    assert len(list(motivic._read_degrees(len(MIX3), 10))) == 581
+
+
 def test_printed_constants_fail():
     printed = Conventions.from_dict({"preset": "printed"})
     report = verify_link_identity(A2, "a", "b", 3, conventions=printed)
@@ -291,6 +340,25 @@ DIAGONALIZATION_DIGESTS = (
     (M2L, 5, 13338, 54, "f2316ff12f5f96ee437ef633953ab38e342b4335054228a5bef7e072c20efd44"),
     (MIX3, 5, 50552, 112, "ad3577e2809cd79b4a386449fcc91be0ffa82eabcf92ac7dc0fac9e8df3b1f0b"),
 )
+
+
+def test_diagonalize_builds_only_kept_monomials(monkeypatch):
+    # a pair whose fresh vertex would exceed the order is pruned on its
+    # integer degrees, before any monomial is built for it
+    built = []
+    times = VertexMonomial.times
+
+    def recording_times(self, other, extra_qpow=0):
+        mono = times(self, other, extra_qpow)
+        built.append(mono.total_degree())
+        return mono
+
+    monkeypatch.setattr(VertexMonomial, "times", recording_times)
+    for quiver, order, pruned, factors, _ in DIAGONALIZATION_DIGESTS:
+        built.clear()
+        result = diagonalize(quiver, order)
+        assert (result.pruned_count, len(result.factors)) == (pruned, factors)
+        assert built and max(built) <= order
 
 
 def test_diagonalize_golden_digests():

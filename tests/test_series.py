@@ -568,6 +568,59 @@ def test_series_mul_one_parity_many_valuations():
         assert same_series(x.mul(x, hi_cap), ref_series_mul(x, x, hi_cap))
 
 
+def rand_single_term(rng):
+    """A one-term TruncatedLaurent at a possibly negative exponent, with an
+    int, big or Fraction coefficient, on a window around it."""
+    e = rng.randint(-25, 15)
+    kind = rng.choice(("small", "big", "fraction"))
+    c = rand_coefficient(rng, kind) or 1
+    return TruncatedLaurent({e: c}, e - rng.randint(0, 6), e + rng.randint(0, 40))
+
+
+def test_single_term_operands_match_schoolbook_reference():
+    # a one-term operand on either side, against every operand shape, with
+    # and without a hi_cap cut
+    rng = random.Random(3571)
+    cut = 0
+    for _ in range(300):
+        one = rand_single_term(rng)
+        other = rand_operand(rng, lo_range=(-30, 5), max_span=60)
+        hi_cap = rng.choice((None, rng.randint(-50, 60)))
+        for a, b in ((one, other), (other, one), (one, one)):
+            want = product_or_error(ref_laurent_mul, a, b, hi_cap)
+            got = product_or_error(TruncatedLaurent.mul, a, b, hi_cap)
+            if want == "underflow":
+                assert got == "underflow"
+            else:
+                assert exact_terms(got) == exact_terms(want)
+                cut += hi_cap is not None and got.hi == hi_cap
+    assert cut > 20
+
+
+def test_series_single_term_degrees_match_schoolbook_reference():
+    # degrees whose first contribution has a one-term operand, on either
+    # side, followed by contributions of every shape
+    rng = random.Random(9973)
+    for _ in range(60):
+        terms = {}
+        for d in iter_multidegrees(2, 3):
+            r = rng.random()
+            if r < 0.5:
+                terms[d] = rand_single_term(rng)
+            elif r < 0.9:
+                terms[d] = rand_operand(rng, lo_range=(-20, 0), max_span=60)
+        x = MultiSeries(("a", "b"), 3, (-20, 60), terms)
+        y = rand_operand_series(rng, cap=rng.randint(1, 3))
+        hi_cap = rng.choice((None, rng.randint(-30, 60)))
+        for left, right in ((x, y), (y, x), (x, x)):
+            want = product_or_error(ref_series_mul, left, right, hi_cap)
+            got = product_or_error(MultiSeries.mul, left, right, hi_cap)
+            if want == "underflow":
+                assert got == "underflow"
+            else:
+                assert same_series(got, want)
+
+
 def ref_substitute(series, vertex, monomial, out_vertices, out_cap):
     """The substitution summed by repeated TruncatedLaurent addition."""
     vi = series.vertices.index(vertex)
