@@ -168,7 +168,8 @@ def cmd_dt(args, out):
                                      in sorted(entry.u_coeffs.items())) + "}"
                      if entry.u_coeffs else "0")
             out.write(f"Omega{entry.degree}: {omega}{flag}\n")
-    # dt_check needs every degree stable, and then checks positivity
+    # dt_check needs every degree stable, then checks positivity and that
+    # some invariant is nonzero
     return 0 if result.all_stable() and dt_check(result).passed else 1
 
 

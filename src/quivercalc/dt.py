@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quiver import euler_form
-from .report import VerificationReport
+from .report import VerificationReport, inconclusive_unless
 from .series import (TruncatedLaurent, exact_str, iter_multidegrees,
                      pleth_log)
 
@@ -139,8 +139,9 @@ def dt_extract(series, guard=5):
             # exact zero: trivially a (zero) polynomial
             entries.append(DTEntry(d, {}, logged.window, True))
             continue
-        bracket = TruncatedLaurent({-1: -1, 1: 1}, -1, c.hi + 2)
-        omega_t = bracket.mul(c).scale(-1)
+        # -(t - t^-1)
+        bracket = TruncatedLaurent({-1: 1, 1: -1}, -1, c.hi + 2)
+        omega_t = bracket.mul(c)
         u_coeffs = {}
         for e, v in omega_t.coeffs.items():
             u_coeffs[e] = -v if e % 2 else v
@@ -157,7 +158,9 @@ def dt_extract(series, guard=5):
 
 def dt_check(result):
     """Assert integrality and nonnegativity of every u-coefficient of a
-    stabilized DT result; mismatches carry the offending coefficients."""
+    stabilized DT result; mismatches carry the offending coefficients.  A
+    result without a nonzero invariant (the empty quiver, or order 0) is
+    inconclusive: it checked nothing."""
     unstable = [e.degree for e in result.entries if not e.stable]
     if unstable:
         raise ValueError(
@@ -172,6 +175,9 @@ def dt_check(result):
                 "degree": list(e.degree),
                 "offending": {str(exp): exact_str(c) for exp, c in sorted(bad.items())},
             })
+    mismatches += inconclusive_unless(
+        any(e.u_coeffs for e in result.entries),
+        "no degree 1 <= |d| <= order has a nonzero invariant; nothing was checked")
     return VerificationReport(
         name="dt-positivity",
         parameters={"order": result.order, "guard": result.guard,

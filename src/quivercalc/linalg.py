@@ -78,9 +78,6 @@ class IntegerEchelon:
     def rank(self):
         return len(self.pivots)
 
-    def pivot_columns(self):
-        return sorted(self.pivots)
-
     def reduce_vector(self, vec):
         """Eliminate all pivot columns from a sparse {column: int or
         Fraction} vector; the result is the canonical representative

@@ -20,9 +20,9 @@ by Kronecker substitution (Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", JSC 2009): each coefficient is packed
 once per call into one Python int of fixed-width biased digits, each pair
 costs one big-int product, the products landing on one output degree are
-added in packed form and unpacked once.  Short pairs (monomials, binomials)
-take the schoolbook loop.  Fraction coefficients are scaled to integers by
-the lcm of their denominators and divided back once per output coefficient.
+added in packed form and unpacked once.  Long integer pairs are packed;
+anything else (monomials, binomials, Fraction coefficients) runs the
+schoolbook loop.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
 
@@ -215,12 +215,9 @@ class TruncatedLaurent:
         """Lowest exponent (on the common known range) where the two series
         provably differ, or None.  Below a window's lo the series is zero."""
         hi = min(self.hi, other.hi)
-        for e in sorted(set(self.coeffs) | set(other.coeffs)):
-            if e > hi:
-                break
-            if self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
-                return e
-        return None
+        a, b = self.coeffs, other.coeffs
+        return min((e for e in a.keys() | b.keys() if e <= hi and a.get(e, 0) != b.get(e, 0)),
+                   default=None)
 
     def agrees_with(self, other):
         return self.first_mismatch(other) is None
@@ -283,47 +280,38 @@ _PACK_MIN_TERMS = 12
 
 
 def _operands(pairs, cap):
-    """(multidegree, total degree, coeffs, lo, hi, valuation) of every
-    (multidegree, TruncatedLaurent) pair with total degree <= cap.  An
-    all-zero series counts as having valuation just above its window."""
+    """(multidegree, total degree, coeffs, lo, hi, valuation, packable) of
+    every (multidegree, TruncatedLaurent) pair with total degree <= cap.  An
+    all-zero series counts as having valuation just above its window; a
+    series is packable when it has at least _PACK_MIN_TERMS coefficients,
+    all of them ints."""
     out = []
     for d, s in pairs:
         total = sum(d)
         if total <= cap:
             c = s.coeffs
-            out.append((d, total, c, s.lo, s.hi, min(c) if c else s.hi + 1))
+            out.append((d, total, c, s.lo, s.hi, min(c) if c else s.hi + 1,
+                        len(c) >= _PACK_MIN_TERMS and set(map(type, c.values())) == {int}))
     return out
 
 
-def _common_denominator(operands):
-    """The lcm of the denominators of all coefficients of the operands."""
-    den = 1
-    for _, _, coeffs, _, _, _ in operands:
-        if set(map(type, coeffs.values())) != {int}:
-            for c in coeffs.values():
-                den = lcm(den, c.denominator)
-    return den
-
-
-def _pack(coeffs, val, den, step, wb, bias):
-    """Kronecker form of den * coeffs: the sum of den * c * 2^(8 wb k) over
-    the exponents e = val + step k.  Each digit goes in biased by `bias`,
-    which makes it nonnegative; the summed bias comes off at the end."""
+def _pack(coeffs, val, step, wb, bias):
+    """Kronecker form of integer coeffs: the sum of c * 2^(8 wb k) over the
+    exponents e = val + step k.  Each digit goes in biased by `bias`, which
+    makes it nonnegative; the summed bias comes off at the end."""
     zero = bias.to_bytes(wb, "little")
     digits = [zero] * ((max(coeffs) - val) // step + 1)
     for e, c in coeffs.items():
-        if den != 1:
-            c = c.numerator * (den // c.denominator)
         digits[(e - val) // step] = (c + bias).to_bytes(wb, "little")
     return (int.from_bytes(b"".join(digits), "little")
             - int.from_bytes(zero * len(digits), "little"))
 
 
-def _unpack(acc, base, hi, step, wb, bias, den, coeffs):
+def _unpack(acc, base, hi, step, wb, bias, coeffs):
     """Store the nonzero digits of a packed sum, which sit at exponents
-    base + step k, into coeffs up to exponent hi, divided by den.  Digits
-    above hi are cut off first: with the bias added, the digits below the
-    cut are exact whatever lies above it."""
+    base + step k, into coeffs up to exponent hi.  Digits above hi are cut
+    off first: with the bias added, the digits below the cut are exact
+    whatever lies above it."""
     n = (hi - base) // step + 1
     if n <= 0:
         return
@@ -333,10 +321,7 @@ def _unpack(acc, base, hi, step, wb, bias, den, coeffs):
     raw = struct.Struct(f"{wb}s" * n).unpack(low.to_bytes(wb * n, "little"))
     digits = map(int.from_bytes, raw, repeat("little"))
     exps = range(base, base + step * n, step)
-    if den == 1:
-        coeffs.update((e, c - bias) for e, c in zip(exps, digits) if c != bias)
-    else:
-        coeffs.update((e, _div(c - bias, den)) for e, c in zip(exps, digits) if c != bias)
+    coeffs.update((e, c - bias) for e, c in zip(exps, digits) if c != bias)
 
 
 def _convolve(left, right, cap, hi_cap):
@@ -349,36 +334,34 @@ def _convolve(left, right, cap, hi_cap):
     (v the valuation), and a sum takes the lowest lo and the lowest hi, as
     TruncatedLaurent.__add__ does.
 
-    A pair with two long operands is multiplied packed (Kronecker
-    substitution): one big-int product.  Packed products landing on the same
-    degree are added in packed form, shifted against the lowest product
-    valuation of that degree, and unpacked once.  Exponents are packed in
-    steps of the gcd of all exponent gaps of the long operands (2 when every
-    coefficient lives on one parity, as in motivic series), so products of
-    one degree whose valuations differ modulo that step add up separately.
-    A digit of a packed sum adds up at most min(#long rows, #long cols)
-    pairs of at most min(span) products each, every product bounded by
-    max|a| * max|b|; that bound plus a sign bit is the digit width of the
-    whole call.  Other pairs run the schoolbook loop, except that the first
-    contribution to a degree whose shorter operand has one term is that
-    operand's term times the other operand, built in one comprehension."""
+    A pair of two packable operands (long, with int coefficients) is
+    multiplied packed (Kronecker substitution): one big-int product.  Packed
+    products landing on the same degree are added in packed form, shifted
+    against the lowest product valuation of that degree, and unpacked once.
+    Exponents are packed in steps of the gcd of all exponent gaps of the
+    packable operands (2 when every coefficient lives on one parity, as in
+    motivic series), so products of one degree whose valuations differ
+    modulo that step add up separately.  A digit of a packed sum adds up at
+    most min(#packable rows, #packable cols) pairs of at most min(span)
+    products each, every product bounded by max|a| * max|b|; that bound plus
+    a sign bit is the digit width of the whole call.  Other pairs run the
+    schoolbook loop, except that the first contribution to a degree whose
+    shorter operand has one term is that operand's term times the other
+    operand, built in one comprehension."""
     rows = _operands(left, cap)
     cols = _operands(right, cap)
-    long_rows = [op for op in rows if len(op[2]) >= _PACK_MIN_TERMS]
-    long_cols = [op for op in cols if len(op[2]) >= _PACK_MIN_TERMS]
-    packing = bool(long_rows and long_cols)
-    den_rows = den_cols = step = wb = bias = 1
-    if packing:
-        den_rows = _common_denominator(long_rows)
-        den_cols = _common_denominator(long_cols)
+    pack_rows = [op for op in rows if op[6]]
+    pack_cols = [op for op in cols if op[6]]
+    step = wb = bias = 1
+    if pack_rows and pack_cols:
         step = 0
-        for _, _, coeffs, _, _, val in long_rows + long_cols:
+        for _, _, coeffs, _, _, val, _ in pack_rows + pack_cols:
             step = gcd(step, *map(val.__rsub__, coeffs))
-        spans = [max((max(coeffs) - val) // step + 1 for _, _, coeffs, _, _, val in ops)
-                 for ops in (long_rows, long_cols)]
-        tops = [int(den * max(max(map(abs, op[2].values())) for op in ops))
-                for den, ops in ((den_rows, long_rows), (den_cols, long_cols))]
-        bound = min(len(long_rows), len(long_cols)) * min(spans) * tops[0] * tops[1]
+        spans = [max((max(coeffs) - val) // step + 1 for _, _, coeffs, _, _, val, _ in ops)
+                 for ops in (pack_rows, pack_cols)]
+        tops = [max(max(map(abs, op[2].values())) for op in ops)
+                for ops in (pack_rows, pack_cols)]
+        bound = min(len(pack_rows), len(pack_cols)) * min(spans) * tops[0] * tops[1]
         wb = (bound.bit_length() + 8) // 8  # one spare bit for the sign
         bias = 1 << (8 * wb - 1)
     shift = 8 * wb
@@ -388,12 +371,11 @@ def _convolve(left, right, cap, hi_cap):
     sorted_cols = {}
     windows = {}  # d -> [lo, hi, schoolbook sum or None]
     sums = {}  # (d, valuation mod step) -> [lowest valuation, packed sum]
-    for d1, t1, ca, lo1, hi1, v1 in rows:
+    for d1, t1, ca, lo1, hi1, v1, pack_a in rows:
         budget = cap - t1
-        long_a = packing and len(ca) >= _PACK_MIN_TERMS
         # a row's packed form and sorted exponents live for its row only
         packed_a = sorted_a = None
-        for d2, t2, cb, lo2, hi2, v2 in cols:
+        for d2, t2, cb, lo2, hi2, v2, pack_b in cols:
             if t2 > budget:
                 continue
             d = tuple(map(add, d1, d2))
@@ -411,12 +393,12 @@ def _convolve(left, right, cap, hi_cap):
                     slot[0] = lo
                 if hi < slot[1]:
                     slot[1] = hi
-            if long_a and len(cb) >= _PACK_MIN_TERMS:
+            if pack_a and pack_b:
                 if packed_a is None:
-                    packed_a = _pack(ca, v1, den_rows, step, wb, bias)
+                    packed_a = _pack(ca, v1, step, wb, bias)
                 packed_b = packed_cols.get(id(cb))
                 if packed_b is None:
-                    packed_b = packed_cols[id(cb)] = _pack(cb, v2, den_cols, step, wb, bias)
+                    packed_b = packed_cols[id(cb)] = _pack(cb, v2, step, wb, bias)
                 v = v1 + v2
                 key = (d, v % step)
                 acc = sums.get(key)
@@ -458,14 +440,13 @@ def _convolve(left, right, cap, hi_cap):
     for (d, _), acc in sums.items():
         packed_sums.setdefault(d, []).append(acc)
     sums.clear()
-    den = den_rows * den_cols
     out = {}
     for d in list(windows):
         lo, hi, small = windows.pop(d)
         coeffs = {}
         if packed_sums:
             for base, acc in packed_sums.pop(d, ()):
-                _unpack(acc, base, hi, step, wb, bias, den, coeffs)
+                _unpack(acc, base, hi, step, wb, bias, coeffs)
         if small:
             for e, c in coeffs.items():
                 small[e] = small.get(e, 0) + c
@@ -875,54 +856,50 @@ def pleth_log(series):
     log F comes from one pass over the total x-degree |d| (Brent & Kung,
     "Fast algorithms for manipulating formal power series", JACM 1978).  For
     L = log F the Euler operator E = sum x_i d/dx_i gives F E(L) = E(F), that
-    is |d| L_d = |d| F_d - sum |d1| L_d1 F_d2 over d1 + d2 = d with
-    1 <= |d1| < |d|.  With D = lcm(1..cap) the loop keeps G_d = D |d| L_d,
-    which is integral when F is, so D L_d = G_d / |d| is an exact division.
-    Once the slice |d1| = k of G is complete, one MultiSeries.mul by -F
-    adds its terms to every degree above k.  These cap - 1 products
-    multiply the degree pairs of a single product of two series, where the
-    power sum took cap - 1 full products.
+    is G_d = |d| F_d - sum G_d1 F_d2 over d1 + d2 = d with 1 <= |d1| < |d|,
+    where G_d = |d| L_d.  G is integral whenever F is.  Once the slice
+    |d1| = k of G is complete, one MultiSeries.mul by -F adds its terms to
+    every degree above k.  These cap - 1 products multiply the degree pairs
+    of a single product of two series, where the power sum took cap - 1 full
+    products.
+
+    Log = sum mu(n)/n psi_n(L), and psi_n(G)_d = (|d|/n) L_(d/n)(t^n), so
+    Log_d = (1/|d|) sum_n mu(n) psi_n(G)_d: the Moebius sum runs on G with
+    scalars mu(n) = +-1, and each coefficient takes one exact division by
+    |d| at the end.
 
     The windows equal those of the power sum sum (-1)^(k+1) u^k / k with
     u = F - 1.  Both sums expand into the products F_c1 ... F_cm over the
     compositions d = c1 + ... + cm, and both give degree d the window lo =
     the least sum of lo(F_ci), hi = the least sum of val(F_ci) plus
     hi - val of one factor, because the valuation of a sum is never below
-    the least valuation of its terms."""
+    the least valuation of its terms.  Scaling by |d| or dividing by it
+    leaves a window as it is."""
     _require_constant_one(series, "pleth_log")
     cap, vertices, window = series.cap, series.vertices, series.window
-    # Log = sum mu(n)/n psi_n(log) runs on integer scalars D/n, and the one
-    # division by D^2 comes last
-    den = lcm(*range(1, cap + 1))
-    integral = all(type(v) is int for c in series.terms.values() for v in c.coeffs.values())
     minus_f = MultiSeries(vertices, cap, window,
                           {d: -c for d, c in series.terms.items() if any(d)})
-    # grad[d] ends as G_d = D |d| L_d: it starts as D |d| F_d, and once its
-    # degree-k slice is complete, one product with -F adds the terms with
-    # |d1| = k to every degree above k
-    grad = {d: c.scale(den * sum(d)) for d, c in series.terms.items() if any(d)}
+    # grad[d] ends as G_d: it starts as |d| F_d, and once its degree-k slice
+    # is complete, one product with -F adds the terms with |d1| = k to every
+    # degree above k
+    grad = {d: c.scale(sum(d)) for d, c in series.terms.items() if any(d)}
     for k in range(1, cap):
         done = MultiSeries(vertices, cap, window,
                            {d: c for d, c in grad.items() if sum(d) == k})
         for d, c in done.mul(minus_f).terms.items():
             grad[d] = grad[d] + c if d in grad else c
-    log = {}
-    for d, c in grad.items():
-        n = sum(d)
-        log[d] = TruncatedLaurent._trusted(
-            {e: v // n if integral else _div(v, n) for e, v in c.coeffs.items()},
-            c.lo, c.hi)
-    log = MultiSeries(vertices, cap, window, log)
-    out = MultiSeries.zero(series.vertices, cap, series.window)
+    grad = MultiSeries(vertices, cap, window, grad)
+    out = MultiSeries.zero(vertices, cap, window)
     for n in range(1, cap + 1):
         mu = _mobius(n)
         if mu:
-            out = out + log.psi(n).scale(mu * (den // n))
-    # the division by D^2: exact // where the quotient is integral, the int
-    # a Fraction quotient would be intified to
-    dd = den * den
-    return MultiSeries(vertices, cap, out.window, {
-        d: TruncatedLaurent._trusted(
-            {e: v // dd if type(v) is int and not v % dd else _div(v, dd)
+            out = out + grad.psi(n).scale(mu)
+    # the division by |d|: exact // where an int divides, else _div (a
+    # Fraction, or the int it reduces to)
+    terms = {}
+    for d, c in out.terms.items():
+        n = sum(d)
+        terms[d] = TruncatedLaurent._trusted(
+            {e: v // n if type(v) is int and not v % n else _div(v, n)
              for e, v in c.coeffs.items()}, c.lo, c.hi)
-        for d, c in out.terms.items()})
+    return MultiSeries(vertices, cap, window, terms)

@@ -419,6 +419,22 @@ def test_dt_unstable_window_exits_one(tmp_path, monkeypatch):
     assert "UNSTABLE" in out
 
 
+@pytest.mark.parametrize("quiver, order", [({"vertices": [], "matrix": []}, "3"),
+                                           (A2_OBJ, "0")])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_dt_with_no_invariant_exits_one(tmp_path, quiver, order, output):
+    # the empty quiver and --order 0 have no degree 1 <= |d| <= order, so dt
+    # checked nothing: inconclusive, as on the verify targets
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(quiver))
+    code, out, err = run_cli("dt", str(path), "--order", order, "--output", output)
+    assert (code, err) == (1, "")
+    if output == "json":
+        assert json.loads(out)["invariants"] == []
+    else:
+        assert out == ""
+
+
 def test_dt_default_window_is_stable(tmp_path):
     two = tmp_path / "two.json"
     two.write_text(json.dumps({"vertices": ["v"], "matrix": [[2]]}))

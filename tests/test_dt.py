@@ -63,10 +63,13 @@ def test_doubled_a2_invariants():
     assert result.all_stable()
 
 
-def test_empty_quiver_passes():
+def test_empty_quiver_is_inconclusive():
+    # no degree, so nothing was checked: not a pass
     result = dt_extract(motivic_series(Quiver((), ()), 3, (-12, 12)))
     assert result.entries == []
-    assert dt_check(result).passed
+    report = dt_check(result)
+    assert not report.passed
+    assert [m["kind"] for m in report.mismatches] == ["inconclusive"]
 
 
 def test_positivity_two_and_three_loops():

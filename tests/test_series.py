@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import quivercalc.series as series_module
 from quivercalc.series import (
     _PACK_MIN_TERMS,
     MultiSeries,
@@ -568,6 +569,53 @@ def test_series_mul_one_parity_many_valuations():
         assert same_series(x.mul(x, hi_cap), ref_series_mul(x, x, hi_cap))
 
 
+def pack_spy(monkeypatch):
+    """Record the coefficients of every _pack call; returns the list."""
+    packed = []
+    real = series_module._pack
+
+    def spy(coeffs, *args):
+        packed.append(coeffs)
+        return real(coeffs, *args)
+
+    monkeypatch.setattr(series_module, "_pack", spy)
+    return packed
+
+
+def long_operand(rng, kind, lo_range=(-20, 0)):
+    """A TruncatedLaurent with 12 to 40 nonzero coefficients of the given
+    kind; a "fraction" operand holds one non-integral Fraction at least."""
+    lo = rng.randint(*lo_range)
+    exps = rng.sample(range(lo, lo + 60), rng.randint(_PACK_MIN_TERMS, 40))
+    coeffs = {e: (rand_coefficient(rng, kind) or 1) for e in exps}
+    if kind == "fraction":
+        coeffs[exps[0]] = Fraction(1, 2)
+    return TruncatedLaurent(coeffs, lo, lo + 60)
+
+
+def test_fraction_operands_run_the_schoolbook_loop(monkeypatch):
+    # only pairs of long integer operands are packed: a long operand holding
+    # a Fraction takes the schoolbook loop with every partner
+    packed = pack_spy(monkeypatch)
+    rng = random.Random(1009)
+    for _ in range(40):
+        a = long_operand(rng, "fraction")
+        b = long_operand(rng, rng.choice(("small", "big", "fraction")))
+        for x, y in ((a, b), (b, a)):
+            hi_cap = rng.choice((None, rng.randint(0, 60)))
+            assert exact_terms(x.mul(y, hi_cap)) == exact_terms(ref_laurent_mul(x, y, hi_cap))
+    assert packed == []
+    # in one product of series, the integer pairs are still packed and the
+    # pairs with a Fraction operand are not
+    for _ in range(10):
+        x = MultiSeries(("a", "b"), 2, (-20, 40), {
+            d: long_operand(rng, rng.choice(("small", "big", "fraction")))
+            for d in iter_multidegrees(2, 2)})
+        assert same_series(x.mul(x), ref_series_mul(x, x))
+    assert packed
+    assert all(type(c) is int for coeffs in packed for c in coeffs.values())
+
+
 def rand_single_term(rng):
     """A one-term TruncatedLaurent at a possibly negative exponent, with an
     int, big or Fraction coefficient, on a window around it."""
@@ -709,7 +757,8 @@ def ref_pleth_log(series):
     return out
 
 
-def test_pleth_log_matches_power_sum_reference():
+def test_pleth_log_matches_power_sum_reference(monkeypatch):
+    packed = pack_spy(monkeypatch)
     rng = random.Random(2718)
     for _ in range(12):
         s = rand_operand_series(rng, cap=rng.randint(1, 4))
@@ -727,3 +776,12 @@ def test_pleth_log_matches_power_sum_reference():
                         s.terms[d] = TruncatedLaurent.zero(c.lo, c.hi)
                 s.terms[(0,) * len(vertices)] = TruncatedLaurent.one(*s.window)
                 assert same_series(pleth_log(s), ref_pleth_log(s)), (vertices, cap)
+    # one vertex with integer coefficients long enough to pack, up to cap 10:
+    # G = |d| L stays integral, so the recurrence's products are packed
+    packed.clear()
+    for cap in range(1, 11):
+        terms = {(k,): long_operand(rng, "small", lo_range=(0, 4)) for k in range(1, cap + 1)}
+        terms[(0,)] = TruncatedLaurent.one(0, 60)
+        s = MultiSeries(("a",), cap, (0, 60), terms)
+        assert same_series(pleth_log(s), ref_pleth_log(s)), cap
+    assert packed
