@@ -7,11 +7,13 @@ no timing data) so identical invocations produce byte-identical output.
 Exit status: 0 on success / verified pass, 1 on a verified failure (an
 identity check with mismatches, an inconclusive check that compared nothing
 nonzero with |d| >= 1, such as --order 0 or a --qmax below 1, or DT
-extraction with an unstable degree or a non-integral or negative invariant),
-2 on usage or input errors (missing, unreadable or malformed files, unknown
-vertex labels, a window given by one bound only or an empty one, orders,
-guards or level-weight bounds below their minimum, a verify option or vertex
-labels its target does not read).
+extraction with an unstable degree, a non-integral or negative invariant or
+no nonzero invariant, which `dt` names in one line on stderr), 2 on usage or
+input errors: argparse usage errors, an option or vertex labels a verify
+target does not read among them, reported before any file is read; missing,
+unreadable or malformed files, unknown vertex labels, a window given by one
+bound only or an empty one, orders, guards or level-weight bounds below
+their minimum.
 
 `main` returns that status, for argparse usage errors (2) and --help (0)
 too, and writes only to the streams it is given.  It may be called any
@@ -32,7 +34,7 @@ from .dt import dt_check, dt_extract, dt_window
 from .motivic import (Conventions, DEFAULT_CONVENTIONS, default_window,
                       diagonalize, motivic_series, verify_diagonalization,
                       verify_link_identity, verify_unlink_identity)
-from .quiver import Quiver, QuiverFormatError, link, unlink
+from .quiver import Quiver, link, unlink
 from .series import SeriesError, exact_str
 
 
@@ -44,14 +46,16 @@ def _fail(message):
     raise InputError(message)
 
 
-def _load_quiver(path):
+def _load(loader, path):
+    """loader(path), with a file or format error as an input error; a
+    malformed quiver and bad JSON both raise ValueError."""
     try:
-        return Quiver.load(path)
+        return loader(path)
     except FileNotFoundError:
         _fail(f"{path}: no such file")
     except OSError as exc:
         _fail(f"{path}: {exc.strerror}")
-    except (QuiverFormatError, ValueError) as exc:
+    except ValueError as exc:
         _fail(f"{path}: {exc}")
 
 
@@ -76,17 +80,9 @@ def _window(args):
 
 
 def _conventions(args):
-    path = args.config
-    if path is None:
+    if args.config is None:
         return DEFAULT_CONVENTIONS
-    try:
-        return Conventions.load(path)
-    except FileNotFoundError:
-        _fail(f"{path}: no such file")
-    except OSError as exc:
-        _fail(f"{path}: {exc.strerror}")
-    except (ValueError, json.JSONDecodeError) as exc:
-        _fail(f"{path}: {exc}")
+    return _load(Conventions.load, args.config)
 
 
 def _dump(obj):
@@ -125,8 +121,8 @@ def _report_exit(report, args, out):
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_info(args, out):
-    quiver = _load_quiver(args.quiver)
+def cmd_info(args, out, err):
+    quiver = _load(Quiver.load, args.quiver)
     data = {
         "vertices": list(quiver.vertices),
         "matrix": [list(r) for r in quiver.matrix],
@@ -143,8 +139,8 @@ def cmd_info(args, out):
     return 0
 
 
-def cmd_series(args, out):
-    quiver = _load_quiver(args.quiver)
+def cmd_series(args, out, err):
+    quiver = _load(Quiver.load, args.quiver)
     window = _window(args) or default_window(args.order, quiver.max_loops())
     series = motivic_series(quiver, args.order, window)
     if args.output == "json":
@@ -154,8 +150,8 @@ def cmd_series(args, out):
     return 0
 
 
-def cmd_dt(args, out):
-    quiver = _load_quiver(args.quiver)
+def cmd_dt(args, out, err):
+    quiver = _load(Quiver.load, args.quiver)
     window = dt_window(quiver, args.order, args.guard)
     result = dt_extract(motivic_series(quiver, args.order, window), guard=args.guard)
     if args.output == "json":
@@ -169,12 +165,23 @@ def cmd_dt(args, out):
                      if entry.u_coeffs else "0")
             out.write(f"Omega{entry.degree}: {omega}{flag}\n")
     # dt_check needs every degree stable, then checks positivity and that
-    # some invariant is nonzero
-    return 0 if result.all_stable() and dt_check(result).passed else 1
+    # some invariant is nonzero; a failure names its reason on err
+    try:
+        report = dt_check(result)
+    except ValueError as exc:
+        reason = str(exc)
+    else:
+        if report.passed:
+            return 0
+        bad = [tuple(mm["degree"]) for mm in report.mismatches if "degree" in mm]
+        reason = (f"non-integral or negative invariants in degrees {bad}" if bad
+                  else f"inconclusive: {report.mismatches[0]['reason']}")
+    err.write(f"dt: {reason}\n")
+    return 1
 
 
 def _transform(args, out, op, opname):
-    quiver = _load_quiver(args.quiver)
+    quiver = _load(Quiver.load, args.quiver)
     _check_vertices(quiver, args.a, args.b)
     try:
         transformed = op(quiver, args.a, args.b)
@@ -195,16 +202,16 @@ def _transform(args, out, op, opname):
     return 0
 
 
-def cmd_link(args, out):
+def cmd_link(args, out, err):
     return _transform(args, out, link, "link")
 
 
-def cmd_unlink(args, out):
+def cmd_unlink(args, out, err):
     return _transform(args, out, unlink, "unlink")
 
 
-def cmd_diagonalize(args, out):
-    quiver = _load_quiver(args.quiver)
+def cmd_diagonalize(args, out, err):
+    quiver = _load(Quiver.load, args.quiver)
     conventions = _conventions(args)
     result = diagonalize(quiver, args.order, conventions)
     if args.outfile:
@@ -220,8 +227,8 @@ def cmd_diagonalize(args, out):
     return 0
 
 
-def cmd_algebra_dims(args, out):
-    quiver = _load_quiver(args.quiver)
+def cmd_algebra_dims(args, out, err):
+    quiver = _load(Quiver.load, args.quiver)
     try:
         degree = tuple(int(part) for part in args.degree.split(","))
     except ValueError:
@@ -246,59 +253,42 @@ def cmd_algebra_dims(args, out):
     return 0 if all(r["dimension"] == r["functional_dimension"] for r in rows) else 1
 
 
-# the options each verify target reads, beside --order and --output; the
-# targets that read vertex labels need both
-_VERIFY_OPTIONS = {
-    "linking": ("vertex labels", "--qmin", "--qmax", "--calibrate", "--config"),
-    "unlinking": ("vertex labels", "--qmin", "--qmax", "--calibrate", "--config"),
-    "diagonalization": ("--qmin", "--qmax", "--config"),
-    "poincare": ("--qmin", "--qmax"),
-    "gr": ("vertex labels", "--smax"),
-    "homology": ("vertex labels", "--smax"),
+# Each verify target: whether it reads a vertex pair a b, the options it
+# reads beside --order and --output, its --order minimum and its check.
+# build_parser gives each one a sub-parser of `verify` declaring just these,
+# so argparse rejects any other option or label.
+_VERIFY = {
+    "linking": (True, ("window", "config", "calibrate"), 0,
+                lambda quiver, args: verify_link_identity(
+                    quiver, args.a, args.b, args.order, _window(args),
+                    _conventions(args), args.calibrate)),
+    "unlinking": (True, ("window", "config", "calibrate"), 0,
+                  lambda quiver, args: verify_unlink_identity(
+                      quiver, args.a, args.b, args.order, _window(args),
+                      _conventions(args), args.calibrate)),
+    # diagonalize runs at least one round, as on the diagonalize command
+    "diagonalization": (False, ("window", "config"), 1,
+                        lambda quiver, args: verify_diagonalization(
+                            quiver, args.order, _window(args), _conventions(args))),
+    "poincare": (False, ("window",), 0,
+                 lambda quiver, args: poincare_check(quiver, args.order, _window(args))),
+    "gr": (True, ("smax",), 0,
+           lambda quiver, args: gr_linking_check(quiver, args.a, args.b, args.order,
+                                                 s_max=args.smax)),
+    "homology": (True, ("smax",), 0,
+                 lambda quiver, args: homology_check(quiver, args.a, args.b, args.order,
+                                                     s_max=args.smax)),
 }
 
 
-def cmd_verify(args, out):
-    quiver = _load_quiver(args.quiver)
-    if "vertex labels" in _VERIFY_OPTIONS[args.target]:
-        if args.a is None or args.b is None:
-            _fail(f"verify {args.target} needs two vertex labels")
+def cmd_verify(args, out, err):
+    quiver = _load(Quiver.load, args.quiver)
+    if args.pair:
         _check_vertices(quiver, args.a, args.b)
         if args.a == args.b:
             _fail("vertex pair must be distinct")
-    window = _window(args)
-    given = {"vertex labels": args.a is not None,
-             "--qmin": args.qmin is not None, "--qmax": args.qmax is not None,
-             "--calibrate": args.calibrate, "--config": args.config is not None,
-             "--smax": args.smax is not None}
-    unread = [option for option, present in given.items()
-              if present and option not in _VERIFY_OPTIONS[args.target]]
-    if unread:
-        _fail(f"verify {args.target} does not read {', '.join(unread)}")
-    if args.target == "diagonalization" and args.order < 1:
-        # diagonalize runs at least one round, as on the diagonalize command
-        _fail(f"--order must be >= 1, got {args.order}")
-    conventions = _conventions(args)
-    s_max = 8 if args.smax is None else args.smax
     try:
-        if args.target == "linking":
-            report = verify_link_identity(quiver, args.a, args.b, args.order,
-                                          window, conventions, args.calibrate)
-        elif args.target == "unlinking":
-            report = verify_unlink_identity(quiver, args.a, args.b, args.order,
-                                            window, conventions, args.calibrate)
-        elif args.target == "diagonalization":
-            report = verify_diagonalization(quiver, args.order, window, conventions)
-        elif args.target == "poincare":
-            report = poincare_check(quiver, args.order, window)
-        elif args.target == "gr":
-            report = gr_linking_check(quiver, args.a, args.b, args.order,
-                                      s_max=s_max)
-        elif args.target == "homology":
-            report = homology_check(quiver, args.a, args.b, args.order,
-                                    s_max=s_max)
-        else:
-            _fail(f"unknown verify target {args.target!r}")
+        report = args.check(quiver, args)
     except ValueError as exc:
         _fail(str(exc))
     return _report_exit(report, args, out)
@@ -375,17 +365,23 @@ def build_parser():
                      help="largest total level weight to tabulate (default 8)")
     sub.set_defaults(handler=cmd_algebra_dims, minimums={"smax": 0})
 
-    sub = subs.add_parser("verify", help="run an exact identity check")
-    sub.add_argument("target", choices=("linking", "unlinking", "diagonalization",
-                                        "poincare", "gr", "homology"))
-    _add_common(sub, config=True)
-    sub.add_argument("a", nargs="?", default=None, help="first vertex label")
-    sub.add_argument("b", nargs="?", default=None, help="second vertex label")
-    sub.add_argument("--smax", type=int, default=None,
-                     help="level-weight bound for gr/homology (default 8)")
-    sub.add_argument("--calibrate", action="store_true",
-                     help="also scan substitution constants q^(k/2), k=-2..2")
-    sub.set_defaults(handler=cmd_verify, minimums={"order": 0, "smax": 0})
+    targets = subs.add_parser("verify", help="run an exact identity check"
+                              ).add_subparsers(dest="target", required=True)
+    for target, (pair, reads, min_order, check) in _VERIFY.items():
+        sub = targets.add_parser(target)
+        _add_common(sub, window="window" in reads, config="config" in reads,
+                    min_order=min_order)
+        if pair:
+            sub.add_argument("a", help="first vertex label")
+            sub.add_argument("b", help="second vertex label")
+        if "smax" in reads:
+            sub.add_argument("--smax", type=int, default=8,
+                             help="largest total level weight to check (default 8)")
+            sub.set_defaults(minimums={"order": min_order, "smax": 0})
+        if "calibrate" in reads:
+            sub.add_argument("--calibrate", action="store_true",
+                             help="also scan substitution constants q^(k/2), k=-2..2")
+        sub.set_defaults(handler=cmd_verify, pair=pair, check=check)
 
     return parser
 
@@ -405,7 +401,7 @@ def main(argv=None, out=None, err=None):
             value = getattr(args, name)
             if value is not None and value < low:
                 _fail(f"--{name} must be >= {low}, got {value}")
-        return args.handler(args, out)
+        return args.handler(args, out, err)
     except (InputError, SeriesError) as exc:
         # a SeriesError (TruncationUnderflow among them) means the requested
         # window cannot carry the computation

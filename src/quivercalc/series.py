@@ -559,10 +559,6 @@ class MultiSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def __neg__(self):
-        return MultiSeries(self.vertices, self.cap, self.window,
-                           {d: -c for d, c in self.terms.items()})
-
     def __add__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
@@ -579,11 +575,6 @@ class MultiSeries:
                 continue
             out[d] = out[d] + c if d in out else c
         return MultiSeries(self.vertices, cap, window, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        return self + (-other)
 
     def mul(self, other, hi_cap=None):
         self._require_same_vertices(other)

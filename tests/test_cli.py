@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -92,23 +93,6 @@ def test_empty_window_exits_two(tmp_path):
     assert "empty window" in err
 
 
-@pytest.mark.parametrize("target", ["linking", "unlinking", "diagonalization",
-                                    "poincare", "gr", "homology"])
-@pytest.mark.parametrize("flag", ["--qmin", "--qmax"])
-def test_verify_one_window_flag_exits_two(tmp_path, target, flag):
-    code, out, err = run_cli("verify", target, write_a2(tmp_path), "a", "b",
-                             flag, "10")
-    assert (code, out) == (2, "")
-    assert err == "error: --qmin and --qmax must be given together\n"
-
-
-def test_verify_gr_empty_window_exits_two(tmp_path):
-    code, out, err = run_cli("verify", "gr", write_a2(tmp_path), "a", "b",
-                             "--qmin", "5", "--qmax", "-5")
-    assert (code, out) == (2, "")
-    assert err == "error: empty window: --qmin 5 > --qmax -5\n"
-
-
 # The options each verify target reads, beside --order and --output.
 VERIFY_READS = {"linking": {"window", "--calibrate", "--config"},
                 "unlinking": {"window", "--calibrate", "--config"},
@@ -116,6 +100,26 @@ VERIFY_READS = {"linking": {"window", "--calibrate", "--config"},
                 "poincare": {"window"},
                 "gr": {"--smax"}, "homology": {"--smax"}}
 PAIR_TARGETS = ("linking", "unlinking", "gr", "homology")
+
+
+@pytest.mark.parametrize("target", sorted(VERIFY_READS))
+@pytest.mark.parametrize("flag", ["--qmin", "--qmax"])
+def test_verify_one_window_flag_exits_two(tmp_path, target, flag):
+    labels = ("a", "b") if target in PAIR_TARGETS else ()
+    code, out, err = run_cli("verify", target, write_a2(tmp_path), *labels,
+                             flag, "10")
+    assert (code, out) == (2, "")
+    if "window" in VERIFY_READS[target]:
+        assert err == "error: --qmin and --qmax must be given together\n"
+    else:
+        assert f"error: unrecognized arguments: {flag} 10\n" in err
+
+
+def test_verify_gr_empty_window_exits_two(tmp_path):
+    code, out, err = run_cli("verify", "gr", write_a2(tmp_path), "a", "b",
+                             "--qmin", "5", "--qmax", "-5")
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: --qmin 5 --qmax -5\n" in err
 
 
 @pytest.mark.parametrize("target", sorted(VERIFY_READS))
@@ -132,9 +136,8 @@ def test_verify_rejects_options_its_target_does_not_read(tmp_path, target, optio
         assert (code, err) == (0, ""), out
         assert "PASS" in out
     else:
-        named = "--qmin, --qmax" if option == "window" else option
         assert (code, out) == (2, "")
-        assert err == f"error: verify {target} does not read {named}\n"
+        assert f"error: unrecognized arguments: {' '.join(flags)}\n" in err
 
 
 @pytest.mark.parametrize("target", ["diagonalization", "poincare"])
@@ -143,7 +146,31 @@ def test_verify_rejects_labels_its_target_does_not_read(tmp_path, target, labels
     code, out, err = run_cli("verify", target, write_a2(tmp_path), *labels,
                              "--order", "2")
     assert (code, out) == (2, "")
-    assert err == f"error: verify {target} does not read vertex labels\n"
+    assert f"error: unrecognized arguments: {' '.join(labels)}\n" in err
+
+
+@pytest.mark.parametrize("target", sorted(VERIFY_READS))
+def test_verify_help_lists_only_the_options_its_target_reads(target):
+    code, out, err = run_cli("verify", target, "--help")
+    assert (code, err) == (0, "")
+    usage = out.split("\n\n")[0]
+    assert usage.startswith(f"usage: quivercalc verify {target} ")
+    flags = {"--qmin", "--qmax"} if "window" in VERIFY_READS[target] else set()
+    flags |= VERIFY_READS[target] - {"window"}
+    assert set(re.findall(r"--[a-z]+", usage)) == {"--order", "--output"} | flags
+    positionals = "quiver a b" if target in PAIR_TARGETS else "quiver"
+    assert usage.split()[-len(positionals.split()):] == positionals.split()
+
+
+def test_verify_pair_target_without_labels_exits_two(tmp_path):
+    code, out, err = run_cli("verify", "linking", write_a2(tmp_path))
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: a, b" in err
+    # usage errors come before the quiver file is read
+    for argv in (("linking", "missing.json"), ("gr", "missing.json", "a", "b", "--calibrate")):
+        code, out, err = run_cli("verify", *argv)
+        assert (code, out) == (2, "")
+        assert "usage:" in err and "no such file" not in err
 
 
 def test_directory_as_input_file_exits_two(tmp_path):
@@ -414,9 +441,11 @@ def test_dt_unstable_window_exits_one(tmp_path, monkeypatch):
     monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order, guard: (-6, 6))
     two = tmp_path / "two.json"
     two.write_text(json.dumps({"vertices": ["v"], "matrix": [[2]]}))
-    code, out, _ = run_cli("dt", str(two), "--order", "2")
+    code, out, err = run_cli("dt", str(two), "--order", "2")
     assert code == 1
     assert "UNSTABLE" in out
+    assert err.startswith("dt: dt_check requires a stabilized result; unstable degrees: [")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("quiver, order", [({"vertices": [], "matrix": []}, "3"),
@@ -428,7 +457,8 @@ def test_dt_with_no_invariant_exits_one(tmp_path, quiver, order, output):
     path = tmp_path / "q.json"
     path.write_text(json.dumps(quiver))
     code, out, err = run_cli("dt", str(path), "--order", order, "--output", output)
-    assert (code, err) == (1, "")
+    assert (code, err) == (1, "dt: inconclusive: no degree 1 <= |d| <= order has a "
+                              "nonzero invariant; nothing was checked\n")
     if output == "json":
         assert json.loads(out)["invariants"] == []
     else:
@@ -469,15 +499,16 @@ def test_dt_stable_but_not_positive_exits_one(tmp_path, monkeypatch, bad):
 
     monkeypatch.setattr("quivercalc.cli.dt_extract", fake_extract)
     a2 = write_a2(tmp_path)
+    reason = "dt: non-integral or negative invariants in degrees [(0, 1)]\n"
     code, out, err = run_cli("dt", a2, "--order", "1")
-    assert (code, err) == (1, "")
+    assert (code, err) == (1, reason)
     # exact values, as in the JSON: 1/2, not Fraction(1, 2)
     shown = {-1: "-1", Fraction(1, 2): "1/2"}[bad]
     assert out.splitlines() == ["Omega(1, 0): {0: 1}",
                                 f"Omega(0, 1): {{0: {shown}}}  NOT POSITIVE"]
     assert "Fraction(" not in out
     code, out, err = run_cli("dt", a2, "--order", "1", "--output", "json")
-    assert (code, err) == (1, "")
+    assert (code, err) == (1, reason)
     assert [e["positive"] for e in json.loads(out)["invariants"]] == [True, False]
 
 
