@@ -317,8 +317,10 @@ def _add_common(sub, order=True, window=True, config=False, min_order=0):
 @cache
 def build_parser():
     """The argument parser, built on the first call and shared by every later
-    one.  It holds no per-call state: parse_args returns a fresh Namespace,
-    and the `minimums` dicts it hands out are only read."""
+    one.  It holds no per-call state: parse_known_args returns a fresh
+    Namespace, and the `minimums` dicts it hands out are only read.  Every
+    leaf sub-parser sets itself as `parser`, so main rejects an argument it
+    left over with that sub-parser's usage."""
     parser = argparse.ArgumentParser(
         prog="quivercalc",
         description="Exact motivic series, DT invariants, and quadratic-algebra "
@@ -327,17 +329,17 @@ def build_parser():
 
     sub = subs.add_parser("info", help="describe a quiver file")
     _add_common(sub, order=False, window=False)
-    sub.set_defaults(handler=cmd_info)
+    sub.set_defaults(handler=cmd_info, parser=sub)
 
     sub = subs.add_parser("series", help="print the motivic generating series")
     _add_common(sub)
-    sub.set_defaults(handler=cmd_series)
+    sub.set_defaults(handler=cmd_series, parser=sub)
 
     sub = subs.add_parser("dt", help="extract motivic DT invariants")
     _add_common(sub, window=False)
     sub.add_argument("--guard", type=int, default=5,
                      help="stabilization guard band (default 5)")
-    sub.set_defaults(handler=cmd_dt, minimums={"order": 0, "guard": 1})
+    sub.set_defaults(handler=cmd_dt, parser=sub, minimums={"order": 0, "guard": 1})
 
     for name, handler in (("link", cmd_link), ("unlink", cmd_unlink)):
         sub = subs.add_parser(name, help=f"{name} a vertex pair")
@@ -347,14 +349,14 @@ def build_parser():
         sub.add_argument("-o", "--outfile", default=None,
                          help="write the transformed quiver JSON here")
         sub.add_argument("--output", choices=("text", "json"), default="text")
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, parser=sub)
 
     sub = subs.add_parser("diagonalize",
                           help="unlink repeatedly and report diagonal factors")
     _add_common(sub, window=False, config=True, min_order=1)
     sub.add_argument("-o", "--outfile", default=None,
                      help="write the diagonal quiver JSON here")
-    sub.set_defaults(handler=cmd_diagonalize)
+    sub.set_defaults(handler=cmd_diagonalize, parser=sub)
 
     sub = subs.add_parser("algebra-dims",
                           help="exact component dimensions of the quadratic algebra")
@@ -363,7 +365,7 @@ def build_parser():
                      help="dimension vector, comma separated (e.g. 1,1)")
     sub.add_argument("--smax", type=int, default=8,
                      help="largest total level weight to tabulate (default 8)")
-    sub.set_defaults(handler=cmd_algebra_dims, minimums={"smax": 0})
+    sub.set_defaults(handler=cmd_algebra_dims, parser=sub, minimums={"smax": 0})
 
     targets = subs.add_parser("verify", help="run an exact identity check"
                               ).add_subparsers(dest="target", required=True)
@@ -381,7 +383,7 @@ def build_parser():
         if "calibrate" in reads:
             sub.add_argument("--calibrate", action="store_true",
                              help="also scan substitution constants q^(k/2), k=-2..2")
-        sub.set_defaults(handler=cmd_verify, pair=pair, check=check)
+        sub.set_defaults(handler=cmd_verify, parser=sub, pair=pair, check=check)
 
     return parser
 
@@ -391,7 +393,9 @@ def main(argv=None, out=None, err=None):
     err = err or sys.stderr
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            args = build_parser().parse_args(argv)
+            args, extra = build_parser().parse_known_args(argv)
+            if extra:
+                args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # --help (0) or a usage error (2), already written to out or err
         return exc.code

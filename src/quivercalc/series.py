@@ -15,20 +15,19 @@ windows and their lowest nonzero exponents, so a coefficient is never
 reported outside the range on which it is provably correct.
 
 Every product, of two Laurent series or of two multivariate series, runs
-through one kernel, ``_convolve``.  Pairs of long coefficients are multiplied
-by Kronecker substitution (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", JSC 2009): each coefficient is packed
-once per call into one Python int of fixed-width biased digits, each pair
-costs one big-int product, the products landing on one output degree are
-added in packed form and unpacked once.  Long integer pairs are packed;
-anything else (monomials, binomials, Fraction coefficients) runs the
-schoolbook loop.
+through one kernel, ``_convolve``, and every sum through one, ``_sum_terms``.
+Pairs of long coefficients are multiplied by Kronecker substitution (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution", JSC
+2009): each coefficient is packed once per call into one Python int of
+fixed-width biased digits, each pair costs one big-int product, the products
+landing on one output degree are added in packed form and unpacked once.
+Long integer pairs are packed; anything else (monomials, binomials, Fraction
+coefficients) runs the schoolbook loop.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -133,17 +132,7 @@ class TruncatedLaurent:
     def __add__(self, other):
         if not isinstance(other, TruncatedLaurent):
             return NotImplemented
-        lo = min(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        out = {e: c for e, c in self.coeffs.items() if e <= hi}
-        for e, c in other.coeffs.items():
-            if e <= hi:
-                out[e] = out.get(e, 0) + c
-        # both operands' exponents lie in [lo, hi]; sums may cancel to zero
-        # or be integral Fractions
-        return TruncatedLaurent._trusted(
-            {e: c if type(c) is int else _intify(c) for e, c in out.items() if c},
-            lo, hi)
+        return _sum_terms((((), self), ((), other)))[()]
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedLaurent):
@@ -163,8 +152,6 @@ class TruncatedLaurent:
         return self.mul(other)
 
     def scale(self, c):
-        if c == 0:
-            return TruncatedLaurent({}, self.lo, self.hi)
         return TruncatedLaurent({e: v * c for e, v in self.coeffs.items()}, self.lo, self.hi)
 
     def shift(self, j):
@@ -268,7 +255,39 @@ class TruncatedLaurent:
         }
 
 
-# -- the product kernel --------------------------------------------------------
+# -- the sum and product kernels ------------------------------------------------
+
+def _close(coeffs, hi):
+    """Close a sum whose exponents start inside its window: drop exponents
+    above hi and zero sums, and turn integral Fractions back into ints."""
+    return {e: c if type(c) is int else _intify(c) for e, c in coeffs.items() if e <= hi and c}
+
+
+def _sum_terms(parts):
+    """The one series sum: for every multidegree d among the (multidegree,
+    TruncatedLaurent) pairs of parts, the sum of its parts; returns a dict
+    d -> TruncatedLaurent.  A degree with one part keeps that part's object.
+    A sum takes the least lo and the least hi of its parts and is cut at hi;
+    each degree's coefficients are added into one dict, closed once."""
+    slots = {}  # d -> [lo, hi, summed coefficients or None, first part or None]
+    for d, s in parts:
+        slot = slots.get(d)
+        if slot is None:
+            slots[d] = [s.lo, s.hi, None, s]
+            continue
+        if s.lo < slot[0]:
+            slot[0] = s.lo
+        if s.hi < slot[1]:
+            slot[1] = s.hi
+        coeffs = slot[2]
+        if coeffs is None:
+            coeffs = slot[2] = dict(slot[3].coeffs)
+            slot[3] = None
+        for e, c in s.coeffs.items():
+            coeffs[e] = coeffs.get(e, 0) + c
+    return {d: first if coeffs is None else TruncatedLaurent._trusted(_close(coeffs, hi), lo, hi)
+            for d, (lo, hi, coeffs, first) in slots.items()}
+
 
 # A pair whose two operands both have at least this many nonzero coefficients
 # is multiplied by Kronecker substitution.  Below it (monomials, binomials,
@@ -332,7 +351,7 @@ def _convolve(left, right, cap, hi_cap):
 
     Each pair's window is lo = lo1 + lo2, hi = min(hi1 + v2, hi2 + v1, hi_cap)
     (v the valuation), and a sum takes the lowest lo and the lowest hi, as
-    TruncatedLaurent.__add__ does.
+    _sum_terms does, and is closed by the same _close.
 
     A pair of two packable operands (long, with int coefficients) is
     multiplied packed (Kronecker substitution): one big-int product.  Packed
@@ -365,16 +384,12 @@ def _convolve(left, right, cap, hi_cap):
         wb = (bound.bit_length() + 8) // 8  # one spare bit for the sign
         bias = 1 << (8 * wb - 1)
     shift = 8 * wb
-    # column data made on first use: id(coeffs) -> Kronecker form, and
-    # id(coeffs) -> sorted exponents for the schoolbook loop
-    packed_cols = {}
-    sorted_cols = {}
+    packed_cols = {}  # made on first use: id(coeffs) -> Kronecker form
     windows = {}  # d -> [lo, hi, schoolbook sum or None]
     sums = {}  # (d, valuation mod step) -> [lowest valuation, packed sum]
     for d1, t1, ca, lo1, hi1, v1, pack_a in rows:
         budget = cap - t1
-        # a row's packed form and sorted exponents live for its row only
-        packed_a = sorted_a = None
+        packed_a = None  # a row's packed form lives for its row only
         for d2, t2, cb, lo2, hi2, v2, pack_b in cols:
             if t2 > budget:
                 continue
@@ -424,18 +439,12 @@ def _convolve(left, right, cap, hi_cap):
                     continue
                 if small is None:
                     small = slot[2] = {}
-                if outer is ca:
-                    exps = sorted_cols.get(id(cb))
-                    if exps is None:
-                        exps = sorted_cols[id(cb)] = sorted(cb)
-                else:
-                    if sorted_a is None:
-                        sorted_a = sorted(ca)
-                    exps = sorted_a
                 for eo, co in outer.items():
-                    for ei in exps[:bisect_right(exps, hi - eo)]:
-                        e = eo + ei
-                        small[e] = small.get(e, 0) + co * inner[ei]
+                    top = hi - eo
+                    for ei, ci in inner.items():
+                        if ei <= top:
+                            e = eo + ei
+                            small[e] = small.get(e, 0) + co * ci
     packed_sums = {}
     for (d, _), acc in sums.items():
         packed_sums.setdefault(d, []).append(acc)
@@ -450,10 +459,7 @@ def _convolve(left, right, cap, hi_cap):
         if small:
             for e, c in coeffs.items():
                 small[e] = small.get(e, 0) + c
-            # schoolbook sums start inside the window but may run past hi,
-            # cancel to zero or be integral Fractions
-            coeffs = {e: c if type(c) is int else _intify(c)
-                      for e, c in small.items() if e <= hi and c}
+            coeffs = _close(small, hi)
         # unpacked digits are nonzero, reduced and inside [lo, hi]
         out[d] = TruncatedLaurent._trusted(coeffs, lo, hi)
     return out
@@ -566,15 +572,9 @@ class MultiSeries:
         cap = min(self.cap, other.cap)
         window = (min(self.window[0], other.window[0]),
                   min(self.window[1], other.window[1]))
-        out = {}
-        for d, c in self.terms.items():
-            if sum(d) <= cap:
-                out[d] = c
-        for d, c in other.terms.items():
-            if sum(d) > cap:
-                continue
-            out[d] = out[d] + c if d in out else c
-        return MultiSeries(self.vertices, cap, window, out)
+        return MultiSeries(self.vertices, cap, window, _sum_terms(
+            (d, c) for terms in (self.terms, other.terms)
+            for d, c in terms.items() if sum(d) <= cap))
 
     def mul(self, other, hi_cap=None):
         self._require_same_vertices(other)
@@ -659,45 +659,23 @@ class MultiSeries:
                         f"vertex {label!r} missing from output vertex set {out_vertices}")
                 mapping.append(pos[label])
         qpow = monomial.qpow
-        # one [lo, hi, coefficients, summed] accumulator per output degree,
-        # closed once: the window is the one repeated TruncatedLaurent
-        # addition gives (min of the lo's, min of the hi's), without its
-        # copy of the running sum per contribution
-        acc = {}
-        for d, c in self.terms.items():
-            k = d[vi]
-            if sum(d) + k * (deg - 1) > cap:
-                continue
-            nd = [0] * len(out_vertices)
-            for i, di in enumerate(d):
-                if i != vi and di:
-                    nd[mapping[i]] += di
-            if k:
-                for j, ej in enumerate(expo):
-                    if ej:
-                        nd[j] += k * ej
-            ndt = tuple(nd)
-            j = qpow * k
-            slot = acc.get(ndt)
-            if slot is None:
-                acc[ndt] = [c.lo + j, c.hi + j,
-                            {e + j: v for e, v in c.coeffs.items()}, False]
-                continue
-            slot[0] = min(slot[0], c.lo + j)
-            slot[1] = min(slot[1], c.hi + j)
-            coeffs = slot[2]
-            for e, v in c.coeffs.items():
-                e += j
-                coeffs[e] = coeffs.get(e, 0) + v
-            slot[3] = True
-        terms = {}
-        for ndt, (lo, hi, coeffs, summed) in acc.items():
-            if summed:
-                # sums may cancel to zero or be integral Fractions
-                coeffs = {e: v if type(v) is int else _intify(v)
-                          for e, v in coeffs.items() if v and e <= hi}
-            terms[ndt] = TruncatedLaurent._trusted(coeffs, lo, hi)
-        return MultiSeries(out_vertices, cap, self.window, terms)
+
+        def landed():
+            for d, c in self.terms.items():
+                k = d[vi]
+                if sum(d) + k * (deg - 1) > cap:
+                    continue
+                nd = [0] * len(out_vertices)
+                for i, di in enumerate(d):
+                    if i != vi and di:
+                        nd[mapping[i]] += di
+                if k:
+                    for j, ej in enumerate(expo):
+                        if ej:
+                            nd[j] += k * ej
+                yield tuple(nd), c.shift(qpow * k)
+
+        return MultiSeries(out_vertices, cap, self.window, _sum_terms(landed()))
 
     # -- comparison -----------------------------------------------------------
 
@@ -713,8 +691,6 @@ class MultiSeries:
                 continue
             a = self.terms.get(d)
             b = other.terms.get(d)
-            if a is None and b is None:
-                continue
             if a is None:
                 a = TruncatedLaurent.zero(b.lo, b.hi)
             if b is None:
@@ -880,15 +856,12 @@ def pleth_log(series):
         for d, c in done.mul(minus_f).terms.items():
             grad[d] = grad[d] + c if d in grad else c
     grad = MultiSeries(vertices, cap, window, grad)
-    out = MultiSeries.zero(vertices, cap, window)
-    for n in range(1, cap + 1):
-        mu = _mobius(n)
-        if mu:
-            out = out + grad.psi(n).scale(mu)
+    out = _sum_terms((d, c) for n in range(1, cap + 1) if _mobius(n)
+                     for d, c in grad.psi(n).scale(_mobius(n)).terms.items())
     # the division by |d|: exact // where an int divides, else _div (a
     # Fraction, or the int it reduces to)
     terms = {}
-    for d, c in out.terms.items():
+    for d, c in out.items():
         n = sum(d)
         terms[d] = TruncatedLaurent._trusted(
             {e: v // n if type(v) is int and not v % n else _div(v, n)

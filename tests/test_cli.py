@@ -207,6 +207,19 @@ def test_dt_rejects_a_window(tmp_path, flags):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("command, argv, leftover", [
+    ("verify gr", ("a", "b", "--calibrate"), "--calibrate"),
+    ("dt", ("--qmin", "1", "--qmax", "2"), "--qmin 1 --qmax 2"),
+])
+def test_leftover_arguments_print_the_leaf_usage(tmp_path, command, argv, leftover):
+    # an option the leaf sub-parser does not declare is rejected with that
+    # sub-parser's usage, not the root's
+    code, out, err = run_cli(*command.split(), write_a2(tmp_path), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: quivercalc {command} [-h] ")
+    assert err.endswith(f"quivercalc {command}: error: unrecognized arguments: {leftover}\n")
+
+
 def test_usage_error_exits_two(tmp_path, capsys):
     # argparse's usage errors go to the err stream main was given, and main
     # returns 2 instead of raising SystemExit

@@ -427,8 +427,43 @@ def ref_laurent_mul(a, b, hi_cap=None):
     return TruncatedLaurent(acc, lo, hi)
 
 
+def ref_add(a, b):
+    """Sum of two TruncatedLaurents by hand: the least lo and the least hi of
+    the two windows, every exponent above that hi dropped, zero sums dropped
+    and integral Fractions turned back into ints."""
+    lo, hi = min(a.lo, b.lo), min(a.hi, b.hi)
+    acc = {}
+    for coeffs in (a.coeffs, b.coeffs):
+        for e, c in coeffs.items():
+            if e <= hi:
+                acc[e] = acc.get(e, 0) + c
+    out = {}
+    for e, c in acc.items():
+        if isinstance(c, Fraction) and c.denominator == 1:
+            c = c.numerator
+        if c != 0:
+            out[e] = c
+    return TruncatedLaurent(out, lo, hi)
+
+
+def ref_series_add(x, y):
+    """Sum of two MultiSeries by hand: the least cap, the least window ends,
+    and ref_add on every degree up to that cap that both operands hold."""
+    cap = min(x.cap, y.cap)
+    window = (min(x.window[0], y.window[0]), min(x.window[1], y.window[1]))
+    terms = {}
+    for d in set(x.terms) | set(y.terms):
+        if sum(d) > cap:
+            continue
+        if d in x.terms and d in y.terms:
+            terms[d] = ref_add(x.terms[d], y.terms[d])
+        else:
+            terms[d] = x.terms[d] if d in x.terms else y.terms[d]
+    return MultiSeries(x.vertices, cap, window, terms)
+
+
 def ref_series_mul(x, y, hi_cap=None):
-    """Pairwise reference products, summed with TruncatedLaurent.__add__."""
+    """Pairwise reference products, summed with ref_add."""
     cap = min(x.cap, y.cap)
     window = (min(x.window[0], y.window[0]), min(x.window[1], y.window[1]))
     acc = {}
@@ -437,7 +472,7 @@ def ref_series_mul(x, y, hi_cap=None):
             d = tuple(p + q for p, q in zip(d1, d2))
             if sum(d) <= cap:
                 prod = ref_laurent_mul(c1, c2, hi_cap)
-                acc[d] = acc[d] + prod if d in acc else prod
+                acc[d] = ref_add(acc[d], prod) if d in acc else prod
     return MultiSeries(x.vertices, cap, window, acc)
 
 
@@ -669,8 +704,75 @@ def test_series_single_term_degrees_match_schoolbook_reference():
                 assert same_series(got, want)
 
 
+def with_halves(rng, a, b):
+    """a and b with odd halves on up to three exponents both windows know,
+    so that the sums there are integral Fractions; None when the windows do
+    not overlap."""
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
+        return None
+    exps = rng.sample(range(lo, hi + 1), min(3, hi - lo + 1))
+    ca, cb = dict(a.coeffs), dict(b.coeffs)
+    for e in exps:
+        ca[e] = Fraction(2 * rng.randint(-3, 3) + 1, 2)
+        cb[e] = Fraction(2 * rng.randint(-3, 3) + 1, 2)
+    return TruncatedLaurent(ca, a.lo, a.hi), TruncatedLaurent(cb, b.lo, b.hi), exps
+
+
+def negated(rng, a):
+    """-a on a window that may reach further on either side."""
+    return TruncatedLaurent({e: -c for e, c in a.coeffs.items()},
+                            a.lo - rng.randint(0, 4), a.hi + rng.randint(0, 4))
+
+
+def test_add_matches_reference_sum():
+    # windows and caps differ between the operands; the draws include
+    # all-zero operands, degrees only one operand holds, sums forced to
+    # cancel and odd halves whose sums must come back as ints
+    rng = random.Random(1913)
+    seen = dict.fromkeys(("zero", "cancelled", "halves", "one_sided"), 0)
+    for _ in range(300):
+        a, b = rand_operand(rng), rand_operand(rng)
+        halves = rng.random() < 0.3 and with_halves(rng, a, b)
+        if halves:
+            a, b, exps = halves
+            ints = [c for e, c in (a + b).coeffs.items() if e in exps]
+            assert all(type(c) is int for c in ints)
+            seen["halves"] += bool(ints)
+        elif rng.random() < 0.15:
+            b = negated(rng, a)
+            assert (a + b).is_zero()
+            seen["cancelled"] += 1
+        seen["zero"] += a.is_zero() or b.is_zero()
+        for left, right in ((a, b), (b, a)):
+            assert exact_terms(left + right) == exact_terms(ref_add(left, right))
+    for _ in range(120):
+        x, y = (rand_operand_series(rng, cap=rng.randint(0, 3)) for _ in range(2))
+        x = MultiSeries(x.vertices, x.cap, (rng.randint(-25, -15), rng.randint(40, 70)),
+                        x.terms)
+        if rng.random() < 0.1:
+            y = MultiSeries(y.vertices, y.cap, y.window, {})
+            seen["zero"] += 1
+        shared = sorted(set(x.terms) & set(y.terms))
+        if shared:
+            d = rng.choice(shared)
+            if rng.random() < 0.5:
+                y.terms[d] = negated(rng, x.terms[d])
+                seen["cancelled"] += 1
+            else:
+                halves = with_halves(rng, x.terms[d], y.terms[d])
+                if halves:
+                    x.terms[d], y.terms[d], _ = halves
+                    seen["halves"] += 1
+        cap = min(x.cap, y.cap)
+        seen["one_sided"] += any(sum(d) <= cap for d in set(x.terms) ^ set(y.terms))
+        for left, right in ((x, y), (y, x)):
+            assert same_series(left + right, ref_series_add(left, right))
+    assert all(seen.values()), seen
+
+
 def ref_substitute(series, vertex, monomial, out_vertices, out_cap):
-    """The substitution summed by repeated TruncatedLaurent addition."""
+    """The substitution summed by repeated ref_add."""
     vi = series.vertices.index(vertex)
     pos = {label: i for i, label in enumerate(out_vertices)}
     acc = {}
@@ -684,7 +786,7 @@ def ref_substitute(series, vertex, monomial, out_vertices, out_cap):
         if sum(nd) > out_cap:
             continue
         shifted = c.shift(monomial.qpow * k)
-        acc[nd] = acc[nd] + shifted if nd in acc else shifted
+        acc[nd] = ref_add(acc[nd], shifted) if nd in acc else shifted
     return MultiSeries(out_vertices, out_cap, series.window, acc)
 
 
@@ -749,11 +851,11 @@ def ref_pleth_log(series):
     power = None
     for k in range(1, cap + 1):
         power = u if power is None else ref_series_mul(power, u)
-        log = log + power.scale(Fraction((-1) ** (k + 1), k))
+        log = ref_series_add(log, power.scale(Fraction((-1) ** (k + 1), k)))
     out = MultiSeries.zero(series.vertices, cap, series.window)
     for n in range(1, cap + 1):
         if mobius(n):
-            out = out + log.psi(n).scale(Fraction(mobius(n), n))
+            out = ref_series_add(out, log.psi(n).scale(Fraction(mobius(n), n)))
     return out
 
 
