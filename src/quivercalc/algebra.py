@@ -111,17 +111,15 @@ def component_basis(quiver, degree, hdeg):
     degree = tuple(degree)
     if len(degree) != len(quiver) or any(x < 0 for x in degree):
         raise ValueError(f"bad dimension vector {degree}")
-    return list(_basis_monomials(quiver, degree, hdeg))
+    budget = _k_budget(quiver, degree, hdeg)
+    return [] if budget is None else list(_basis_monomials(quiver, degree, budget))
 
 
 @lru_cache(maxsize=1024)
-def _basis_monomials(quiver, degree, hdeg):
-    """The enumeration behind component_basis, as a tuple, cached because
-    relation_rows asks again for every complement of every larger
-    component."""
-    budget = _k_budget(quiver, degree, hdeg)
-    if budget is None:
-        return ()
+def _basis_monomials(quiver, degree, budget):
+    """The enumeration behind component_basis at total k-weight `budget`, as
+    a tuple, cached because relation_rows asks again for every complement of
+    every larger component."""
     used = [i for i in range(len(quiver)) if degree[i]]
     # remaining k-weight -> canonical prefixes over the vertices so far
     partial = {budget: [()]}
@@ -208,16 +206,14 @@ def relation_rows(quiver, degree, hdeg):
             comp_degree = tuple(comp_degree)
             odd_i, odd_j = parities[i], parities[j]
             # complements of the relation coefficients of level sum `total`
-            # (generator levels a + b = total), each with its code and its
-            # odd generators
+            # (generator levels a + b = total), of k-weight budget - total,
+            # each with its code and its odd generators
             complements = []
             for total in range(budget + 1):
-                rel_hdeg = (-2 * total - quiver.matrix[i][i]
-                            - quiver.matrix[j][j])
-                words = component_basis(quiver, comp_degree, hdeg - rel_hdeg)
                 complements.append([
                     (code(w), tuple(g for g in w if parities[g[0]])
-                     if odd_i or odd_j else ()) for w in words])
+                     if odd_i or odd_j else ())
+                    for w in _basis_monomials(quiver, comp_degree, budget - total)])
             for p in range(m_ij):
                 for total in range(p, budget + 1):
                     if not complements[total]:

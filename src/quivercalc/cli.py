@@ -3,6 +3,10 @@
 Every subcommand loads a quiver from JSON, computes or verifies, and prints
 either human-readable text or canonical JSON (sorted keys, two-space indent,
 no timing data) so identical invocations produce byte-identical output.
+Each handler `cmd_*(args, err)` returns (payload, lines, status): the JSON
+payload, an iterable of text lines without newlines, and the exit status.
+`main` alone reads --output and writes stdout, so a request that exits 2
+writes nothing there.
 
 Exit status: 0 on success / verified pass, 1 on a verified failure (an
 identity check with mismatches, an inconclusive check that compared nothing
@@ -85,14 +89,6 @@ def _conventions(args):
     return _load(Conventions.load, args.config)
 
 
-def _dump(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _print_json(obj, out):
-    out.write(_dump(obj))
-
-
 def _save_quiver(quiver, path):
     try:
         quiver.save(path)
@@ -100,70 +96,39 @@ def _save_quiver(quiver, path):
         _fail(f"{path}: {exc}")
 
 
-def _series_text(series, out):
-    out.write(f"vertices: {', '.join(series.vertices)}\n")
-    out.write(f"degree cap: {series.cap}; window: [{series.window[0]}, {series.window[1]}]\n")
-    for d in sorted(series.terms, key=lambda d: (sum(d), d)):
-        out.write(f"x^{d}: {series.terms[d].to_q_string()}\n")
-
-
-def _report_exit(report, args, out):
-    if args.output == "json":
-        _print_json(report.to_json(), out)
-    else:
-        out.write(report.summary() + "\n")
-        for mm in report.mismatches[:5]:
-            out.write(f"  mismatch: {json.dumps(mm, sort_keys=True)}\n")
-        if len(report.mismatches) > 5:
-            out.write(f"  ... and {len(report.mismatches) - 5} more\n")
-    return 0 if report.passed else 1
+def _matrix_lines(quiver):
+    return [f"  {v}: {list(row)}" for v, row in zip(quiver.vertices, quiver.matrix)]
 
 
 # -- subcommands ---------------------------------------------------------------
+# Lines that cost anything to format come from a generator, so main builds
+# them only for --output text.
 
-def cmd_info(args, out, err):
+def cmd_info(args, err):
     quiver = _load(Quiver.load, args.quiver)
-    data = {
-        "vertices": list(quiver.vertices),
-        "matrix": [list(r) for r in quiver.matrix],
-        "loops": {v: quiver.loops(v) for v in quiver.vertices},
-        "max_loops": quiver.max_loops(),
-        "symmetric": True,
-    }
-    if args.output == "json":
-        _print_json(data, out)
-    else:
-        out.write(f"vertices: {', '.join(quiver.vertices)}\n")
-        for v, row in zip(quiver.vertices, quiver.matrix):
-            out.write(f"  {v}: {list(row)}\n")
-    return 0
+    payload = {"vertices": list(quiver.vertices), "matrix": [list(r) for r in quiver.matrix],
+               "loops": {v: quiver.loops(v) for v in quiver.vertices},
+               "max_loops": quiver.max_loops(), "symmetric": True}
+    return payload, [f"vertices: {', '.join(quiver.vertices)}", *_matrix_lines(quiver)], 0
 
 
-def cmd_series(args, out, err):
+def cmd_series(args, err):
     quiver = _load(Quiver.load, args.quiver)
     window = _window(args) or default_window(args.order, quiver.max_loops())
     series = motivic_series(quiver, args.order, window)
-    if args.output == "json":
-        _print_json(series.to_json(), out)
-    else:
-        _series_text(series, out)
-    return 0
+
+    def lines():
+        yield f"vertices: {', '.join(series.vertices)}"
+        yield f"degree cap: {series.cap}; window: [{series.window[0]}, {series.window[1]}]"
+        for d in sorted(series.terms, key=lambda d: (sum(d), d)):
+            yield f"x^{d}: {series.terms[d].to_q_string()}"
+    return series.to_json(), lines(), 0
 
 
-def cmd_dt(args, out, err):
+def cmd_dt(args, err):
     quiver = _load(Quiver.load, args.quiver)
     window = dt_window(quiver, args.order, args.guard)
     result = dt_extract(motivic_series(quiver, args.order, window), guard=args.guard)
-    if args.output == "json":
-        _print_json(result.to_json(), out)
-    else:
-        for entry in result.entries:
-            flag = ("  UNSTABLE" if not entry.stable
-                    else "" if entry.is_positive() else "  NOT POSITIVE")
-            omega = ("{" + ", ".join(f"{e}: {exact_str(c)}" for e, c
-                                     in sorted(entry.u_coeffs.items())) + "}"
-                     if entry.u_coeffs else "0")
-            out.write(f"Omega{entry.degree}: {omega}{flag}\n")
     # dt_check needs every degree stable, then checks positivity and that
     # some invariant is nonzero; a failure names its reason on err
     try:
@@ -171,63 +136,56 @@ def cmd_dt(args, out, err):
     except ValueError as exc:
         reason = str(exc)
     else:
-        if report.passed:
-            return 0
         bad = [tuple(mm["degree"]) for mm in report.mismatches if "degree" in mm]
-        reason = (f"non-integral or negative invariants in degrees {bad}" if bad
+        reason = (None if report.passed
+                  else f"non-integral or negative invariants in degrees {bad}" if bad
                   else f"inconclusive: {report.mismatches[0]['reason']}")
-    err.write(f"dt: {reason}\n")
-    return 1
+    if reason:
+        err.write(f"dt: {reason}\n")
+
+    def lines():
+        for entry in result.entries:
+            flag = ("  UNSTABLE" if not entry.stable
+                    else "" if entry.is_positive() else "  NOT POSITIVE")
+            omega = ("{" + ", ".join(f"{e}: {exact_str(c)}" for e, c
+                                     in sorted(entry.u_coeffs.items())) + "}"
+                     if entry.u_coeffs else "0")
+            yield f"Omega{entry.degree}: {omega}{flag}"
+    return result.to_json(), lines(), 1 if reason else 0
 
 
-def _transform(args, out, op, opname):
+def cmd_transform(args, err):
+    """link or unlink, as args.op; args.command names it."""
     quiver = _load(Quiver.load, args.quiver)
     _check_vertices(quiver, args.a, args.b)
     try:
-        transformed = op(quiver, args.a, args.b)
+        transformed = args.op(quiver, args.a, args.b)
     except ValueError as exc:
         _fail(str(exc))
     if args.outfile:
         _save_quiver(transformed, args.outfile)
-    payload = {"operation": opname, "pair": [args.a, args.b],
-               "new_vertex": transformed.vertices[-1],
-               "quiver": transformed.to_json()}
-    if args.output == "json":
-        _print_json(payload, out)
-    else:
-        out.write(f"{opname}({args.a}, {args.b}) added vertex "
-                  f"{transformed.vertices[-1]!r}\n")
-        for v, row in zip(transformed.vertices, transformed.matrix):
-            out.write(f"  {v}: {list(row)}\n")
-    return 0
+    new = transformed.vertices[-1]
+    payload = {"operation": args.command, "pair": [args.a, args.b],
+               "new_vertex": new, "quiver": transformed.to_json()}
+    return payload, [f"{args.command}({args.a}, {args.b}) added vertex {new!r}",
+                     *_matrix_lines(transformed)], 0
 
 
-def cmd_link(args, out, err):
-    return _transform(args, out, link, "link")
-
-
-def cmd_unlink(args, out, err):
-    return _transform(args, out, unlink, "unlink")
-
-
-def cmd_diagonalize(args, out, err):
+def cmd_diagonalize(args, err):
     quiver = _load(Quiver.load, args.quiver)
-    conventions = _conventions(args)
-    result = diagonalize(quiver, args.order, conventions)
+    result = diagonalize(quiver, args.order, _conventions(args))
     if args.outfile:
         _save_quiver(result.diagonal_quiver(), args.outfile)
-    if args.output == "json":
-        _print_json(result.to_json(), out)
-    else:
-        out.write(f"diagonal factors after {result.rounds} rounds "
-                  f"({result.pruned_count} pruned):\n")
+
+    def lines():
+        yield f"diagonal factors after {result.rounds} rounds ({result.pruned_count} pruned):"
         for f in result.factors:
-            out.write(f"  {f.label}: loops={f.loop_count} "
-                      f"monomial=x^{f.monomial.exponents} qpow={f.monomial.qpow}\n")
-    return 0
+            yield (f"  {f.label}: loops={f.loop_count} "
+                   f"monomial=x^{f.monomial.exponents} qpow={f.monomial.qpow}")
+    return result.to_json(), lines(), 0
 
 
-def cmd_algebra_dims(args, out, err):
+def cmd_algebra_dims(args, err):
     quiver = _load(Quiver.load, args.quiver)
     try:
         degree = tuple(int(part) for part in args.degree.split(","))
@@ -243,14 +201,10 @@ def cmd_algebra_dims(args, out, err):
                      "dimension": component_dimension(quiver, degree, h),
                      "functional_dimension": functional_dimension(quiver, degree, h)})
     payload = {"quiver": quiver.to_json(), "degree": list(degree), "components": rows}
-    if args.output == "json":
-        _print_json(payload, out)
-    else:
-        out.write(f"degree {degree}:\n")
-        for r in rows:
-            out.write(f"  h={r['hdeg']}: dim={r['dimension']} "
-                      f"functional={r['functional_dimension']}\n")
-    return 0 if all(r["dimension"] == r["functional_dimension"] for r in rows) else 1
+    lines = [f"degree {degree}:"] + [f"  h={r['hdeg']}: dim={r['dimension']} "
+                                     f"functional={r['functional_dimension']}" for r in rows]
+    status = 0 if all(r["dimension"] == r["functional_dimension"] for r in rows) else 1
+    return payload, lines, status
 
 
 # Each verify target: whether it reads a vertex pair a b, the options it
@@ -281,7 +235,7 @@ _VERIFY = {
 }
 
 
-def cmd_verify(args, out, err):
+def cmd_verify(args, err):
     quiver = _load(Quiver.load, args.quiver)
     if args.pair:
         _check_vertices(quiver, args.a, args.b)
@@ -291,7 +245,14 @@ def cmd_verify(args, out, err):
         report = args.check(quiver, args)
     except ValueError as exc:
         _fail(str(exc))
-    return _report_exit(report, args, out)
+
+    def lines():
+        yield report.summary()
+        for mm in report.mismatches[:5]:
+            yield f"  mismatch: {json.dumps(mm, sort_keys=True)}"
+        if len(report.mismatches) > 5:
+            yield f"  ... and {len(report.mismatches) - 5} more"
+    return report.to_json(), lines(), 0 if report.passed else 1
 
 
 # -- parser ---------------------------------------------------------------------
@@ -341,15 +302,14 @@ def build_parser():
                      help="stabilization guard band (default 5)")
     sub.set_defaults(handler=cmd_dt, parser=sub, minimums={"order": 0, "guard": 1})
 
-    for name, handler in (("link", cmd_link), ("unlink", cmd_unlink)):
+    for name, op in (("link", link), ("unlink", unlink)):
         sub = subs.add_parser(name, help=f"{name} a vertex pair")
-        sub.add_argument("quiver", help="path to a quiver JSON file")
-        sub.add_argument("a", help="first vertex label")
-        sub.add_argument("b", help="second vertex label")
         sub.add_argument("-o", "--outfile", default=None,
                          help="write the transformed quiver JSON here")
-        sub.add_argument("--output", choices=("text", "json"), default="text")
-        sub.set_defaults(handler=handler, parser=sub)
+        _add_common(sub, order=False, window=False)
+        sub.add_argument("a", help="first vertex label")
+        sub.add_argument("b", help="second vertex label")
+        sub.set_defaults(handler=cmd_transform, parser=sub, op=op)
 
     sub = subs.add_parser("diagonalize",
                           help="unlink repeatedly and report diagonal factors")
@@ -405,7 +365,12 @@ def main(argv=None, out=None, err=None):
             value = getattr(args, name)
             if value is not None and value < low:
                 _fail(f"--{name} must be >= {low}, got {value}")
-        return args.handler(args, out, err)
+        payload, lines, status = args.handler(args, err)
+        if args.output == "json":
+            out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        else:
+            out.writelines(line + "\n" for line in lines)
+        return status
     except (InputError, SeriesError) as exc:
         # a SeriesError (TruncationUnderflow among them) means the requested
         # window cannot carry the computation

@@ -412,6 +412,18 @@ def test_diagonalize_outfile_is_diagonal(tmp_path):
     assert all(f["loops"] >= 0 for f in payload["factors"])
 
 
+@pytest.mark.parametrize("argv", [("link", "a", "b"), ("unlink", "a", "b"),
+                                  ("diagonalize", "--order", "2")])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_outfile_write_failure_exits_two(tmp_path, argv, output):
+    a2 = write_a2(tmp_path)
+    target = tmp_path / "missing" / "q.json"
+    code, out, err = run_cli(argv[0], a2, *argv[1:], "-o", str(target),
+                             "--output", output)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {target}: ") and err.count("\n") == 1
+
+
 # -- output determinism ----------------------------------------------------------------
 
 def test_json_output_byte_identical(tmp_path):
@@ -683,3 +695,47 @@ def test_config_calibrated_override(tmp_path):
     code, _, err = run_cli("verify", "linking", a2, "a", "b", "--order", "3",
                            "--config", str(config))
     assert code == 2
+
+
+# Every command in --output text, over A2 unless named: the digest pins
+# (argv, exit code, stdout, stderr) of each.  The 2-loop vertex runs on the
+# too-narrow window of test_dt_unstable_window_exits_one, so it exits 1 and
+# names its unstable degrees on stderr; MIX3 under the printed constants
+# exits 1 with 10 mismatches, past the five that the summary lists.
+TEXT_CASES = [("info", "{A2}"), ("series", "{A2}", "--order", "2"),
+              ("dt", "{A2}", "--order", "3"), ("dt", "{EMPTY}"),
+              ("link", "{A2}", "a", "b"), ("unlink", "{A2}", "a", "b"),
+              ("diagonalize", "{A2}", "--order", "3"),
+              ("algebra-dims", "{A2}", "--degree", "1,1", "--smax", "4"),
+              ("verify", "linking", "{A2}", "a", "b", "--order", "3"),
+              ("verify", "unlinking", "{A2}", "a", "b", "--order", "3", "--calibrate"),
+              ("verify", "diagonalization", "{A2}", "--order", "3"),
+              ("verify", "poincare", "{A2}", "--order", "3"),
+              ("verify", "gr", "{A2}", "a", "b", "--order", "2"),
+              ("verify", "homology", "{A2}", "a", "b", "--order", "2"),
+              ("verify", "linking", "{MIX3}", "a", "b", "--order", "4",
+               "--config", "{PRINTED}"),
+              ("dt", "{L2}", "--order", "2")]
+TEXT_SHA256 = "105956715e332572bdb11309d6570da4c7d7e35d5e9a0153b5e0c83ab2c32681"
+
+
+def test_text_output_golden_digest(tmp_path, monkeypatch):
+    paths = {}
+    for name, obj in (("A2", A2_OBJ), ("EMPTY", {"vertices": [], "matrix": []}),
+                      ("L2", {"vertices": ["v"], "matrix": [[2]]}),
+                      ("MIX3", {"vertices": ["a", "b", "c"], "matrix": RANK_MATRICES["MIX3"]}),
+                      ("PRINTED", {"preset": "printed"})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    digest = hashlib.sha256()
+    exits = []
+    for case in TEXT_CASES:
+        if case[1] == "{L2}":
+            monkeypatch.setattr("quivercalc.cli.dt_window",
+                                lambda quiver, order, guard: (-6, 6))
+        argv = [arg.format(**paths) for arg in case]
+        code, out, err = run_cli(*argv, "--output", "text")
+        exits.append(code)
+        digest.update(json.dumps([list(case), code, out, err]).encode())
+    assert exits == [0] * 3 + [1] + [0] * 10 + [1, 1]
+    assert digest.hexdigest() == TEXT_SHA256
