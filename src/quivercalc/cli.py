@@ -3,10 +3,11 @@
 Every subcommand loads a quiver from JSON, computes or verifies, and prints
 either human-readable text or canonical JSON (sorted keys, two-space indent,
 no timing data) so identical invocations produce byte-identical output.
-Each handler `cmd_*(args, err)` returns (payload, lines, status): the JSON
-payload, an iterable of text lines without newlines, and the exit status.
-`main` alone reads --output and writes stdout, so a request that exits 2
-writes nothing there.
+Each handler `cmd_*(args, err)` returns (payload, lines, status): a
+zero-argument callable that builds the JSON payload, an iterable of text
+lines without newlines, and the exit status.  `main` alone reads --output
+and writes stdout, so a request that exits 2 writes nothing there, and it
+builds only the form it prints.
 
 Exit status: 0 on success / verified pass, 1 on a verified failure (an
 identity check with mismatches, an inconclusive check that compared nothing
@@ -101,15 +102,16 @@ def _matrix_lines(quiver):
 
 
 # -- subcommands ---------------------------------------------------------------
-# Lines that cost anything to format come from a generator, so main builds
-# them only for --output text.
+# The payload is a callable and lines that cost anything to format come
+# from a generator, so main builds only the form that --output asks for.
 
 def cmd_info(args, err):
     quiver = _load(Quiver.load, args.quiver)
-    payload = {"vertices": list(quiver.vertices), "matrix": [list(r) for r in quiver.matrix],
-               "loops": {v: quiver.loops(v) for v in quiver.vertices},
-               "max_loops": quiver.max_loops(), "symmetric": True}
-    return payload, [f"vertices: {', '.join(quiver.vertices)}", *_matrix_lines(quiver)], 0
+    return (lambda: {"vertices": list(quiver.vertices),
+                     "matrix": [list(r) for r in quiver.matrix],
+                     "loops": {v: quiver.loops(v) for v in quiver.vertices},
+                     "max_loops": quiver.max_loops(), "symmetric": True},
+            [f"vertices: {', '.join(quiver.vertices)}", *_matrix_lines(quiver)], 0)
 
 
 def cmd_series(args, err):
@@ -122,7 +124,7 @@ def cmd_series(args, err):
         yield f"degree cap: {series.cap}; window: [{series.window[0]}, {series.window[1]}]"
         for d in sorted(series.terms, key=lambda d: (sum(d), d)):
             yield f"x^{d}: {series.terms[d].to_q_string()}"
-    return series.to_json(), lines(), 0
+    return series.to_json, lines(), 0
 
 
 def cmd_dt(args, err):
@@ -151,7 +153,7 @@ def cmd_dt(args, err):
                                      in sorted(entry.u_coeffs.items())) + "}"
                      if entry.u_coeffs else "0")
             yield f"Omega{entry.degree}: {omega}{flag}"
-    return result.to_json(), lines(), 1 if reason else 0
+    return result.to_json, lines(), 1 if reason else 0
 
 
 def cmd_transform(args, err):
@@ -165,10 +167,10 @@ def cmd_transform(args, err):
     if args.outfile:
         _save_quiver(transformed, args.outfile)
     new = transformed.vertices[-1]
-    payload = {"operation": args.command, "pair": [args.a, args.b],
-               "new_vertex": new, "quiver": transformed.to_json()}
-    return payload, [f"{args.command}({args.a}, {args.b}) added vertex {new!r}",
-                     *_matrix_lines(transformed)], 0
+    return (lambda: {"operation": args.command, "pair": [args.a, args.b],
+                     "new_vertex": new, "quiver": transformed.to_json()},
+            [f"{args.command}({args.a}, {args.b}) added vertex {new!r}",
+             *_matrix_lines(transformed)], 0)
 
 
 def cmd_diagonalize(args, err):
@@ -182,7 +184,7 @@ def cmd_diagonalize(args, err):
         for f in result.factors:
             yield (f"  {f.label}: loops={f.loop_count} "
                    f"monomial=x^{f.monomial.exponents} qpow={f.monomial.qpow}")
-    return result.to_json(), lines(), 0
+    return result.to_json, lines(), 0
 
 
 def cmd_algebra_dims(args, err):
@@ -200,11 +202,11 @@ def cmd_algebra_dims(args, err):
         rows.append({"hdeg": h, "k_weight": s,
                      "dimension": component_dimension(quiver, degree, h),
                      "functional_dimension": functional_dimension(quiver, degree, h)})
-    payload = {"quiver": quiver.to_json(), "degree": list(degree), "components": rows}
     lines = [f"degree {degree}:"] + [f"  h={r['hdeg']}: dim={r['dimension']} "
                                      f"functional={r['functional_dimension']}" for r in rows]
     status = 0 if all(r["dimension"] == r["functional_dimension"] for r in rows) else 1
-    return payload, lines, status
+    return (lambda: {"quiver": quiver.to_json(), "degree": list(degree), "components": rows},
+            lines, status)
 
 
 # Each verify target: whether it reads a vertex pair a b, the options it
@@ -252,7 +254,7 @@ def cmd_verify(args, err):
             yield f"  mismatch: {json.dumps(mm, sort_keys=True)}"
         if len(report.mismatches) > 5:
             yield f"  ... and {len(report.mismatches) - 5} more"
-    return report.to_json(), lines(), 0 if report.passed else 1
+    return report.to_json, lines(), 0 if report.passed else 1
 
 
 # -- parser ---------------------------------------------------------------------
@@ -367,7 +369,7 @@ def main(argv=None, out=None, err=None):
                 _fail(f"--{name} must be >= {low}, got {value}")
         payload, lines, status = args.handler(args, err)
         if args.output == "json":
-            out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            out.write(json.dumps(payload(), sort_keys=True, indent=2) + "\n")
         else:
             out.writelines(line + "\n" for line in lines)
         return status

@@ -23,6 +23,13 @@ fixed-width biased digits, each pair costs one big-int product, the products
 landing on one output degree are added in packed form and unpacked once.
 Long integer pairs are packed; anything else (monomials, binomials, Fraction
 coefficients) runs the schoolbook loop.
+
+A TruncatedLaurent's ``coeffs`` dict is never written after it is built, so
+results may share it: a sum with one part returns that part, a product with
+an exact 1 may return the other operand's dict, and a shift by 0 returns
+the series itself.  A kernel writes only into a dict it created, and copies
+an operand's dict only when it must write to it.  Nothing may depend on dict
+order; every rendering sorts by exponent.
 """
 
 from __future__ import annotations
@@ -201,8 +208,10 @@ class TruncatedLaurent:
     def first_mismatch(self, other):
         """Lowest exponent (on the common known range) where the two series
         provably differ, or None.  Below a window's lo the series is zero."""
-        hi = min(self.hi, other.hi)
         a, b = self.coeffs, other.coeffs
+        if a == b:
+            return None
+        hi = min(self.hi, other.hi)
         return min((e for e in a.keys() | b.keys() if e <= hi and a.get(e, 0) != b.get(e, 0)),
                    default=None)
 
@@ -258,18 +267,23 @@ class TruncatedLaurent:
 # -- the sum and product kernels ------------------------------------------------
 
 def _close(coeffs, hi):
-    """Close a sum whose exponents start inside its window: drop exponents
-    above hi and zero sums, and turn integral Fractions back into ints."""
-    return {e: c if type(c) is int else _intify(c) for e, c in coeffs.items() if e <= hi and c}
+    """Close a sum whose exponents start inside its window, in place: drop
+    exponents above hi and zero sums, and turn integral Fractions back into
+    ints.  Returns coeffs, which must be a dict the caller owns."""
+    for e in [e for e, c in coeffs.items() if e > hi or not c or type(c) is not int]:
+        c = coeffs[e]
+        if e <= hi and c:
+            coeffs[e] = _intify(c)
+        else:
+            del coeffs[e]
+    return coeffs
 
 
-def _sum_terms(parts):
-    """The one series sum: for every multidegree d among the (multidegree,
-    TruncatedLaurent) pairs of parts, the sum of its parts; returns a dict
-    d -> TruncatedLaurent.  A degree with one part keeps that part's object.
-    A sum takes the least lo and the least hi of its parts and is cut at hi;
-    each degree's coefficients are added into one dict, closed once."""
-    slots = {}  # d -> [lo, hi, summed coefficients or None, first part or None]
+def _add_parts(slots, parts):
+    """Add the (multidegree, TruncatedLaurent) pairs of parts into slots,
+    d -> [lo, hi, summed coefficients or None, first part or None]: a
+    degree's first part is kept as it is, and its coefficients are copied
+    into a dict of the slot's own when a second part arrives."""
     for d, s in parts:
         slot = slots.get(d)
         if slot is None:
@@ -285,8 +299,22 @@ def _sum_terms(parts):
             slot[3] = None
         for e, c in s.coeffs.items():
             coeffs[e] = coeffs.get(e, 0) + c
-    return {d: first if coeffs is None else TruncatedLaurent._trusted(_close(coeffs, hi), lo, hi)
-            for d, (lo, hi, coeffs, first) in slots.items()}
+
+
+def _closed(lo, hi, coeffs, first):
+    """The sum held by a slot of _add_parts."""
+    return first if coeffs is None else TruncatedLaurent._trusted(_close(coeffs, hi), lo, hi)
+
+
+def _sum_terms(parts):
+    """The one series sum: for every multidegree d among the (multidegree,
+    TruncatedLaurent) pairs of parts, the sum of its parts; returns a dict
+    d -> TruncatedLaurent.  A degree with one part keeps that part's object.
+    A sum takes the least lo and the least hi of its parts and is cut at hi;
+    each degree's coefficients are added into one dict, closed once."""
+    slots = {}
+    _add_parts(slots, parts)
+    return {d: _closed(*slot) for d, slot in slots.items()}
 
 
 # A pair whose two operands both have at least this many nonzero coefficients
@@ -366,7 +394,10 @@ def _convolve(left, right, cap, hi_cap):
     a sign bit is the digit width of the whole call.  Other pairs run the
     schoolbook loop, except that the first contribution to a degree whose
     shorter operand has one term is that operand's term times the other
-    operand, built in one comprehension."""
+    operand, built in one comprehension.  When that term is exactly 1, the
+    degree takes the other operand's own dict, marked shared: a later
+    schoolbook pair, the packed merge or a cut below that operand's hi
+    copies it before writing, and otherwise the degree returns it uncopied."""
     rows = _operands(left, cap)
     cols = _operands(right, cap)
     pack_rows = [op for op in rows if op[6]]
@@ -385,7 +416,7 @@ def _convolve(left, right, cap, hi_cap):
         bias = 1 << (8 * wb - 1)
     shift = 8 * wb
     packed_cols = {}  # made on first use: id(coeffs) -> Kronecker form
-    windows = {}  # d -> [lo, hi, schoolbook sum or None]
+    windows = {}  # d -> [lo, hi, schoolbook sum or None, hi of a shared sum or None]
     sums = {}  # (d, valuation mod step) -> [lowest valuation, packed sum]
     for d1, t1, ca, lo1, hi1, v1, pack_a in rows:
         budget = cap - t1
@@ -402,7 +433,7 @@ def _convolve(left, right, cap, hi_cap):
                 raise TruncationUnderflow(f"laurent_mul: empty output window [{lo}, {hi}]")
             slot = windows.get(d)
             if slot is None:
-                slot = windows[d] = [lo, hi, None]
+                slot = windows[d] = [lo, hi, None, None]
             else:
                 if lo < slot[0]:
                     slot[0] = lo
@@ -432,13 +463,21 @@ def _convolve(left, right, cap, hi_cap):
                 if small is None and len(outer) == 1:
                     # the first contribution of a one-term operand (the 1 of
                     # a one-vertex factor) is the other operand shifted and
-                    # scaled, cut at hi
+                    # scaled, cut at hi; times an exact 1 it is the other
+                    # operand's dict itself, cut when the degree is closed
                     (eo, co), = outer.items()
+                    if eo == 0 and co == 1:
+                        slot[2] = inner
+                        slot[3] = hi2 if inner is cb else hi1
+                        continue
                     top = hi - eo
                     slot[2] = {eo + ei: co * ci for ei, ci in inner.items() if ei <= top}
                     continue
                 if small is None:
                     small = slot[2] = {}
+                elif slot[3] is not None:
+                    small = slot[2] = dict(small)
+                    slot[3] = None
                 for eo, co in outer.items():
                     top = hi - eo
                     for ei, ci in inner.items():
@@ -451,16 +490,22 @@ def _convolve(left, right, cap, hi_cap):
     sums.clear()
     out = {}
     for d in list(windows):
-        lo, hi, small = windows.pop(d)
+        lo, hi, small, shared_hi = windows.pop(d)
         coeffs = {}
         if packed_sums:
             for base, acc in packed_sums.pop(d, ()):
                 _unpack(acc, base, hi, step, wb, bias, coeffs)
-        if small:
+        if shared_hi is not None and not coeffs and hi >= shared_hi:
+            coeffs = small
+        elif small:
+            if shared_hi is not None:
+                # a packed merge or a cut writes into a copy, not the shared dict
+                small = dict(small)
             for e, c in coeffs.items():
                 small[e] = small.get(e, 0) + c
             coeffs = _close(small, hi)
-        # unpacked digits are nonzero, reduced and inside [lo, hi]
+        # unpacked digits and a shared operand's coefficients are nonzero,
+        # reduced and inside [lo, hi]
         out[d] = TruncatedLaurent._trusted(coeffs, lo, hi)
     return out
 
@@ -846,15 +891,18 @@ def pleth_log(series):
     cap, vertices, window = series.cap, series.vertices, series.window
     minus_f = MultiSeries(vertices, cap, window,
                           {d: -c for d, c in series.terms.items() if any(d)})
-    # grad[d] ends as G_d: it starts as |d| F_d, and once its degree-k slice
-    # is complete, one product with -F adds the terms with |d1| = k to every
-    # degree above k
-    grad = {d: c.scale(sum(d)) for d, c in series.terms.items() if any(d)}
-    for k in range(1, cap):
-        done = MultiSeries(vertices, cap, window,
-                           {d: c for d, c in grad.items() if sum(d) == k})
-        for d, c in done.mul(minus_f).terms.items():
-            grad[d] = grad[d] + c if d in grad else c
+    # G_d starts as |d| F_d; once the slice |d1| = k of G is closed, one
+    # product with -F adds its terms into the open sum of every degree above
+    # k, which is closed when its own slice k = |d| is reached
+    open_sums = {}
+    _add_parts(open_sums, ((d, c.scale(sum(d))) for d, c in series.terms.items() if any(d)))
+    grad = {}
+    for k in range(1, cap + 1):
+        done = {d: _closed(*open_sums.pop(d)) for d in [d for d in open_sums if sum(d) == k]}
+        grad.update(done)
+        if k < cap:
+            _add_parts(open_sums, MultiSeries(vertices, cap, window, done)
+                       .mul(minus_f).terms.items())
     grad = MultiSeries(vertices, cap, window, grad)
     out = _sum_terms((d, c) for n in range(1, cap + 1) if _mobius(n)
                      for d, c in grad.psi(n).scale(_mobius(n)).terms.items())

@@ -670,6 +670,25 @@ def test_link_and_unlink_golden_digests(tmp_path):
         assert digest.hexdigest() == expected, flags
 
 
+# The diagonalization identity under the printed constants: M2 at order 6
+# fails on 15 degrees.  The digest pins the payload, the right-hand windows
+# of every mismatch among it.
+DIAGONALIZATION_PRINTED_SHA256 = (
+    "f54c5e072faf7478bd951a9b8f0bb2d339b4641db2f2f1a0ea7fda7a1b6ed323")
+
+
+def test_diagonalization_refuted_by_printed_constants(tmp_path):
+    path = tmp_path / "M2.json"
+    path.write_text(json.dumps({"vertices": ["a", "b"], "matrix": RANK_MATRICES["M2"]}))
+    printed = tmp_path / "printed.json"
+    printed.write_text(json.dumps({"preset": "printed"}))
+    code, out, err = run_cli("verify", "diagonalization", str(path), "--order", "6",
+                             "--config", str(printed), "--output", "json")
+    assert (code, err) == (1, "")
+    assert len(json.loads(out)["mismatches"]) == 15
+    assert hashlib.sha256(out.encode()).hexdigest() == DIAGONALIZATION_PRINTED_SHA256
+
+
 def test_algebra_dims_bad_degree(tmp_path):
     a2 = write_a2(tmp_path)
     assert run_cli("algebra-dims", a2, "--degree", "1,x")[0] == 2

@@ -1,5 +1,6 @@
 """Exact windowed Laurent / multivariate series arithmetic."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -725,12 +726,23 @@ def negated(rng, a):
                             a.lo - rng.randint(0, 4), a.hi + rng.randint(0, 4))
 
 
+def ref_first_mismatch(a, b):
+    """The key-union scan: the lowest exponent up to the lesser hi at which
+    the two coefficient dicts differ, or None."""
+    hi = min(a.hi, b.hi)
+    return min((e for e in set(a.coeffs) | set(b.coeffs)
+                if e <= hi and a.coeffs.get(e, 0) != b.coeffs.get(e, 0)), default=None)
+
+
 def test_add_matches_reference_sum():
     # windows and caps differ between the operands; the draws include
     # all-zero operands, degrees only one operand holds, sums forced to
-    # cancel and odd halves whose sums must come back as ints
+    # cancel and odd halves whose sums must come back as ints.  Every
+    # Laurent pair, and every sum against its reference, also checks
+    # first_mismatch against the key-union scan
     rng = random.Random(1913)
-    seen = dict.fromkeys(("zero", "cancelled", "halves", "one_sided"), 0)
+    seen = dict.fromkeys(("zero", "cancelled", "halves", "one_sided", "equal",
+                          "mismatch"), 0)
     for _ in range(300):
         a, b = rand_operand(rng), rand_operand(rng)
         halves = rng.random() < 0.3 and with_halves(rng, a, b)
@@ -745,7 +757,13 @@ def test_add_matches_reference_sum():
             seen["cancelled"] += 1
         seen["zero"] += a.is_zero() or b.is_zero()
         for left, right in ((a, b), (b, a)):
-            assert exact_terms(left + right) == exact_terms(ref_add(left, right))
+            total, want = left + right, ref_add(left, right)
+            assert exact_terms(total) == exact_terms(want)
+            for u, v in ((left, right), (total, want)):
+                got = u.first_mismatch(v)
+                assert got == ref_first_mismatch(u, v)
+                seen["equal"] += u.coeffs == v.coeffs
+                seen["mismatch"] += got is not None
     for _ in range(120):
         x, y = (rand_operand_series(rng, cap=rng.randint(0, 3)) for _ in range(2))
         x = MultiSeries(x.vertices, x.cap, (rng.randint(-25, -15), rng.randint(40, 70)),
@@ -887,3 +905,73 @@ def test_pleth_log_matches_power_sum_reference(monkeypatch):
         s = MultiSeries(("a",), cap, (0, 60), terms)
         assert same_series(pleth_log(s), ref_pleth_log(s)), cap
     assert packed
+
+
+# -- products with an exact 1 share the other operand's dict -------------------
+
+def unit_operand_series(rng, vertices=("a", "b"), cap=3):
+    """A series with an exact 1 at degree 0 on a random window around t^0,
+    and at other degrees a 1, a long integer operand (packable against
+    another), a random operand (Fraction coefficients among them) or none."""
+    terms = {(0,) * len(vertices): TruncatedLaurent.one(-rng.randint(0, 20), rng.randint(0, 60))}
+    for d in iter_multidegrees(len(vertices), cap):
+        if not any(d):
+            continue
+        r = rng.random()
+        if r < 0.15:
+            terms[d] = TruncatedLaurent.one(-rng.randint(0, 20), rng.randint(0, 60))
+        elif r < 0.5:
+            terms[d] = long_operand(rng, rng.choice(("small", "big")))
+        elif r < 0.9:
+            terms[d] = rand_operand(rng, lo_range=(-20, 0), max_span=60)
+    return MultiSeries(vertices, cap, (-20, 60), terms)
+
+
+def snapshot(*series):
+    """A deep copy of every coefficient dict of the given MultiSeries."""
+    return [copy.deepcopy({d: c.coeffs for d, c in s.terms.items()}) for s in series]
+
+
+def test_unit_products_never_write_into_an_operand(monkeypatch):
+    # a product with an exact 1 hands back the other operand's own dict on
+    # every degree that nothing else reaches; later schoolbook pairs, packed
+    # merges, windows cut below that operand's hi and Fraction terms all land
+    # on such degrees, and the results go on through sums, products and
+    # pleth_log, which must copy before they write
+    packed = pack_spy(monkeypatch)
+    seen = dict.fromkeys(("shared", "packed", "cut", "fraction"), 0)
+    rng = random.Random(60221)
+    for _ in range(40):
+        x, y = unit_operand_series(rng), unit_operand_series(rng)
+        hi_cap = rng.choice((None, rng.randint(5, 50)))
+        before = snapshot(x, y)
+        packed.clear()
+        got = x.mul(y, hi_cap)
+        assert same_series(got, ref_series_mul(x, y, hi_cap))
+        seen["shared"] += any(got.terms[d].coeffs is s.terms[d].coeffs
+                              for s in (x, y) for d in got.terms if d in s.terms)
+        seen["packed"] += bool(packed)
+        seen["cut"] += hi_cap is not None and any(c.hi > hi_cap for c in y.terms.values())
+        seen["fraction"] += any(type(v) is Fraction for c in y.terms.values()
+                                for v in c.coeffs.values())
+        after_mul = snapshot(got)
+        assert same_series(got + y, ref_series_add(got, y))
+        assert same_series(y + got, ref_series_add(y, got))
+        assert same_series(got.mul(x), ref_series_mul(got, x))
+        assert same_series(pleth_log(got), ref_pleth_log(got))
+        assert snapshot(x, y) == before
+        assert snapshot(got) == after_mul
+        # one Laurent factor: 1 on either side of an operand
+        a = rand_operand(rng, lo_range=(-20, 0), max_span=60)
+        one = TruncatedLaurent.one(-rng.randint(0, 20), rng.randint(0, 60))
+        a_before = copy.deepcopy(a.coeffs)
+        for left, right in ((one, a), (a, one)):
+            prod = product_or_error(TruncatedLaurent.mul, left, right, hi_cap)
+            want = product_or_error(ref_laurent_mul, left, right, hi_cap)
+            if want == "underflow":
+                assert prod == "underflow"
+                continue
+            assert exact_terms(prod) == exact_terms(want)
+            assert exact_terms(prod + a) == exact_terms(ref_add(prod, a))
+        assert a.coeffs == a_before
+    assert all(seen.values()), seen
