@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from math import comb, perm
+from operator import add
 
 from .linalg import IntegerEchelon, rank_of_rows
 from .quiver import link, unlink
@@ -79,29 +80,28 @@ def _k_budget(quiver, degree, hdeg):
 @lru_cache(maxsize=4096)
 def _level_tuples(count, total, strict):
     """Nondecreasing (strictly increasing when strict) k-tuples of the given
-    length and sum."""
+    length and sum, in lexicographic order."""
+    # a strictly increasing tuple is a nondecreasing one plus 0, 1, ..., count - 1
+    stair = tuple(range(count)) if strict else (0,) * count
+    total -= sum(stair)
+    if count == 0 or total < 0:
+        return ((),) if total == 0 else ()
+    levels = [0] * (count - 1) + [total]
     out = []
-
-    def rec(prefix, remaining, min_k, slots):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        # minimal achievable tail: slots copies of min_k (plus a staircase
-        # when strict), used to prune
-        base = slots * min_k + (slots * (slots - 1) // 2 if strict else 0)
-        if base > remaining:
-            return
-        top = remaining - (slots - 1) * min_k
-        if strict:
-            top = remaining - sum(range(min_k + 1, min_k + slots))
-        for k in range(min_k, top + 1):
-            prefix.append(k)
-            rec(prefix, remaining - k, k + 1 if strict else k, slots - 1)
-            prefix.pop()
-
-    rec([], total, 0, count)
-    return tuple(out)
+    while True:
+        out.append(tuple(map(add, levels, stair)))
+        # the next tuple raises the last entry that can rise by one and still
+        # be followed by a nondecreasing tail: the raised value repeated, and
+        # what is left of the sum at the end
+        rest = levels[-1]
+        for i in range(count - 2, -1, -1):
+            rest += levels[i]  # the sum of levels[i:]
+            k = levels[i] + 1
+            if rest >= (count - i) * k:
+                levels[i:] = [k] * (count - 1 - i) + [rest - (count - 1 - i) * k]
+                break
+        else:
+            return tuple(out)
 
 
 def component_basis(quiver, degree, hdeg):

@@ -25,11 +25,14 @@ Long integer pairs are packed; anything else (monomials, binomials, Fraction
 coefficients) runs the schoolbook loop.
 
 A TruncatedLaurent's ``coeffs`` dict is never written after it is built, so
-results may share it: a sum with one part returns that part, a product with
-an exact 1 may return the other operand's dict, and a shift by 0 returns
-the series itself.  A kernel writes only into a dict it created, and copies
-an operand's dict only when it must write to it.  Nothing may depend on dict
-order; every rendering sorts by exponent.
+results may share it, under one borrow rule that sums and products keep
+alike.  Each output degree has one slot, and its first contribution, a
+sum's first part or an operand of a product times an exact 1, is borrowed
+as it is; the first later write into the degree copies it into a dict of
+the slot's own, and a borrowed series is copied at the close only when the
+degree's hi cuts below its own.  A kernel writes only into a dict it
+created.  Nothing may depend on dict order; every rendering sorts by
+exponent.
 """
 
 from __future__ import annotations
@@ -281,9 +284,9 @@ def _close(coeffs, hi):
 
 def _add_parts(slots, parts):
     """Add the (multidegree, TruncatedLaurent) pairs of parts into slots,
-    d -> [lo, hi, summed coefficients or None, first part or None]: a
-    degree's first part is kept as it is, and its coefficients are copied
-    into a dict of the slot's own when a second part arrives."""
+    d -> [lo, hi, own dict or None, borrowed series or None]: a degree's
+    first part is borrowed as it is, and its coefficients are copied into a
+    dict of the slot's own when a second part arrives."""
     for d, s in parts:
         slot = slots.get(d)
         if slot is None:
@@ -302,8 +305,17 @@ def _add_parts(slots, parts):
 
 
 def _closed(lo, hi, coeffs, first):
-    """The sum held by a slot of _add_parts."""
-    return first if coeffs is None else TruncatedLaurent._trusted(_close(coeffs, hi), lo, hi)
+    """The series held by a slot of _add_parts or _convolve: its own dict,
+    closed, or else its borrowed series, whose dict is copied only when hi
+    cuts below the series' own hi."""
+    if coeffs is not None:
+        return TruncatedLaurent._trusted(_close(coeffs, hi), lo, hi)
+    if lo == first.lo and hi == first.hi:
+        return first
+    coeffs = first.coeffs
+    if hi < first.hi:
+        coeffs = {e: c for e, c in coeffs.items() if e <= hi}
+    return TruncatedLaurent._trusted(coeffs, lo, hi)
 
 
 def _sum_terms(parts):
@@ -327,18 +339,18 @@ _PACK_MIN_TERMS = 12
 
 
 def _operands(pairs, cap):
-    """(multidegree, total degree, coeffs, lo, hi, valuation, packable) of
-    every (multidegree, TruncatedLaurent) pair with total degree <= cap.  An
-    all-zero series counts as having valuation just above its window; a
-    series is packable when it has at least _PACK_MIN_TERMS coefficients,
-    all of them ints."""
+    """(multidegree, total degree, coeffs, lo, hi, valuation, packable,
+    series) of every (multidegree, TruncatedLaurent) pair with total degree
+    <= cap.  An all-zero series counts as having valuation just above its
+    window; a series is packable when it has at least _PACK_MIN_TERMS
+    coefficients, all of them ints."""
     out = []
     for d, s in pairs:
         total = sum(d)
         if total <= cap:
             c = s.coeffs
             out.append((d, total, c, s.lo, s.hi, min(c) if c else s.hi + 1,
-                        len(c) >= _PACK_MIN_TERMS and set(map(type, c.values())) == {int}))
+                        len(c) >= _PACK_MIN_TERMS and set(map(type, c.values())) == {int}, s))
     return out
 
 
@@ -355,7 +367,7 @@ def _pack(coeffs, val, step, wb, bias):
 
 
 def _unpack(acc, base, hi, step, wb, bias, coeffs):
-    """Store the nonzero digits of a packed sum, which sit at exponents
+    """Add the nonzero digits of a packed sum, which sit at exponents
     base + step k, into coeffs up to exponent hi.  Digits above hi are cut
     off first: with the bias added, the digits below the cut are exact
     whatever lies above it."""
@@ -368,7 +380,9 @@ def _unpack(acc, base, hi, step, wb, bias, coeffs):
     raw = struct.Struct(f"{wb}s" * n).unpack(low.to_bytes(wb * n, "little"))
     digits = map(int.from_bytes, raw, repeat("little"))
     exps = range(base, base + step * n, step)
-    coeffs.update((e, c - bias) for e, c in zip(exps, digits) if c != bias)
+    for e, c in zip(exps, digits):
+        if c != bias:
+            coeffs[e] = coeffs.get(e, 0) + c - bias
 
 
 def _convolve(left, right, cap, hi_cap):
@@ -378,26 +392,26 @@ def _convolve(left, right, cap, hi_cap):
     TruncatedLaurent.
 
     Each pair's window is lo = lo1 + lo2, hi = min(hi1 + v2, hi2 + v1, hi_cap)
-    (v the valuation), and a sum takes the lowest lo and the lowest hi, as
-    _sum_terms does, and is closed by the same _close.
+    (v the valuation), and a degree takes the lowest lo and the lowest hi of
+    its pairs.  Its slot is [lo, hi, own dict or None, borrowed series or
+    None, packed sums or None]; the first four fields are a slot of
+    _add_parts, closed by the same _closed, under the same borrow rule: a
+    first contribution that is an operand times an exact 1 borrows that
+    operand as it is, and the first later write, a schoolbook pair or the
+    unpacked digits, copies it into a dict of the slot's own.
 
     A pair of two packable operands (long, with int coefficients) is
-    multiplied packed (Kronecker substitution): one big-int product.  Packed
-    products landing on the same degree are added in packed form, shifted
-    against the lowest product valuation of that degree, and unpacked once.
-    Exponents are packed in steps of the gcd of all exponent gaps of the
-    packable operands (2 when every coefficient lives on one parity, as in
-    motivic series), so products of one degree whose valuations differ
+    multiplied packed (Kronecker substitution): one big-int product, added in
+    packed form to its degree's sum for its valuation modulo the step,
+    shifted against the lowest valuation there, and unpacked once when the
+    degree is closed.  Exponents are packed in steps of the gcd of all
+    exponent gaps of the packable operands (2 when every coefficient lives on
+    one parity, as in motivic series), so products whose valuations differ
     modulo that step add up separately.  A digit of a packed sum adds up at
     most min(#packable rows, #packable cols) pairs of at most min(span)
     products each, every product bounded by max|a| * max|b|; that bound plus
     a sign bit is the digit width of the whole call.  Other pairs run the
-    schoolbook loop, except that the first contribution to a degree whose
-    shorter operand has one term is that operand's term times the other
-    operand, built in one comprehension.  When that term is exactly 1, the
-    degree takes the other operand's own dict, marked shared: a later
-    schoolbook pair, the packed merge or a cut below that operand's hi
-    copies it before writing, and otherwise the degree returns it uncopied."""
+    schoolbook loop."""
     rows = _operands(left, cap)
     cols = _operands(right, cap)
     pack_rows = [op for op in rows if op[6]]
@@ -405,9 +419,9 @@ def _convolve(left, right, cap, hi_cap):
     step = wb = bias = 1
     if pack_rows and pack_cols:
         step = 0
-        for _, _, coeffs, _, _, val, _ in pack_rows + pack_cols:
-            step = gcd(step, *map(val.__rsub__, coeffs))
-        spans = [max((max(coeffs) - val) // step + 1 for _, _, coeffs, _, _, val, _ in ops)
+        for op in pack_rows + pack_cols:
+            step = gcd(step, *map(op[5].__rsub__, op[2]))
+        spans = [max((max(op[2]) - op[5]) // step + 1 for op in ops)
                  for ops in (pack_rows, pack_cols)]
         tops = [max(max(map(abs, op[2].values())) for op in ops)
                 for ops in (pack_rows, pack_cols)]
@@ -416,12 +430,13 @@ def _convolve(left, right, cap, hi_cap):
         bias = 1 << (8 * wb - 1)
     shift = 8 * wb
     packed_cols = {}  # made on first use: id(coeffs) -> Kronecker form
-    windows = {}  # d -> [lo, hi, schoolbook sum or None, hi of a shared sum or None]
-    sums = {}  # (d, valuation mod step) -> [lowest valuation, packed sum]
-    for d1, t1, ca, lo1, hi1, v1, pack_a in rows:
+    # d -> [lo, hi, own dict, borrowed series,
+    #       valuation mod step -> [lowest valuation, packed sum]]
+    slots = {}
+    for d1, t1, ca, lo1, hi1, v1, pack_a, a in rows:
         budget = cap - t1
         packed_a = None  # a row's packed form lives for its row only
-        for d2, t2, cb, lo2, hi2, v2, pack_b in cols:
+        for d2, t2, cb, lo2, hi2, v2, pack_b, b in cols:
             if t2 > budget:
                 continue
             d = tuple(map(add, d1, d2))
@@ -431,9 +446,9 @@ def _convolve(left, right, cap, hi_cap):
                 hi = hi_cap
             if hi < lo:
                 raise TruncationUnderflow(f"laurent_mul: empty output window [{lo}, {hi}]")
-            slot = windows.get(d)
+            slot = slots.get(d)
             if slot is None:
-                slot = windows[d] = [lo, hi, None, None]
+                slot = slots[d] = [lo, hi, None, None, None]
             else:
                 if lo < slot[0]:
                     slot[0] = lo
@@ -446,10 +461,12 @@ def _convolve(left, right, cap, hi_cap):
                 if packed_b is None:
                     packed_b = packed_cols[id(cb)] = _pack(cb, v2, step, wb, bias)
                 v = v1 + v2
-                key = (d, v % step)
-                acc = sums.get(key)
+                sums = slot[4]
+                if sums is None:
+                    sums = slot[4] = {}
+                acc = sums.get(v % step)
                 if acc is None:
-                    sums[key] = [v, packed_a * packed_b]
+                    sums[v % step] = [v, packed_a * packed_b]
                 elif v >= acc[0]:
                     acc[1] += (packed_a * packed_b) << (shift * ((v - acc[0]) // step))
                 else:
@@ -459,54 +476,30 @@ def _convolve(left, right, cap, hi_cap):
             elif ca and cb:
                 # the shorter operand runs the outer loop
                 outer, inner = (ca, cb) if len(ca) <= len(cb) else (cb, ca)
-                small = slot[2]
-                if small is None and len(outer) == 1:
-                    # the first contribution of a one-term operand (the 1 of
-                    # a one-vertex factor) is the other operand shifted and
-                    # scaled, cut at hi; times an exact 1 it is the other
-                    # operand's dict itself, cut when the degree is closed
-                    (eo, co), = outer.items()
-                    if eo == 0 and co == 1:
-                        slot[2] = inner
-                        slot[3] = hi2 if inner is cb else hi1
+                own = slot[2]
+                if own is None:
+                    if slot[3] is None and outer == {0: 1}:
+                        # a first contribution times an exact 1: borrow
+                        slot[3] = b if inner is cb else a
                         continue
-                    top = hi - eo
-                    slot[2] = {eo + ei: co * ci for ei, ci in inner.items() if ei <= top}
-                    continue
-                if small is None:
-                    small = slot[2] = {}
-                elif slot[3] is not None:
-                    small = slot[2] = dict(small)
+                    own = slot[2] = {} if slot[3] is None else dict(slot[3].coeffs)
                     slot[3] = None
                 for eo, co in outer.items():
                     top = hi - eo
                     for ei, ci in inner.items():
                         if ei <= top:
                             e = eo + ei
-                            small[e] = small.get(e, 0) + co * ci
-    packed_sums = {}
-    for (d, _), acc in sums.items():
-        packed_sums.setdefault(d, []).append(acc)
-    sums.clear()
+                            own[e] = own.get(e, 0) + co * ci
     out = {}
-    for d in list(windows):
-        lo, hi, small, shared_hi = windows.pop(d)
-        coeffs = {}
-        if packed_sums:
-            for base, acc in packed_sums.pop(d, ()):
-                _unpack(acc, base, hi, step, wb, bias, coeffs)
-        if shared_hi is not None and not coeffs and hi >= shared_hi:
-            coeffs = small
-        elif small:
-            if shared_hi is not None:
-                # a packed merge or a cut writes into a copy, not the shared dict
-                small = dict(small)
-            for e, c in coeffs.items():
-                small[e] = small.get(e, 0) + c
-            coeffs = _close(small, hi)
-        # unpacked digits and a shared operand's coefficients are nonzero,
-        # reduced and inside [lo, hi]
-        out[d] = TruncatedLaurent._trusted(coeffs, lo, hi)
+    for d in list(slots):
+        lo, hi, own, first, sums = slots.pop(d)
+        if own is None and (sums or first is None):
+            # unpacked digits are a write: they go into a copy of a borrowed series
+            own = {} if first is None else dict(first.coeffs)
+        if sums:
+            for base, acc in sums.values():
+                _unpack(acc, base, hi, step, wb, bias, own)
+        out[d] = _closed(lo, hi, own, first)
     return out
 
 
@@ -542,17 +535,20 @@ def iter_multidegrees(nvars, max_total):
     if nvars == 0:
         yield ()
         return
-
-    def exact(total, slots):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in exact(total - first, slots - 1):
-                yield (first,) + rest
-
     for total in range(max_total + 1):
-        yield from exact(total, nvars)
+        d = [0] * (nvars - 1) + [total]
+        last = nvars - 1 if total else 0  # the last nonzero entry
+        while True:
+            yield tuple(d)
+            if last == 0:
+                break
+            # the next vector moves one unit from the last nonzero entry to
+            # the entry before it, and the rest of that entry to the end
+            v = d[last]
+            d[last] = 0
+            d[last - 1] += 1
+            d[-1] = v - 1
+            last = nvars - 1 if v > 1 else last - 1
 
 
 class MultiSeries:

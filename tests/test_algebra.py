@@ -143,6 +143,41 @@ def test_component_basis_matches_brute_force():
     assert loops_seen == {0, 1}
 
 
+def recursive_level_tuples(count, total, strict):
+    """The recursive enumeration _level_tuples replaced."""
+    out = []
+
+    def rec(prefix, remaining, min_k, slots):
+        if slots == 0:
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        if slots * min_k + (slots * (slots - 1) // 2 if strict else 0) > remaining:
+            return
+        top = remaining - (slots - 1) * min_k
+        if strict:
+            top = remaining - sum(range(min_k + 1, min_k + slots))
+        for k in range(min_k, top + 1):
+            prefix.append(k)
+            rec(prefix, remaining - k, k + 1 if strict else k, slots - 1)
+            prefix.pop()
+
+    rec([], total, 0, count)
+    return tuple(out)
+
+
+def test_level_tuples_match_the_recursive_enumeration():
+    for count in range(7):
+        for total in range(25):
+            for strict in (False, True):
+                assert (algebra._level_tuples(count, total, strict)
+                        == recursive_level_tuples(count, total, strict)), (count, total, strict)
+    # one entry per generator, without a recursion per generator
+    assert algebra._level_tuples(5000, 2, False) == ((0,) * 4999 + (2,),
+                                                      (0,) * 4998 + (1, 1))
+    assert algebra._level_tuples(5000, 2, True) == ()
+
+
 def test_component_basis_returns_fresh_list():
     degree, h = (2, 2), hdeg_of(M2, (2, 2), 4)
     first = component_basis(M2, degree, h)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import quivercalc
+from quivercalc import algebra
 from quivercalc.cli import build_parser, main
 from quivercalc.dt import DTEntry, DTResult
 from quivercalc.quiver import Quiver
@@ -687,6 +688,122 @@ def test_diagonalization_refuted_by_printed_constants(tmp_path):
     assert (code, err) == (1, "")
     assert len(json.loads(out)["mismatches"]) == 15
     assert hashlib.sha256(out.encode()).hexdigest() == DIAGONALIZATION_PRINTED_SHA256
+
+
+def write_fleet(tmp_path):
+    """A2, M2 and MIX3 over the labels a, b, c; returns name -> path."""
+    paths = {}
+    for name in ("A2", "M2", "MIX3"):
+        matrix = RANK_MATRICES[name]
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"vertices": list("abc"[:len(matrix)]),
+                                           "matrix": matrix}))
+    return paths
+
+
+def verify_mismatches(*argv):
+    """Exit code and mismatch list of one `verify ... --output json` run."""
+    code, out, err = run_cli("verify", *argv, "--output", "json")
+    assert err == ""
+    return code, json.loads(out)["mismatches"]
+
+
+def shifted_functional_layout(monkeypatch):
+    """Plant deg F_d + 1 for |d| >= 2 in the functional realization."""
+    real = algebra._functional_layout
+
+    def shifted(quiver, degree):
+        parts, deg_f = real(quiver, degree)
+        return parts, deg_f + (sum(degree) >= 2)
+
+    monkeypatch.setattr(algebra, "_functional_layout", shifted)
+
+
+def test_verify_gr_refuted_by_a_wrong_linked_quiver(tmp_path, monkeypatch):
+    paths = write_fleet(tmp_path)
+    for path in paths.values():
+        assert verify_mismatches("gr", str(path), "a", "b", "--order", "3") == (0, [])
+    real_link = algebra.link
+
+    def link_with_one_loop_too_many(quiver, a, b):
+        linked = real_link(quiver, a, b)
+        matrix = [list(row) for row in linked.matrix]
+        matrix[-1][-1] += 1
+        return Quiver(linked.vertices, tuple(map(tuple, matrix)))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algebra, "link", link_with_one_loop_too_many)
+        counts = {}
+        for name, path in paths.items():
+            code, mismatches = verify_mismatches("gr", str(path), "a", "b", "--order", "3")
+            assert code == 1
+            counts[name] = len(mismatches)
+    assert counts == {"A2": 22, "M2": 17, "MIX3": 27}
+    # a wrong functional dimension is caught by the relation-rank oracle
+    shifted_functional_layout(monkeypatch)
+    oracle = {}
+    for name, path in paths.items():
+        code, mismatches = verify_mismatches("gr", str(path), "a", "b", "--order", "3")
+        assert code == 1
+        oracle[name] = sum(m.get("kind") == "oracle" for m in mismatches)
+    assert oracle == {"A2": 7, "M2": 6, "MIX3": 15}
+
+
+def test_verify_poincare_refuted_by_a_shifted_functional_degree(tmp_path, monkeypatch):
+    paths = write_fleet(tmp_path)
+    for path in paths.values():
+        assert verify_mismatches("poincare", str(path), "--order", "3") == (0, [])
+    shifted_functional_layout(monkeypatch)
+    counts = {}
+    for name, path in paths.items():
+        code, mismatches = verify_mismatches("poincare", str(path), "--order", "3")
+        assert code == 1
+        counts[name] = len(mismatches)
+    assert counts == {"A2": 7, "M2": 7, "MIX3": 16}
+
+
+def test_series_of_a_quiver_with_a_thousand_vertices(tmp_path):
+    # one vertex per input vector entry, as a diagonalization at high order
+    # writes; enumerating its multidegrees must not recurse per vertex
+    n = 1050
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(n)],
+                                "matrix": [[i % 3 if i == j else 0 for j in range(n)]
+                                           for i in range(n)]}))
+    code, out, err = run_cli("series", str(path), "--order", "1", "--output", "json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["terms"]) == n + 1
+
+
+def test_algebra_dims_of_a_thousand_generators(tmp_path):
+    code, out, err = run_cli("algebra-dims", write_a2(tmp_path), "--degree", "1000,0",
+                             "--smax", "2", "--output", "json")
+    assert (code, err) == (0, "")
+    assert [c["dimension"] for c in json.loads(out)["components"]] == [1, 1, 2]
+
+
+def test_module_entry_point_passes_the_exit_status_through(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        os.path.dirname(os.path.dirname(quivercalc.__file__)),
+        os.environ.get("PYTHONPATH")))))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": [], "matrix": []}))
+
+    def module(*argv):
+        done = subprocess.run([sys.executable, "-m", "quivercalc", *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        return done.returncode, done.stdout, done.stderr
+
+    a2 = write_a2(tmp_path)
+    info = module("info", a2)
+    assert info == run_cli("info", a2)
+    assert info[0] == 0
+    code, out, err = module("dt", str(empty))
+    assert code == 1
+    assert err.startswith("dt: inconclusive")
+    code, out, err = module("info", str(tmp_path / "missing.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_algebra_dims_bad_degree(tmp_path):

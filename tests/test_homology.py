@@ -216,3 +216,23 @@ def test_blocks_match_dense_reference(monkeypatch, quiver, a, b, bound, composit
     assert ranked > 0
     assert composed == report.details["compositions_checked"]
     assert bool(nontrivial) == compositions
+
+
+def test_homology_refuted_without_the_koszul_sign(monkeypatch):
+    # a differential that forgets the Koszul sign of reordering its words
+    # leaves d^2 != 0 and wrong homology, but only from bound 4 on: at bound
+    # 3, the CLI default, neither quiver has a component that shows it
+    q12 = Quiver(("a", "b"), ((1, 2), (2, 1)))
+    signed = algebra.normalize_word
+
+    def unsigned(word, parities):
+        normal = signed(word, parities)
+        return None if normal is None else (1, normal[1])
+
+    monkeypatch.setattr(algebra, "normalize_word", unsigned)
+    kinds = [m.get("kind", "homology") for m in homology_check(MIX3, "a", "b", 4).mismatches]
+    assert (kinds.count("nonzero composition"), kinds.count("homology")) == (6, 8)
+    q12_report = homology_check(q12, "a", "b", 4)
+    assert [m["kind"] for m in q12_report.mismatches] == ["nonzero composition"]
+    assert homology_check(MIX3, "a", "b", 3).passed
+    assert homology_check(q12, "a", "b", 3).passed

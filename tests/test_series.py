@@ -409,6 +409,41 @@ def test_iter_multidegrees_graded_lex():
     assert list(iter_multidegrees(0, 3)) == [()]
 
 
+def recursive_multidegrees(nvars, max_total):
+    """The nested-generator enumeration iter_multidegrees replaced."""
+    if nvars == 0:
+        yield ()
+        return
+
+    def exact(total, slots):
+        if slots == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in exact(total - first, slots - 1):
+                yield (first,) + rest
+
+    for total in range(max_total + 1):
+        yield from exact(total, nvars)
+
+
+def test_iter_multidegrees_matches_the_recursive_enumeration():
+    for nvars in range(5):
+        for max_total in range(-1, 7):
+            assert (list(iter_multidegrees(nvars, max_total))
+                    == list(recursive_multidegrees(nvars, max_total))), (nvars, max_total)
+
+
+def test_iter_multidegrees_does_not_recurse_per_variable():
+    degs = iter_multidegrees(5000, 1)
+    assert next(degs) == (0,) * 5000
+    assert next(degs) == (0,) * 4999 + (1,)
+    count = 2
+    for d in degs:
+        count += 1
+    assert count == 5001 and d == (1,) + (0,) * 4999
+
+
 # -- the product kernel against a schoolbook reference ----------------------------
 
 def ref_laurent_mul(a, b, hi_cap=None):
