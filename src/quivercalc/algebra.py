@@ -23,7 +23,7 @@ algebra's dimensions; both statements are implemented as exact checks."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, perm
 from operator import add
 
@@ -35,7 +35,8 @@ from .series import (MultiSeries, TruncatedLaurent, iter_multidegrees,
                      partition_product_coeffs)
 from .motivic import default_window, motivic_series
 
-# A generator is the plain tuple (vertex index, k); monomials are tuples of
+# A generator is the tuple (vertex index, k), one shared tuple object per
+# generator within a basis (see _generator_row); monomials are tuples of
 # generators sorted by that key, which is the canonical basis order.
 
 
@@ -115,6 +116,14 @@ def component_basis(quiver, degree, hdeg):
     return [] if budget is None else list(_basis_monomials(quiver, degree, budget))
 
 
+@lru_cache(maxsize=256)
+def _generator_row(vertex, top):
+    """The generators (vertex, 0), ..., (vertex, top), indexed by level: every
+    basis at k-weight budget `top` takes its generators at `vertex` from this
+    one row, so equal generators are one object, not a tuple per monomial."""
+    return tuple((vertex, k) for k in range(top + 1))
+
+
 @lru_cache(maxsize=1024)
 def _basis_monomials(quiver, degree, budget):
     """The enumeration behind component_basis at total k-weight `budget`, as
@@ -126,6 +135,7 @@ def _basis_monomials(quiver, degree, budget):
     for pos, i in enumerate(used):
         strict = bool(generator_parity(quiver, i))
         last = pos == len(used) - 1
+        row = _generator_row(i, budget)
         words = {}  # share -> this vertex's generator tuples of that weight
         grown = {}
         for remaining, prefixes in partial.items():
@@ -134,7 +144,7 @@ def _basis_monomials(quiver, degree, budget):
                 tails = words.get(share)
                 if tails is None:
                     tails = words[share] = [
-                        tuple((i, k) for k in levels)
+                        tuple(map(row.__getitem__, levels))
                         for levels in _level_tuples(degree[i], share, strict)]
                 if tails:
                     grown.setdefault(remaining - share, []).extend(
@@ -155,7 +165,10 @@ def relation_rows(quiver, degree, hdeg):
     docstring), and the quotient basis and every reduction depend only on
     that span.  Each row is a sparse {basis position: nonzero int} dict;
     rows that cancel to zero are dropped.  Rows come in build order (vertex
-    pair, derivative order, relation degree, complement).
+    pair, derivative order, relation degree, complement), as a list.  A
+    pair fits the degree when it leaves a complement: d_i, d_j >= 1 for
+    i != j, d_i >= 2 for a loop pair i = j; when no pair with m_ij > 0
+    fits, the list is empty and nothing else is built.
 
     A term g(i, a) g(j, b) w, with w a canonical complement monomial, is
     looked up by an additive integer code.  With s the component's k-weight
@@ -176,87 +189,105 @@ def relation_rows(quiver, degree, hdeg):
     g(i, a) > g(j, b), and, for each odd generator of the pair, the odd
     generators of w below it (a bisection into w's odd generators).  The
     term vanishes when an odd generator of the pair equals the other one or
-    occurs in w."""
+    occurs in w.
+
+    In a loop pair (i = j) the terms b and total - b name one monomial, so
+    they are merged once per relation coefficient, before any complement,
+    into one term in the orientation total - b <= b: for odd generators
+    the swapped term enters with the sign of its transposition, and the
+    signs from w are the same for both.  A merged coefficient that cancels
+    is dropped: at p = 0 every one of an odd loop does, since
+    g(i, a) g(i, b) = -g(i, b) g(i, a).  The remaining terms of a
+    coefficient name distinct monomials, so no two of them meet in a row."""
     basis = component_basis(quiver, degree, hdeg)
-    if not basis:
+    m = quiver.matrix
+    support = [v for v in range(len(quiver)) if degree[v]]
+    pairs = [(i, j) for x, i in enumerate(support) for j in support[x:]
+             if m[i][j] and (i != j or degree[i] >= 2)]
+    if not basis or not pairs:
         return [], basis
     parities = tuple(generator_parity(quiver, v) for v in range(len(quiver)))
     budget = _k_budget(quiver, degree, hdeg)
-    n = len(quiver)
     width = max(degree).bit_length()
     stride = (budget + 1) * width
-    field = {(v, k): 1 << (v * stride + k * width)
-             for v in range(n) if degree[v] for k in range(budget + 1)}
+    field = {g: 1 << (v * stride + g[1] * width)
+             for v in support for g in _generator_row(v, budget)}
 
     def code(mon):
         return sum(map(field.__getitem__, mon))
 
     index = {code(mon): t for t, mon in enumerate(basis)}
     rows = []
-    for i in range(n):
-        for j in range(i, n):
-            m_ij = quiver.matrix[i][j]
-            if m_ij == 0:
-                continue
-            comp_degree = list(degree)
-            comp_degree[i] -= 1
-            comp_degree[j] -= 1
-            if comp_degree[i] < 0 or comp_degree[j] < 0:
-                continue
-            comp_degree = tuple(comp_degree)
-            odd_i, odd_j = parities[i], parities[j]
-            # complements of the relation coefficients of level sum `total`
-            # (generator levels a + b = total), of k-weight budget - total,
-            # each with its code and its odd generators
-            complements = []
-            for total in range(budget + 1):
-                complements.append([
-                    (code(w), tuple(g for g in w if parities[g[0]])
-                     if odd_i or odd_j else ())
-                    for w in _basis_monomials(quiver, comp_degree, budget - total)])
-            for p in range(m_ij):
-                for total in range(p, budget + 1):
-                    if not complements[total]:
-                        continue
+    for i, j in pairs:
+        comp_degree = list(degree)
+        comp_degree[i] -= 1
+        comp_degree[j] -= 1
+        comp_degree = tuple(comp_degree)
+        odd_i, odd_j = parities[i], parities[j]
+        # complements of the relation coefficients of level sum `total`
+        # (generator levels a + b = total), of k-weight budget - total,
+        # each with its code and its odd generators
+        complements = []
+        for total in range(budget + 1):
+            complements.append([
+                (code(w), tuple(g for g in w if parities[g[0]])
+                 if odd_i or odd_j else ())
+                for w in _basis_monomials(quiver, comp_degree, budget - total)])
+        for p in range(m[i][j]):
+            for total in range(p, budget + 1):
+                if not complements[total]:
+                    continue
+                if i != j:
+                    terms = [(perm(b, p), (i, total - b), (j, b))
+                             for b in range(p, total + 1)]
+                else:
                     terms = []
-                    for b in range(p, total + 1):
+                    for b in range(max(p, (total + 1) // 2), total + 1):
+                        a = total - b
                         c = perm(b, p)
-                        ga, gb = (i, total - b), (j, b)
-                        if odd_i and odd_j:
-                            if ga == gb:
-                                continue
-                            if ga > gb:
-                                c = -c
-                        terms.append((c, ga, gb, field[ga] + field[gb]))
-                    for cw, odd in complements[total]:
-                        row = {}
-                        for c, ga, gb, pair in terms:
+                        if a == b:
                             if odd_i:
-                                x = bisect_left(odd, ga)
-                                if x < len(odd) and odd[x] == ga:
-                                    continue
-                                if x & 1:
-                                    c = -c
-                            if odd_j:
-                                x = bisect_left(odd, gb)
-                                if x < len(odd) and odd[x] == gb:
-                                    continue
-                                if x & 1:
-                                    c = -c
-                            t = index[cw + pair]
-                            x = row.get(t, 0) + c
-                            if x:
-                                row[t] = x
-                            else:
-                                del row[t]
-                        if row:
-                            rows.append(row)
+                                continue  # an odd generator squared
+                        elif a >= p:
+                            # the term b' = a names g(i, b) g(i, a)
+                            c += -perm(a, p) if odd_i else perm(a, p)
+                        if c:
+                            terms.append((c, (i, a), (i, b)))
+                if not terms:
+                    continue
+                terms = [(c, ga, gb, field[ga] + field[gb]) for c, ga, gb in terms]
+                if not (odd_i or odd_j):
+                    rows.extend({index[cw + pair]: c for c, _, _, pair in terms}
+                                for cw, _ in complements[total])
+                    continue
+                # odd generators: signs from w, and terms that vanish in it
+                for cw, odd in complements[total]:
+                    row = {}
+                    for c, ga, gb, pair in terms:
+                        if odd_i:
+                            x = bisect_left(odd, ga)
+                            if x < len(odd) and odd[x] == ga:
+                                continue
+                            if x & 1:
+                                c = -c
+                        if odd_j:
+                            x = bisect_left(odd, gb)
+                            if x < len(odd) and odd[x] == gb:
+                                continue
+                            if x & 1:
+                                c = -c
+                        row[index[cw + pair]] = c
+                    if row:
+                        rows.append(row)
     return rows, basis
 
 
 class AlgebraComponent:
     """One (degree, hdeg) component: monomial basis, echelonized relations,
-    quotient basis (non-pivot monomials), and exact dimension."""
+    quotient basis (non-pivot monomials), and exact dimension.  The
+    {monomial: basis position} index and the quotient coordinates of the
+    non-pivot positions are built on the first reduce, since only the
+    targets of the unlinking differential are ever reduced."""
 
     def __init__(self, quiver, degree, hdeg):
         self.quiver = quiver
@@ -264,7 +295,6 @@ class AlgebraComponent:
         self.hdeg = hdeg
         rows, basis = relation_rows(quiver, self.degree, hdeg)
         self.basis = basis
-        self.index = {mon: t for t, mon in enumerate(basis)}
         self.echelon = IntegerEchelon()
         # sparsest rows first (the pivot order of structured Gaussian
         # elimination) keeps fill-in low; the pivot columns and reductions
@@ -274,20 +304,30 @@ class AlgebraComponent:
             if self.echelon.rank == len(basis):
                 break
             self.echelon.add_row(row)
-        free = [t for t in range(len(basis)) if t not in self.echelon.pivots]
-        self.quotient_basis = [basis[t] for t in free]
-        # basis position of each non-pivot monomial -> its quotient coordinate
-        self.quotient_index = {t: j for j, t in enumerate(free)}
-        self.dim = len(free)
+        pivots = self.echelon.pivots
+        self.quotient_basis = [mon for t, mon in enumerate(basis) if t not in pivots]
+        self.dim = len(self.quotient_basis)
+
+    @cached_property
+    def index(self):
+        return {mon: t for t, mon in enumerate(self.basis)}
+
+    @cached_property
+    def quotient_index(self):
+        """Basis position of each non-pivot monomial -> its quotient
+        coordinate."""
+        index = self.index
+        return {index[mon]: j for j, mon in enumerate(self.quotient_basis)}
 
     def reduce(self, combo):
         """Quotient coordinates of a linear combination of monomials, given
         as a dict monomial -> coefficient, as a sparse {quotient coordinate:
         nonzero value} dict; empty when the combination lies in the span of
         the relations."""
+        index = self.index
         vec = {}
         for mon, c in combo.items():
-            t = self.index[mon]
+            t = index[mon]
             vec[t] = vec.get(t, 0) + c
         coordinate = self.quotient_index
         return {coordinate[t]: x
@@ -329,15 +369,16 @@ def functional_dimension(quiver, degree, hdeg):
 def _functional_layout(quiver, degree):
     """(parts, deg F_d) of the functional realization of degree d: the
     dimension at k-weight s is the coefficient of t^(s - deg F_d) in the
-    product of 1/(1 - t^r) over the sorted parts r = 1..d_i of every i."""
-    n = len(quiver)
+    product of 1/(1 - t^r) over the sorted parts r = 1..d_i of every i.
+    Only vertices with d_i > 0 contribute, so only their pairs are visited."""
     m = quiver.matrix
+    support = [i for i in range(len(quiver)) if degree[i]]
     deg_f = 0
-    for i in range(n):
+    for x, i in enumerate(support):
         deg_f += m[i][i] * comb(degree[i], 2)
-        for j in range(i + 1, n):
+        for j in support[x + 1:]:
             deg_f += m[i][j] * degree[i] * degree[j]
-    parts = tuple(sorted(r for i in range(n) for r in range(1, degree[i] + 1)))
+    parts = tuple(sorted(r for i in support for r in range(1, degree[i] + 1)))
     return parts, deg_f
 
 

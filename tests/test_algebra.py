@@ -190,6 +190,21 @@ def test_component_basis_returns_fresh_list():
     assert maxsize is not None and 0 < maxsize <= 4096
 
 
+def test_bases_share_one_tuple_per_generator():
+    # every basis at one k-weight budget takes its generators from one row
+    # per vertex, so equal generators are one object, in the quotient basis too
+    comp = AlgebraComponent(M2, (2, 3), -30)
+    checked = 0
+    for monomials in (comp.basis, comp.quotient_basis,
+                      component_basis(MIX3, (2, 1, 2), hdeg_of(MIX3, (2, 1, 2), 6))):
+        generators = [g for mon in monomials for g in mon]
+        assert len({id(g) for g in generators}) == len(set(generators))
+        checked += len(generators) > len(set(generators))
+    assert checked == 3
+    maxsize = algebra._generator_row.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
+
+
 # -- relation rows -------------------------------------------------------------------
 
 def test_two_loop_relation_at_bottom():
@@ -252,6 +267,24 @@ def test_quotient_basis_and_reduce():
     # reducing the relation itself gives the zero vector
     reduced = comp.reduce({((0, 0), (0, 2)): 2, ((0, 1), (0, 1)): 1})
     assert reduced == {}
+
+
+def test_reduce_on_a_component_never_reduced_before():
+    rng = random.Random(496)
+    for quiver, degree, h in ((M2, (2, 3), -30),
+                              (MIX3, (2, 1, 2), hdeg_of(MIX3, (2, 1, 2), 8))):
+        comp = AlgebraComponent(quiver, degree, h)
+        assert 0 < comp.dim < len(comp.basis)
+        # the maps reduce reads are built by its first call, not by the constructor
+        assert not {"index", "quotient_index"} & vars(comp).keys()
+        free = [t for t in range(len(comp.basis)) if t not in comp.echelon.pivots]
+        for j, mon in enumerate(comp.quotient_basis):
+            assert comp.reduce({mon: 3}) == {j: 3}
+        for _ in range(20):
+            combo = {mon: rng.randint(-3, 3) for mon in rng.sample(comp.basis, 4)}
+            reduced = comp.echelon.reduce_vector(
+                {comp.basis.index(mon): c for mon, c in combo.items()})
+            assert comp.reduce(combo) == {free.index(t): x for t, x in reduced.items()}
 
 
 # -- relation systems: one-sided (built), extended, stated ---------------------------
@@ -368,9 +401,38 @@ def _ref_relation_rows(quiver, degree, hdeg, system):
     return rows, basis
 
 
+def _relation_cases(quiver, degree, hdeg):
+    """Which special cases of relation_rows one component reaches: "merged"
+    when a loop pair has two terms b != total - b, both >= p, over a
+    nonempty complement; "cancelled" when such a pair is odd at p = 0, where
+    g(i, a) g(i, b) + g(i, b) g(i, a) = 0; "nothing fits" when the basis is
+    nonempty and no pair with m_ij > 0 leaves a complement."""
+    m = quiver.matrix
+    n = len(quiver)
+    cases = set()
+    if not component_basis(quiver, degree, hdeg):
+        return cases
+    if not any(m[i][j] and degree[i] >= 1 + (i == j) and degree[j] >= 1
+               for i in range(n) for j in range(i, n)):
+        cases.add("nothing fits")
+    budget = (-hdeg - loop_weight(quiver, degree)) // 2
+    for i in range(n):
+        if not m[i][i] or degree[i] < 2:
+            continue
+        comp = tuple(x - 2 * (v == i) for v, x in enumerate(degree))
+        for p in range(m[i][i]):
+            for total in range(2 * p + 1, budget + 1):
+                if component_basis(quiver, comp, hdeg_of(quiver, comp, budget - total)):
+                    cases.add("merged")
+                    if m[i][i] % 2 and p == 0:
+                        cases.add("cancelled")
+    return cases
+
+
 def test_relation_rows_match_normalize_word_reference():
     rng = random.Random(8128)
     compared = set()
+    cases = set()
     top_degrees = set()
     multiplicities = set()
     for trial in range(160):
@@ -394,6 +456,9 @@ def test_relation_rows_match_normalize_word_reference():
         rows, basis = relation_rows(quiver, degree, h)
         assert (rows, basis) == _ref_relation_rows(quiver, degree, h, "one-sided"), \
             (m, degree, h)
+        # the benchmark's rows counter takes the length of the rows
+        assert isinstance(rows, list)
+        cases |= _relation_cases(quiver, degree, h)
         if rows:
             top_degrees.add(max(degree))
             multiplicities.update(max(mon.count(g) for g in mon) for mon in basis)
@@ -402,6 +467,7 @@ def test_relation_rows_match_normalize_word_reference():
             signed = any(x < 0 for row in rows for x in row.values())
             compared.add((odd, signed))
     assert compared >= {(False, False), (True, True)}
+    assert cases == {"merged", "cancelled", "nothing fits"}
     # a degree-8 component, and a generator of multiplicity 4 in a 3-bit field
     assert 8 in top_degrees and 4 in multiplicities
     # every level up to 10 of the two-loop vertex at degrees 4 and 8: a
@@ -607,6 +673,34 @@ def test_feed_order_keeps_quotient_and_reductions():
                                            for mon, c in combo.items()})
             assert comp.reduce(combo) == {j: reduced[t] for j, t in enumerate(free)
                                           if t in reduced}
+
+
+def _all_pairs_layout(quiver, degree):
+    """_functional_layout summed over every vertex pair, d_i = 0 or not."""
+    n = len(quiver)
+    m = quiver.matrix
+    deg_f = sum(m[i][i] * math.comb(degree[i], 2) for i in range(n))
+    deg_f += sum(m[i][j] * degree[i] * degree[j]
+                 for i in range(n) for j in range(i + 1, n))
+    parts = tuple(sorted(r for i in range(n) for r in range(1, degree[i] + 1)))
+    return parts, deg_f
+
+
+def test_functional_layout_matches_the_all_pairs_sum():
+    rng = random.Random(1729)
+    with_zeros = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(0, 3)
+        quiver = Quiver(tuple(f"v{k}" for k in range(n)), tuple(map(tuple, m)))
+        degree = tuple(rng.choice((0, 0, 1, 2, 4)) for _ in range(n))
+        assert algebra._functional_layout(quiver, degree) == \
+            _all_pairs_layout(quiver, degree), (m, degree)
+        with_zeros += 0 in degree and any(degree)
+    assert with_zeros > 100
 
 
 # -- series-level identities -----------------------------------------------------------

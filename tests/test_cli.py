@@ -775,6 +775,19 @@ def test_series_of_a_quiver_with_a_thousand_vertices(tmp_path):
     assert len(json.loads(out)["terms"]) == n + 1
 
 
+def test_verify_poincare_on_a_quiver_with_a_thousand_vertices(tmp_path):
+    # each multidegree's functional layout visits only the vertices it uses,
+    # not every vertex pair
+    n = 1000
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(n)],
+                                "matrix": [[i % 3 if i == j else 0 for j in range(n)]
+                                           for i in range(n)]}))
+    code, out, err = run_cli("verify", "poincare", str(path), "--order", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("PASS poincare-series-identity")
+
+
 def test_algebra_dims_of_a_thousand_generators(tmp_path):
     code, out, err = run_cli("algebra-dims", write_a2(tmp_path), "--degree", "1000,0",
                              "--smax", "2", "--output", "json")
