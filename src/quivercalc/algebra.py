@@ -109,11 +109,18 @@ def component_basis(quiver, degree, hdeg):
     """Monomial basis of the free supercommutative layer in one bidegree:
     all canonical generator words with degree[i] generators at vertex i and
     total homological degree hdeg, as a fresh list in canonical order."""
-    degree = tuple(degree)
-    if len(degree) != len(quiver) or any(x < 0 for x in degree):
-        raise ValueError(f"bad dimension vector {degree}")
+    degree = _checked_degree(quiver, degree)
     budget = _k_budget(quiver, degree, hdeg)
     return [] if budget is None else list(_basis_monomials(quiver, degree, budget))
+
+
+def _checked_degree(quiver, degree):
+    """degree as a tuple; ValueError unless it is a dimension vector of
+    quiver (one entry per vertex, none negative)."""
+    degree = tuple(degree)
+    if len(degree) != len(quiver.vertices) or (degree and min(degree) < 0):
+        raise ValueError(f"bad dimension vector {degree}")
+    return degree
 
 
 @lru_cache(maxsize=256)
@@ -287,7 +294,9 @@ class AlgebraComponent:
     quotient basis (non-pivot monomials), and exact dimension.  The
     {monomial: basis position} index and the quotient coordinates of the
     non-pivot positions are built on the first reduce, since only the
-    targets of the unlinking differential are ever reduced."""
+    targets of the unlinking differential are ever reduced.  A zero quotient
+    (dim == 0) keeps no echelon: every combination reduces to {}, so its
+    pivot rows are dropped once the dimension is known."""
 
     def __init__(self, quiver, degree, hdeg):
         self.quiver = quiver
@@ -307,6 +316,8 @@ class AlgebraComponent:
         pivots = self.echelon.pivots
         self.quotient_basis = [mon for t, mon in enumerate(basis) if t not in pivots]
         self.dim = len(self.quotient_basis)
+        if not self.dim:
+            self.echelon = None
 
     @cached_property
     def index(self):
@@ -324,6 +335,8 @@ class AlgebraComponent:
         as a dict monomial -> coefficient, as a sparse {quotient coordinate:
         nonzero value} dict; empty when the combination lies in the span of
         the relations."""
+        if not self.dim:
+            return {}
         index = self.index
         vec = {}
         for mon, c in combo.items():
@@ -341,13 +354,22 @@ def _cached_component(quiver, degree, hdeg):
 
 def algebra_component(quiver, degree, hdeg):
     """Component constructor behind a bounded cache of the most recently
-    used 2048 components."""
+    used 2048 components, with their pivot rows, for callers that reduce
+    into them (unlink_differential).  Callers that only read the dimension
+    use component_dimension, which keeps no component."""
     return _cached_component(quiver, tuple(degree), hdeg)
 
 
+@lru_cache(maxsize=4096)
+def _cached_dimension(quiver, degree, hdeg):
+    return AlgebraComponent(quiver, degree, hdeg).dim
+
+
 def component_dimension(quiver, degree, hdeg):
-    """Exact dimension: monomial count minus relation rank."""
-    return algebra_component(quiver, degree, hdeg).dim
+    """Exact dimension: monomial count minus relation rank.  The component
+    is built, read and let go; only the int is kept, behind a bounded cache
+    of the most recently used 4096 dimensions."""
+    return _cached_dimension(quiver, tuple(degree), hdeg)
 
 
 def functional_dimension(quiver, degree, hdeg):
@@ -356,6 +378,7 @@ def functional_dimension(quiver, degree, hdeg):
     (z_{i,r} - z_{j,s})^{m_ij} factors, Lambda_d the multisymmetric
     polynomials; so the dimension is the coefficient of t^(s - deg F_d) in
     prod_i prod_{r=1..d_i} 1/(1 - t^r), with s the forced total k-weight."""
+    degree = _checked_degree(quiver, degree)
     s = _k_budget(quiver, degree, hdeg)
     if s is None:
         return 0

@@ -250,6 +250,16 @@ def test_functional_dimension_examples():
     assert functional_dimension(two, (2,), 2) == 0
 
 
+@pytest.mark.parametrize("degree", [(1, 1, 5), (1, -1), [1, -1], ()])
+def test_functional_dimension_rejects_bad_vectors(degree):
+    # an extra entry was ignored and a negative one failed inside math.comb
+    message = f"bad dimension vector {tuple(degree)}"
+    for count in (functional_dimension, component_basis, component_dimension):
+        with pytest.raises(ValueError) as err:
+            count(M2, degree, -4)
+        assert str(err.value) == message
+
+
 def test_oracle_equivalence_fleet():
     for quiver in FLEET:
         from quivercalc.series import iter_multidegrees
@@ -258,6 +268,25 @@ def test_oracle_equivalence_fleet():
                 h = hdeg_of(quiver, d, s)
                 assert component_dimension(quiver, d, h) == \
                     functional_dimension(quiver, d, h), (quiver.vertices, d, h)
+
+
+def test_component_dimension_keeps_no_component():
+    # dimension readers keep the int; only reducing callers cache components
+    before = algebra._cached_component.cache_info()
+    compared = 0
+    # both sweeps reach a few nonzero levels past their zero ones
+    for quiver, degree, top in ((M2, (3, 3), 19), (MIX3, (1, 2, 2), 13)):
+        for s in range(top + 1):
+            h = hdeg_of(quiver, degree, s)
+            dim = component_dimension(quiver, degree, h)
+            assert dim == component_dimension(quiver, list(degree), h)
+            assert dim == AlgebraComponent(quiver, degree, h).dim, (degree, s)
+            compared += dim > 0
+    assert compared == 5
+    # no lookup either: hits, misses and size are all unchanged
+    assert algebra._cached_component.cache_info() == before
+    maxsize = algebra._cached_dimension.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4096
 
 
 def test_quotient_basis_and_reduce():
@@ -285,6 +314,22 @@ def test_reduce_on_a_component_never_reduced_before():
             reduced = comp.echelon.reduce_vector(
                 {comp.basis.index(mon): c for mon, c in combo.items()})
             assert comp.reduce(combo) == {free.index(t): x for t, x in reduced.items()}
+
+
+@pytest.mark.parametrize("degree, s", [((1, 1), 0), ((2, 2), 7)])
+def test_zero_quotient_keeps_no_pivot_rows(degree, s):
+    rng = random.Random(2024 + s)
+    h = hdeg_of(M2, degree, s)
+    comp = AlgebraComponent(M2, degree, h)
+    basis = component_basis(M2, degree, h)
+    assert comp.dim == 0 and comp.quotient_basis == [] and basis
+    assert comp.echelon is None
+    for mon in basis:
+        assert comp.reduce({mon: 5}) == {}
+    for _ in range(20):
+        combo = {mon: rng.randint(-9, 9) for mon in rng.sample(basis, min(4, len(basis)))}
+        assert comp.reduce(combo) == {}
+    assert not {"index", "quotient_index"} & vars(comp).keys()
 
 
 # -- relation systems: one-sided (built), extended, stated ---------------------------

@@ -114,6 +114,31 @@ def test_homology_with_compositions_bound4():
     assert report.details["compositions_checked"] > 0
 
 
+def test_homology_with_zero_quotients_bound4(monkeypatch):
+    # chain components with dim 0 keep no pivot rows; the checks read as they
+    # did when those components kept their echelons
+    components = []
+    lookup = algebra.algebra_component
+
+    def recording_lookup(*key):
+        components.append(lookup(*key))
+        return components[-1]
+
+    monkeypatch.setattr(algebra, "algebra_component", recording_lookup)
+    expected = {
+        M2: (198, 9, [[0, 1, 1], [1, 0, 1], [1, 1, 3]]),
+        MIX3: (414, 9, [[1, 0, 0, 1], [0, 0, 2, 0], [0, 2, 1, 2], [1, 0, 2, 2]])}
+    for quiver, (checked, composed, matrix) in expected.items():
+        report = homology_check(quiver, "a", "b", 4)
+        assert report.passed, report.summary()
+        details = report.details
+        assert (details["components_checked"], details["compositions_checked"],
+                details["unlinked_quiver"]["matrix"]) == (checked, composed, matrix)
+    zero = [comp for comp in components if comp.basis and not comp.dim]
+    assert zero and all(comp.echelon is None for comp in zero)
+    assert any(comp.echelon is not None for comp in components)
+
+
 def test_homology_matches_component_dimension_directly():
     # H_0 at (1,1): (k+1) chain monomials minus the rank-1 star image
     for k in range(4):
