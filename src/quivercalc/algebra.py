@@ -299,10 +299,7 @@ class AlgebraComponent:
     pivot rows are dropped once the dimension is known."""
 
     def __init__(self, quiver, degree, hdeg):
-        self.quiver = quiver
-        self.degree = tuple(degree)
-        self.hdeg = hdeg
-        rows, basis = relation_rows(quiver, self.degree, hdeg)
+        rows, basis = relation_rows(quiver, tuple(degree), hdeg)
         self.basis = basis
         self.echelon = IntegerEchelon()
         # sparsest rows first (the pivot order of structured Gaussian
@@ -332,9 +329,9 @@ class AlgebraComponent:
 
     def reduce(self, combo):
         """Quotient coordinates of a linear combination of monomials, given
-        as a dict monomial -> coefficient, as a sparse {quotient coordinate:
-        nonzero value} dict; empty when the combination lies in the span of
-        the relations."""
+        as a dict monomial -> int coefficient, as a sparse {quotient
+        coordinate: nonzero value} dict; empty when the combination lies in
+        the span of the relations."""
         if not self.dim:
             return {}
         index = self.index
@@ -514,13 +511,12 @@ class DifferentialBlock:
     """The unlinking differential restricted to one star-count slice, as an
     exact sparse matrix from the c-slice quotient basis to the (c-1)-slice
     one: columns[j] is the image of source quotient coordinate j, as a
-    {target quotient coordinate: nonzero value} dict."""
+    {target quotient coordinate: nonzero value} dict, so source_dim is the
+    column count; target_dim is the dimension of the (c-1)-slice."""
 
-    def __init__(self, source_key, target_key, columns, source_dim, target_dim):
-        self.source_key = source_key
-        self.target_key = target_key
+    def __init__(self, columns, target_dim):
         self.columns = columns
-        self.source_dim = source_dim
+        self.source_dim = len(columns)
         self.target_dim = target_dim
 
     def rank(self):
@@ -584,11 +580,8 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
     parities = tuple(generator_parity(unlinked, v) for v in range(len(unlinked)))
     src_degree = _uncollapsed_degree(degree, ia, ib, c)
     source = algebra_component(unlinked, src_degree, big_h - c)
-    source_key = {"degree": list(degree), "H": big_h, "c": c}
-    target_key = {"degree": list(degree), "H": big_h, "c": c - 1}
     if c == 0:
-        return DifferentialBlock(source_key, target_key,
-                                 [{} for _ in range(source.dim)], source.dim, 0)
+        return DifferentialBlock([{} for _ in range(source.dim)], 0)
     tgt_degree = _uncollapsed_degree(degree, ia, ib, c - 1)
     target = algebra_component(unlinked, tgt_degree, big_h - c + 1)
     p = m_ab - 1
@@ -610,8 +603,7 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
                     image[w] = image.get(w, 0) + val
             prefix_parity ^= parities[v]
         columns.append(target.reduce(image))
-    return DifferentialBlock(source_key, target_key, columns,
-                             source.dim, target.dim)
+    return DifferentialBlock(columns, target.dim)
 
 
 def homology_check(quiver, a, b, bound, s_max=8):

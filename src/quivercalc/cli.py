@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Every subcommand loads a quiver from JSON, computes or verifies, and prints
+Every subcommand reads a quiver from JSON, computes or verifies, and prints
 either human-readable text or canonical JSON (sorted keys, two-space indent,
 no timing data) so identical invocations produce byte-identical output.
-Each handler `cmd_*(args, err)` returns (payload, lines, status): a
+`main` loads the quiver once for every subcommand, after the bound checks,
+and checks the vertex pair a b against it where the subcommand reads one.
+Each handler `cmd_*(quiver, args, err)` returns (payload, lines, status): a
 zero-argument callable that builds the JSON payload, an iterable of text
 lines without newlines, and the exit status.  `main` alone reads --output
 and writes stdout, so a request that exits 2 writes nothing there, and it
@@ -18,7 +20,7 @@ input errors: argparse usage errors, an option or vertex labels a verify
 target does not read among them, reported before any file is read; missing,
 unreadable or malformed files, unknown vertex labels, a window given by one
 bound only or an empty one, orders, guards or level-weight bounds below
-their minimum.
+their minimum, which are also reported before any file is read.
 
 `main` returns that status, for argparse usage errors (2) and --help (0)
 too, and writes only to the streams it is given.  It may be called any
@@ -105,8 +107,7 @@ def _matrix_lines(quiver):
 # The payload is a callable and lines that cost anything to format come
 # from a generator, so main builds only the form that --output asks for.
 
-def cmd_info(args, err):
-    quiver = _load(Quiver.load, args.quiver)
+def cmd_info(quiver, args, err):
     return (lambda: {"vertices": list(quiver.vertices),
                      "matrix": [list(r) for r in quiver.matrix],
                      "loops": {v: quiver.loops(v) for v in quiver.vertices},
@@ -114,8 +115,7 @@ def cmd_info(args, err):
             [f"vertices: {', '.join(quiver.vertices)}", *_matrix_lines(quiver)], 0)
 
 
-def cmd_series(args, err):
-    quiver = _load(Quiver.load, args.quiver)
+def cmd_series(quiver, args, err):
     window = _window(args) or default_window(args.order, quiver.max_loops())
     series = motivic_series(quiver, args.order, window)
 
@@ -127,8 +127,7 @@ def cmd_series(args, err):
     return series.to_json, lines(), 0
 
 
-def cmd_dt(args, err):
-    quiver = _load(Quiver.load, args.quiver)
+def cmd_dt(quiver, args, err):
     window = dt_window(quiver, args.order, args.guard)
     result = dt_extract(motivic_series(quiver, args.order, window), guard=args.guard)
     # dt_check needs every degree stable, then checks positivity and that
@@ -156,10 +155,8 @@ def cmd_dt(args, err):
     return result.to_json, lines(), 1 if reason else 0
 
 
-def cmd_transform(args, err):
+def cmd_transform(quiver, args, err):
     """link or unlink, as args.op; args.command names it."""
-    quiver = _load(Quiver.load, args.quiver)
-    _check_vertices(quiver, args.a, args.b)
     try:
         transformed = args.op(quiver, args.a, args.b)
     except ValueError as exc:
@@ -173,8 +170,7 @@ def cmd_transform(args, err):
              *_matrix_lines(transformed)], 0)
 
 
-def cmd_diagonalize(args, err):
-    quiver = _load(Quiver.load, args.quiver)
+def cmd_diagonalize(quiver, args, err):
     result = diagonalize(quiver, args.order, _conventions(args))
     if args.outfile:
         _save_quiver(result.diagonal_quiver(), args.outfile)
@@ -187,8 +183,7 @@ def cmd_diagonalize(args, err):
     return result.to_json, lines(), 0
 
 
-def cmd_algebra_dims(args, err):
-    quiver = _load(Quiver.load, args.quiver)
+def cmd_algebra_dims(quiver, args, err):
     try:
         degree = tuple(int(part) for part in args.degree.split(","))
     except ValueError:
@@ -237,12 +232,9 @@ _VERIFY = {
 }
 
 
-def cmd_verify(args, err):
-    quiver = _load(Quiver.load, args.quiver)
-    if args.pair:
-        _check_vertices(quiver, args.a, args.b)
-        if args.a == args.b:
-            _fail("vertex pair must be distinct")
+def cmd_verify(quiver, args, err):
+    if "a" in args and args.a == args.b:
+        _fail("vertex pair must be distinct")
     try:
         report = args.check(quiver, args)
     except ValueError as exc:
@@ -345,7 +337,7 @@ def build_parser():
         if "calibrate" in reads:
             sub.add_argument("--calibrate", action="store_true",
                              help="also scan substitution constants q^(k/2), k=-2..2")
-        sub.set_defaults(handler=cmd_verify, parser=sub, pair=pair, check=check)
+        sub.set_defaults(handler=cmd_verify, parser=sub, check=check)
 
     return parser
 
@@ -367,7 +359,10 @@ def main(argv=None, out=None, err=None):
             value = getattr(args, name)
             if value is not None and value < low:
                 _fail(f"--{name} must be >= {low}, got {value}")
-        payload, lines, status = args.handler(args, err)
+        quiver = _load(Quiver.load, args.quiver)
+        if "a" in args:
+            _check_vertices(quiver, args.a, args.b)
+        payload, lines, status = args.handler(quiver, args, err)
         if args.output == "json":
             out.write(json.dumps(payload(), sort_keys=True, indent=2) + "\n")
         else:

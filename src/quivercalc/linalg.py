@@ -7,14 +7,15 @@ stay integral.  A row is divided by its content only when it becomes a
 pivot, so every stored pivot is primitive with a positive lead.  Every
 matrix is sparse: rows are fed as {column: nonzero int} dicts and pivot
 rows are stored the same way, so elimination costs the nonzeros of the two
-rows involved rather than the column count.  External {column: value}
+rows involved rather than the column count.  External {column: int}
 vectors are reduced the same way: integer numerators over one common
 denominator, visiting only the pivot columns they reach, so rationals
-appear only in the result.  Callers that know the column count can stop
-feeding rows once the rank reaches it: every further row reduces to zero.
-Feeding the sparsest rows first keeps fill-in low.  The pivot column set is
-canonical (it depends only on the row space, not on the feed order), which
-makes quotient bases deterministic."""
+appear only in the result.  Only rank_of_rows takes rational rows; it
+clears their denominators before feeding them.  Callers that know the
+column count can stop feeding rows once the rank reaches it: every further
+row reduces to zero.  Feeding the sparsest rows first keeps fill-in low.
+The pivot column set is canonical (it depends only on the row space, not
+on the feed order), which makes quotient bases deterministic."""
 
 from __future__ import annotations
 
@@ -79,18 +80,17 @@ class IntegerEchelon:
         return len(self.pivots)
 
     def reduce_vector(self, vec):
-        """Eliminate all pivot columns from a sparse {column: int or
-        Fraction} vector; the result is the canonical representative
-        supported on non-pivot columns, as a dict of its nonzero entries,
-        with ints where a value is integral and Fractions elsewhere.
+        """Eliminate all pivot columns from a sparse {column: int} vector;
+        the result is the canonical representative supported on non-pivot
+        columns, as a dict of its nonzero entries, with ints where a value
+        is integral and Fractions elsewhere.
 
-        Denominators are cleared once; the pivot columns the vector reaches
-        are then visited in increasing order from a heap, each step scaling
-        the integer numerators and their common denominator by the pivot's
-        reduced leading entry."""
-        den = lcm(*(x.denominator for x in vec.values()))
-        num = {k: x.numerator * (den // x.denominator)
-               for k, x in vec.items() if x}
+        The pivot columns the vector reaches are visited in increasing
+        order from a heap, each step scaling the integer numerators and
+        their common denominator (1 at the start) by the pivot's reduced
+        leading entry."""
+        den = 1
+        num = {k: x for k, x in vec.items() if x}
         pivots = self.pivots
         heap = [k for k in num if k in pivots]
         heapify(heap)

@@ -153,35 +153,33 @@ def add_fresh_vertex(m, ia, ib, unlinking):
     m.append(row + [loop])
 
 
-def _pair_indices(quiver, a, b, op):
+def _move(quiver, a, b, unlinking):
+    """The body of link and unlink: a fresh vertex '<a>+<b>#<n>', or
+    '<a>*<b>#<n>' when unlinking, wired by add_fresh_vertex."""
+    op, sep = ("unlink", "*") if unlinking else ("link", "+")
     ia = quiver.index(a)
     ib = quiver.index(b)
     if ia == ib:
         raise ValueError(f"{op} requires two distinct vertices, got {a!r} twice")
-    return ia, ib
+    if unlinking and quiver.matrix[ia][ib] < 1:
+        raise ValueError(f"unlink requires at least one arrow between {a!r} and {b!r}")
+    m = [list(row) for row in quiver.matrix]
+    add_fresh_vertex(m, ia, ib, unlinking)
+    label = fresh_label(quiver.vertices, f"{a}{sep}{b}")
+    return Quiver(quiver.vertices + (label,), tuple(tuple(row) for row in m))
 
 
 def link(quiver, a, b):
     """Add one arrow between a and b and a fresh vertex '<a>+<b>#<n>' wired
     so the motivic series is preserved under the linking substitution (see
     add_fresh_vertex)."""
-    ia, ib = _pair_indices(quiver, a, b, "link")
-    m = [list(row) for row in quiver.matrix]
-    add_fresh_vertex(m, ia, ib, unlinking=False)
-    label = fresh_label(quiver.vertices, f"{a}+{b}")
-    return Quiver(quiver.vertices + (label,), tuple(tuple(row) for row in m))
+    return _move(quiver, a, b, unlinking=False)
 
 
 def unlink(quiver, a, b):
     """Remove one arrow between a and b (requires at least one) and add a
     fresh vertex '<a>*<b>#<n>' absorbing it (see add_fresh_vertex)."""
-    ia, ib = _pair_indices(quiver, a, b, "unlink")
-    if quiver.matrix[ia][ib] < 1:
-        raise ValueError(f"unlink requires at least one arrow between {a!r} and {b!r}")
-    m = [list(row) for row in quiver.matrix]
-    add_fresh_vertex(m, ia, ib, unlinking=True)
-    label = fresh_label(quiver.vertices, f"{a}*{b}")
-    return Quiver(quiver.vertices + (label,), tuple(tuple(row) for row in m))
+    return _move(quiver, a, b, unlinking=True)
 
 
 def disjoint_union(q1, q2):

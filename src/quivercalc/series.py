@@ -617,13 +617,13 @@ class MultiSeries:
             (d, c) for terms in (self.terms, other.terms)
             for d, c in terms.items() if sum(d) <= cap))
 
-    def mul(self, other, hi_cap=None):
+    def mul(self, other):
         self._require_same_vertices(other)
         cap = min(self.cap, other.cap)
         window = (min(self.window[0], other.window[0]),
                   min(self.window[1], other.window[1]))
         return MultiSeries(self.vertices, cap, window,
-                           _convolve(self.terms.items(), other.terms.items(), cap, hi_cap))
+                           _convolve(self.terms.items(), other.terms.items(), cap, None))
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):

@@ -174,6 +174,27 @@ def test_verify_pair_target_without_labels_exits_two(tmp_path):
         assert "usage:" in err and "no such file" not in err
 
 
+@pytest.mark.parametrize("command", [("link",), ("unlink",),
+                                     *(("verify", target) for target in PAIR_TARGETS)])
+@pytest.mark.parametrize("labels", [("z", "b"), ("a", "z"), ("z", "z")])
+def test_unknown_pair_label_exits_two(tmp_path, command, labels):
+    # the labels are checked before the pair is tested for distinctness
+    outfile = tmp_path / "out.json"
+    written = ("-o", str(outfile)) if command[0] != "verify" else ()
+    code, out, err = run_cli(*command, write_a2(tmp_path), *labels, *written)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown vertex 'z'; quiver has ['a', 'b']\n"
+    assert not outfile.exists()
+
+
+def test_bounds_are_checked_before_the_quiver_file_is_read(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for argv, bound in ((("series", missing, "--order", "-1"), "--order must be >= 0, got -1"),
+                        (("verify", "homology", missing, "a", "b", "--smax", "-3"),
+                         "--smax must be >= 0, got -3")):
+        assert run_cli(*argv) == (2, "", f"error: {bound}\n"), argv
+
+
 def test_directory_as_input_file_exits_two(tmp_path):
     folder = tmp_path / "folder"
     folder.mkdir()

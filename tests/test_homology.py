@@ -12,7 +12,7 @@ from quivercalc.algebra import (
     loop_weight,
     unlink_differential,
 )
-from quivercalc.quiver import Quiver, one_vertex
+from quivercalc.quiver import Quiver, one_vertex, unlink
 
 A2 = Quiver(("a", "b"), ((0, 1), (1, 0)))
 M2 = Quiver(("a", "b"), ((0, 2), (2, 0)))
@@ -41,10 +41,12 @@ def test_zero_star_block_is_zero():
 
 
 def test_differential_raises_h_by_one():
-    block = unlink_differential(M2, "a", "b", (1, 1), -6, 1)
-    assert block.source_key["c"] == 1
-    assert block.target_key["c"] == 0
-    assert block.source_key["H"] == block.target_key["H"] == -6
+    # the c = 1 source of H sits at h = H - 1, its c = 0 target at h = H
+    unlinked = unlink(M2, "a", "b")
+    for big_h in (-4, -6, -8):
+        block = unlink_differential(M2, "a", "b", (1, 1), big_h, 1)
+        assert block.source_dim == component_dimension(unlinked, (0, 0, 1), big_h - 1) == 1
+        assert block.target_dim == component_dimension(unlinked, (1, 1, 0), big_h) > 0
 
 
 def test_m2_block_uses_falling_factorials():
@@ -150,32 +152,28 @@ def test_homology_matches_component_dimension_directly():
 
 # -- sparse blocks against dense references -----------------------------------------
 
-def hand_block(columns, target_dim):
-    return DifferentialBlock({}, {}, columns, len(columns), target_dim)
-
-
 def test_identity_composed_with_identity_is_nonzero():
-    identity = hand_block([{0: 1}, {1: 1}], 2)
+    identity = DifferentialBlock([{0: 1}, {1: 1}], 2)
     assert not identity.compose_is_zero(identity)
     assert identity.rank() == 2
 
 
 def test_cancelling_composition_is_zero():
     # (1 1) . (1, -1)^T = 1 - 1
-    row = hand_block([{0: 1}, {0: 1}], 1)
-    col = hand_block([{0: 1, 1: -1}], 2)
+    row = DifferentialBlock([{0: 1}, {0: 1}], 1)
+    col = DifferentialBlock([{0: 1, 1: -1}], 2)
     assert row.compose_is_zero(col)
     assert row.rank() == col.rank() == 1
 
 
 def test_zero_partial_sum_is_not_a_zero_composition():
     # (1 1 1) . (1, -1, 1)^T: the partial sums run 1, 0, 1
-    row = hand_block([{0: 1}, {0: 1}, {0: 1}], 1)
-    assert not row.compose_is_zero(hand_block([{0: 1, 1: -1, 2: 1}], 3))
+    row = DifferentialBlock([{0: 1}, {0: 1}, {0: 1}], 1)
+    assert not row.compose_is_zero(DifferentialBlock([{0: 1, 1: -1, 2: 1}], 3))
     # the first output row cancels, the second does not
-    rows = hand_block([{0: 1, 1: 1}, {0: 1, 1: 2}], 2)
-    assert not rows.compose_is_zero(hand_block([{0: 1, 1: -1}], 2))
-    assert rows.compose_is_zero(hand_block([{}], 2))
+    rows = DifferentialBlock([{0: 1, 1: 1}, {0: 1, 1: 2}], 2)
+    assert not rows.compose_is_zero(DifferentialBlock([{0: 1, 1: -1}], 2))
+    assert rows.compose_is_zero(DifferentialBlock([{}], 2))
 
 
 def dense_matrix(block):
@@ -218,10 +216,9 @@ def test_blocks_match_dense_reference(monkeypatch, quiver, a, b, bound, composit
     blocks = {}
     original = algebra.unlink_differential
 
-    def recording(*args):
-        block = original(*args)
-        key = (tuple(block.source_key["degree"]), block.source_key["H"])
-        blocks[key + (block.source_key["c"],)] = block
+    def recording(quiver, a, b, degree, big_h, c):
+        block = original(quiver, a, b, degree, big_h, c)
+        blocks[tuple(degree), big_h, c] = block
         return block
 
     monkeypatch.setattr(algebra, "unlink_differential", recording)
