@@ -11,8 +11,8 @@ from .quiver import (Quiver, QuiverFormatError, disjoint_union, euler_form,
 from .motivic import (Conventions, DEFAULT_CONVENTIONS, DiagonalFactor,
                       DiagonalizationResult, default_window, diagonalize,
                       link_substitution, motivic_series, unlink_substitution,
-                      verify_diagonalization, verify_link_identity,
-                      verify_unlink_identity)
+                      valuation_window, verify_diagonalization,
+                      verify_link_identity, verify_unlink_identity)
 from .dt import DTResult, dt_check, dt_extract, dt_window
 from .algebra import (algebra_component, component_basis, component_dimension,
                       functional_dimension, gr_linking_check, homology_check,
@@ -28,7 +28,8 @@ __all__ = [
     "Conventions", "DEFAULT_CONVENTIONS", "DiagonalFactor",
     "DiagonalizationResult", "default_window", "diagonalize",
     "link_substitution", "motivic_series", "unlink_substitution",
-    "verify_diagonalization", "verify_link_identity", "verify_unlink_identity",
+    "valuation_window", "verify_diagonalization", "verify_link_identity",
+    "verify_unlink_identity",
     "DTResult", "dt_check", "dt_extract", "dt_window",
     "algebra_component", "component_basis", "component_dimension",
     "functional_dimension", "gr_linking_check", "homology_check",

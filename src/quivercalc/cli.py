@@ -217,7 +217,8 @@ _VERIFY = {
                   lambda quiver, args: verify_unlink_identity(
                       quiver, args.a, args.b, args.order, _window(args),
                       _conventions(args), args.calibrate)),
-    # diagonalize runs at least one round, as on the diagonalize command
+    # diagonalize runs at least one round, as on the diagonalize command;
+    # without --qmin/--qmax the window is valuation_window(quiver, order)
     "diagonalization": (False, ("window", "config"), 1,
                         lambda quiver, args: verify_diagonalization(
                             quiver, args.order, _window(args), _conventions(args))),

@@ -85,6 +85,21 @@ def default_window(order, max_loops):
     return (-2 * order * level - 8, 4 * order * level + 8)
 
 
+def valuation_window(quiver, order):
+    """Window reaching the lowest term of every coefficient of A_Q through
+    total degree `order`: (-2*order - 8, top + 8), top = the largest
+    valuation |d| + sum_ij m_ij d_i d_j of the coefficient of x^d over
+    0 < |d| <= order, or 0 when there is no such degree.
+
+    That coefficient is (-t)^(-chi(d,d)) times prod_i 1/(q^-1; q^-1)_{d_i},
+    and 1/(q^-1; q^-1)_n starts at t^(n^2 + n), so its valuation is
+    sum_i (d_i^2 + d_i) - chi(d,d).  The top grows with the quadratic form
+    where default_window grows with a loop count times the order."""
+    top = max((sum(x * x + x for x in d) - euler_form(quiver, d, d)
+               for d in iter_multidegrees(len(quiver), order) if any(d)), default=0)
+    return (-2 * order - 8, top + 8)
+
+
 def motivic_series(quiver, order, window):
     """A_Q truncated at total x-degree `order`, every coefficient
     materialized on the requested t-exponent window.
@@ -377,14 +392,17 @@ def verify_diagonalization(quiver, rounds, window=None,
                            conventions=DEFAULT_CONVENTIONS):
     """Check that A_Q agrees through x-degree `rounds` with the product of
     one-loop-vertex series evaluated at the tracked factor monomials, one
-    multivariate product per distinct monomial.  A left-hand side with no
-    nonzero coefficient at |d| >= 1 on the window makes the check
+    multivariate product per distinct monomial, on `window` (default:
+    valuation_window(quiver, rounds), which reaches every degree).  The
+    details count the degrees 0 < |d| <= rounds compared and those whose
+    left-hand coefficient is nonzero on the window.  A left-hand side with
+    no nonzero coefficient at |d| >= 1 on the window makes the check
     inconclusive."""
     result = diagonalize(quiver, rounds, conventions)
     if window is None:
-        loops = max([quiver.max_loops()] + [f.loop_count for f in result.factors])
-        window = default_window(rounds, loops)
+        window = valuation_window(quiver, rounds)
     lhs = motivic_series(quiver, rounds, window)
+    compared = [term for d, term in lhs.terms.items() if any(d)]
     mismatches = inconclusive_mismatches(lhs, window)
     if not mismatches:
         # on windows below t^0, where 1 itself cannot be stored, the
@@ -397,5 +415,7 @@ def verify_diagonalization(quiver, rounds, window=None,
                     "window": [window[0], window[1]]},
         mismatches=mismatches,
         conventions=conventions.to_json(),
-        details={"diagonalization": result.to_json()},
+        details={"diagonalization": result.to_json(),
+                 "degrees_compared": len(compared),
+                 "degrees_nonzero": sum(not term.is_zero() for term in compared)},
     )

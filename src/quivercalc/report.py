@@ -37,9 +37,17 @@ class VerificationReport:
         return out
 
     def summary(self):
-        status = "PASS" if self.passed else "FAIL"
-        extra = "" if self.passed else f" ({len(self.mismatches)} mismatching components)"
-        return f"{status} {self.name}{extra}"
+        """One line: the verdict, the mismatch count of a failure, and the
+        coverage counts the details carry, so a PASS shows what it rests on."""
+        notes = [] if self.passed else [f"{len(self.mismatches)} mismatching components"]
+        details = self.details
+        if "degrees_compared" in details:
+            notes.append(f"{details['degrees_nonzero']} of {details['degrees_compared']} "
+                         "degrees nonzero on the window")
+        if "compositions_checked" in details:
+            notes.append(f"{details['compositions_checked']} compositions checked")
+        extra = f" ({'; '.join(notes)})" if notes else ""
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name}{extra}"
 
 
 def degree_mismatch(degree, lhs, rhs):

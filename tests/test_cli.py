@@ -693,10 +693,10 @@ def test_link_and_unlink_golden_digests(tmp_path):
 
 
 # The diagonalization identity under the printed constants: M2 at order 6
-# fails on 15 degrees.  The digest pins the payload, the right-hand windows
-# of every mismatch among it.
+# fails on 15 degrees.  The digest pins the payload on the default
+# valuation_window, the right-hand windows of every mismatch among it.
 DIAGONALIZATION_PRINTED_SHA256 = (
-    "f54c5e072faf7478bd951a9b8f0bb2d339b4641db2f2f1a0ea7fda7a1b6ed323")
+    "d8067ec2d6af1ca9a8c5a6e93686a66a13309e77d378dc081171de349145cebb")
 
 
 def test_diagonalization_refuted_by_printed_constants(tmp_path):
@@ -709,6 +709,42 @@ def test_diagonalization_refuted_by_printed_constants(tmp_path):
     assert (code, err) == (1, "")
     assert len(json.loads(out)["mismatches"]) == 15
     assert hashlib.sha256(out.encode()).hexdigest() == DIAGONALIZATION_PRINTED_SHA256
+
+
+@pytest.mark.parametrize("name, order, mismatches", [
+    ("M2", 6, 15), ("M2", 7, 21), ("MIX3", 5, 30), ("A2", 7, 21), ("M2L", 5, 10)])
+def test_diagonalization_default_window_refutes_printed_constants(tmp_path, name,
+                                                                  order, mismatches):
+    # the default window is valuation_window, which reaches every degree, so
+    # the text summary shows all of them nonzero beside the mismatch count;
+    # the digest above pins the M2 order 6 payload itself
+    matrix = RANK_MATRICES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"vertices": list("abc"[:len(matrix)]), "matrix": matrix}))
+    printed = tmp_path / "printed.json"
+    printed.write_text(json.dumps({"preset": "printed"}))
+    code, out, err = run_cli("verify", "diagonalization", str(path), "--order", str(order),
+                             "--config", str(printed), "--output", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert len(report["mismatches"]) == mismatches
+    assert report["details"]["degrees_nonzero"] == report["details"]["degrees_compared"]
+    code, out, _ = run_cli("verify", "diagonalization", str(path), "--order", str(order),
+                           "--config", str(printed))
+    compared = report["details"]["degrees_compared"]
+    assert code == 1
+    assert out.splitlines()[0] == (
+        f"FAIL diagonalization-identity ({mismatches} mismatching components; "
+        f"{compared} of {compared} degrees nonzero on the window)")
+
+
+def test_homology_summary_shows_compositions_checked(tmp_path):
+    # below order 4 no degree has two consecutive blocks to compose
+    a2 = str(write_a2(tmp_path))
+    code, out, _ = run_cli("verify", "homology", a2, "a", "b", "--order", "3")
+    assert (code, out) == (0, "PASS unlinking-homology (0 compositions checked)\n")
+    code, out, _ = run_cli("verify", "homology", a2, "a", "b", "--order", "4", "--smax", "2")
+    assert code == 0 and out.startswith("PASS unlinking-homology (") and "(0 " not in out
 
 
 def write_fleet(tmp_path):
@@ -871,7 +907,8 @@ def test_config_calibrated_override(tmp_path):
 # (argv, exit code, stdout, stderr) of each.  The 2-loop vertex runs on the
 # too-narrow window of test_dt_unstable_window_exits_one, so it exits 1 and
 # names its unstable degrees on stderr; MIX3 under the printed constants
-# exits 1 with 10 mismatches, past the five that the summary lists.
+# exits 1 with 10 mismatches, past the five that the summary lists.  The
+# diagonalization and homology summaries carry their coverage counts.
 TEXT_CASES = [("info", "{A2}"), ("series", "{A2}", "--order", "2"),
               ("dt", "{A2}", "--order", "3"), ("dt", "{EMPTY}"),
               ("link", "{A2}", "a", "b"), ("unlink", "{A2}", "a", "b"),
@@ -886,7 +923,7 @@ TEXT_CASES = [("info", "{A2}"), ("series", "{A2}", "--order", "2"),
               ("verify", "linking", "{MIX3}", "a", "b", "--order", "4",
                "--config", "{PRINTED}"),
               ("dt", "{L2}", "--order", "2")]
-TEXT_SHA256 = "105956715e332572bdb11309d6570da4c7d7e35d5e9a0153b5e0c83ab2c32681"
+TEXT_SHA256 = "5b236ee0789821b48eb0ea5e248f68eb55b63134fe3a72fadcb30174818df460"
 
 
 def test_text_output_golden_digest(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from quivercalc.motivic import (
     link_substitution,
     motivic_series,
     unlink_substitution,
+    valuation_window,
     verify_diagonalization,
     verify_link_identity,
     verify_unlink_identity,
@@ -382,6 +383,37 @@ def test_verify_diagonalization_order4():
         assert report.passed
 
 
+def test_valuation_window_values():
+    empty = Quiver((), ())
+    for quiver, order, window in ((M2, 7, (-22, 63)), (M2, 9, (-26, 97)),
+                                  (MIX3, 5, (-18, 46)), (MIX3, 7, (-22, 80)),
+                                  (empty, 1, (-10, 8))):
+        assert valuation_window(quiver, order) == window, (quiver.vertices, order)
+
+
+def test_valuation_window_reaches_every_degree():
+    # at order 10 every degree 0 < |d| <= 10 has a nonzero coefficient on the
+    # rule's window; default_window at the quiver's loop count misses many
+    for quiver, degrees, on_default in ((A2, 65, 58), (M2, 65, 45), (M2L, 65, 32),
+                                        (MIX3, 285, 120)):
+        for window, nonzero in ((valuation_window(quiver, 10), degrees),
+                                (default_window(10, quiver.max_loops()), on_default)):
+            series = motivic_series(quiver, 10, window)
+            compared = [term for d, term in series.terms.items() if any(d)]
+            assert len(compared) == degrees
+            assert sum(not term.is_zero() for term in compared) == nonzero, window
+
+
+def test_verify_diagonalization_default_window_and_counts():
+    report = verify_diagonalization(MIX3, 4)
+    assert report.parameters["window"] == list(valuation_window(MIX3, 4))
+    assert (report.details["degrees_compared"], report.details["degrees_nonzero"]) == (34, 34)
+    # on a window that ends below t^1 nothing beyond the unit is nonzero
+    report = verify_diagonalization(M2, 3, (-5, 0))
+    assert (report.details["degrees_compared"], report.details["degrees_nonzero"]) == (9, 0)
+    assert [m["kind"] for m in report.mismatches] == ["inconclusive"]
+
+
 def test_diagonalization_monomials_multiply_out():
     # each factor monomial is the product of its parents' monomials; checked
     # via exponent sums against the recorded parents encoded in the label
@@ -405,25 +437,21 @@ def ref_factor_fold(factors, vertices, rounds, window):
     return rhs
 
 
-def diagonalization_window(quiver, rounds, result, window):
-    if window is not None:
-        return window
-    loops = max([quiver.max_loops()] + [f.loop_count for f in result.factors])
-    return default_window(rounds, loops)
-
-
 def test_factor_product_matches_per_factor_fold():
     # _factor_product multiplies the monomial groups highest degree first and
     # the reference folds the factors in order of appearance, so this also
-    # checks that no window depends on the order of the products; the wide
-    # default window costs the most, so it keeps the constants -1..1
+    # checks that no window depends on the order of the products.  None
+    # stands for verify_diagonalization's default, valuation_window; the last
+    # case is the far wider default_window over M2's largest factor loop
+    # count at order 4 (7), so the wide-window path stays tested
     cases = [(q, rounds, qpow, window) for q in FLEET for rounds in (1, 2, 3, 4)
              for window in (None, (-10, 10), (5, 30))
              for qpow in ((-1, 0, 1) if window is None else (-3, -1, 0, 1, 2))]
     cases.append((MIX3, 5, 0, (-10, 10)))
+    cases.append((M2, 4, -1, default_window(4, 7)))
     for q, rounds, qpow, window in cases:
         result = diagonalize(q, rounds, Conventions(unlink_qpow=qpow))
-        window = diagonalization_window(q, rounds, result, window)
+        window = window or valuation_window(q, rounds)
         args = (result.factors, q.vertices, rounds, window)
         got = _factor_product(*args)
         want = ref_factor_fold(*args)
@@ -465,19 +493,20 @@ def test_factor_product_multiplies_once_per_monomial(monkeypatch):
     assert calls == {"mul": distinct, "substitute": distinct}
 
 
-# SHA-256 of the canonical verify_diagonalization JSON, mismatch payloads and
-# their windows included.  (quiver, order, conventions, window, passed)
+# SHA-256 of the canonical verify_diagonalization JSON, mismatch payloads,
+# their windows and the degree counts included.
+# (quiver, order, conventions, window, passed)
 VERIFY_DIAGONALIZATION_DIGESTS = (
     (M2, 5, PRINTED, None, False,
-     "413bc397e4c8a1108e0cf9608e3b6e9925bbaca75399ca287911dc51c513a0c4"),
+     "5b3403f37edeea8e7ebc83b73dafbf82cfedfe7af837b2b93002832f99b5507f"),
     (MIX3, 4, PRINTED, None, False,
-     "ff133bde79564f2cea01f190496176e7f7c7c0c83086bdc10bb3d48e745a42d3"),
+     "0304540581e1d4a4bc5fdc193712f18705fa049058d3448e3c2d527af10ad698"),
     (M2L, 5, PRINTED, (-10, 10), False,
-     "bd6d3d8669f94bc470dc32fb337cff0ca5938ea2a5e03c1a316fc34083ad7d09"),
+     "d35a29b21d46d4571d134fbeb5fb3f7601d4ae5b2f15229166a6b8caa9eb24ba"),
     (A2, 6, CALIBRATED, (5, 30), True,
-     "68acfbbfd1e9fb7686a31188366a9a580e6ceb74332b3b691a3ab97f670504b9"),
+     "3a74cf4903c9c28b661af4d4d2bad24d3a335c191688a171a613b54906a4db85"),
     (M2, 6, CALIBRATED, None, True,
-     "2723c5a3cb29acc6ae4956a379cf58fa7b66e826613173d4c560c48bc0d5c909"),
+     "f30a432b8d4f02689ae46c93e5638c086e1b5c8d4b8036c499ddebe1f0f23d6c"),
 )
 
 
