@@ -99,6 +99,74 @@ def _save_quiver(quiver, path):
         _fail(f"{path}: {exc}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+class _Unrendered(Exception):
+    """A value _write_json leaves to json.dumps."""
+
+
+def _write_json(value, indent, out):
+    """Append to `out` the text json.dumps(value, sort_keys=True, indent=2)
+    gives `value` where `indent` ("\n" and spaces) starts its lines: the
+    str, int, bool and None leaves, str-keyed dicts, lists and tuples.  A
+    list of plain ints is one join.  Anything else (a float, a non-str key,
+    a subclass) raises _Unrendered."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        if not all(type(key) is str for key in value):
+            raise _Unrendered
+        inner = indent + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            out.append(lead + _encode_str(key) + ": ")
+            _write_json(value[key], inner, out)
+            lead = "," + inner
+        out.append(indent + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                       + indent + "]")
+            return
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write_json(item, inner, out)
+            lead = "," + inner
+        out.append(indent + "]")
+    else:
+        raise _Unrendered
+
+
+def _json_text(value):
+    """json.dumps(value, sort_keys=True, indent=2), the same text, written
+    by _write_json unless some part of `value` is left to json.dumps (which
+    then raises its own error for a value it cannot encode)."""
+    out = []
+    try:
+        _write_json(value, "\n", out)
+    except (_Unrendered, RecursionError):
+        return json.dumps(value, sort_keys=True, indent=2)
+    return "".join(out)
+
+
 def _matrix_lines(quiver):
     return [f"  {v}: {list(row)}" for v, row in zip(quiver.vertices, quiver.matrix)]
 
@@ -365,7 +433,7 @@ def main(argv=None, out=None, err=None):
             _check_vertices(quiver, args.a, args.b)
         payload, lines, status = args.handler(quiver, args, err)
         if args.output == "json":
-            out.write(json.dumps(payload(), sort_keys=True, indent=2) + "\n")
+            out.write(_json_text(payload()) + "\n")
         else:
             out.writelines(line + "\n" for line in lines)
         return status

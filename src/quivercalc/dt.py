@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import euler_form
+from .quiver import euler_quadratic_form
 from .report import VerificationReport, inconclusive_unless
 from .series import (TruncatedLaurent, exact_str, iter_multidegrees,
                      pleth_log)
@@ -105,8 +105,8 @@ def dt_window(quiver, order, guard):
     k chi - (k+1)(guard + 1) <= chi - 2(guard + 1), and for chi > guard + 1
     it is -chi < chi - guard.  Both edges lie at or below -(guard + 1), so
     an all-zero Omega_d also gets a window at least 2 guard wide."""
-    top = max((1 - euler_form(quiver, d, d)
-               for d in iter_multidegrees(len(quiver), order) if any(d)), default=0)
+    chi = euler_quadratic_form(quiver)
+    top = max((1 - chi(d) for d in iter_multidegrees(len(quiver), order) if any(d)), default=0)
     return (-(guard + 1), top + guard + 1)
 
 

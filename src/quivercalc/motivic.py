@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .quiver import (Quiver, add_fresh_vertex, euler_form, fresh_label,
+from .quiver import (Quiver, add_fresh_vertex, euler_quadratic_form, fresh_label,
                      one_vertex, unlink)
 from .quiver import link as link_quiver
 from .report import VerificationReport, degree_mismatch, inconclusive_mismatches
@@ -95,7 +95,8 @@ def valuation_window(quiver, order):
     and 1/(q^-1; q^-1)_n starts at t^(n^2 + n), so its valuation is
     sum_i (d_i^2 + d_i) - chi(d,d).  The top grows with the quadratic form
     where default_window grows with a loop count times the order."""
-    top = max((sum(x * x + x for x in d) - euler_form(quiver, d, d)
+    chi = euler_quadratic_form(quiver)
+    top = max((sum(x * x + x for x in d) - chi(d)
                for d in iter_multidegrees(len(quiver), order) if any(d)), default=0)
     return (-2 * order - 8, top + 8)
 
@@ -123,18 +124,32 @@ def _motivic_terms(quiver, order, window, degrees):
     motivic_series computes it; the others are left out, where a MultiSeries
     would read them as zero, so the result may only be read at the degrees
     given."""
+    return _motivic_sides(order, window, (quiver, degrees))[0]
+
+
+def _motivic_sides(order, window, *sides):
+    """_motivic_terms(quiver, order, window, degrees) for each side
+    (quiver, degrees), in order, from one table of Pochhammer products.
+    Every side's degrees are laid out before any product is taken, and a
+    prefix is multiplied once, up to the largest hi of a degree extending it
+    on any side: a product taken further has the same terms up to a lower
+    hi, so each degree keeps the terms it would get alone."""
     wlo, whi = window
     if wlo > whi:
         raise ValueError(f"motivic_series: empty window [{wlo}, {whi}]")
-    layout = []
+    layouts = []
     reach = {}  # prefix of descending parts -> largest hi of a degree extending it
-    for d in degrees:
-        chi = euler_form(quiver, d, d)
-        parts = tuple(sorted(filter(None, d), reverse=True))
-        layout.append((d, chi, parts))
-        for k in range(1, len(parts) + 1):
-            if reach.get(parts[:k], -1) < whi + chi:
-                reach[parts[:k]] = whi + chi
+    for quiver, degrees in sides:
+        chi_of = euler_quadratic_form(quiver)
+        layout = []
+        for d in degrees:
+            chi = chi_of(d)
+            parts = tuple(sorted(filter(None, d), reverse=True))
+            layout.append((d, chi, parts))
+            for k in range(1, len(parts) + 1):
+                if reach.get(parts[:k], -1) < whi + chi:
+                    reach[parts[:k]] = whi + chi
+        layouts.append((quiver.vertices, layout))
     products = {}
     # a prefix sorts before its extensions; a reach below 0 serves only stubs
     for prefix, hi in sorted(reach.items()):
@@ -143,23 +158,26 @@ def _motivic_terms(quiver, order, window, degrees):
         poch = pochhammer_inv(prefix[-1], 0, hi)
         products[prefix] = (products[prefix[:-1]].mul(poch, hi_cap=hi)
                             if len(prefix) > 1 else poch)
-    terms = {}
-    for d, chi, parts in layout:
-        hi = whi + chi
-        if hi < 0:
-            # the Pochhammer product starts at t^0 or above, so after the
-            # t^(-chi) shift this coefficient has no support inside the
-            # requested window; record an all-zero stub there
-            terms[d] = TruncatedLaurent._trusted({}, wlo, whi)
-            continue
-        lo = min(wlo + chi, 0)
-        # nonzero ints at exponents 0..hi
-        coeffs = products[parts].coeffs if parts else {0: 1}
-        sign = -1 if chi % 2 else 1
-        terms[d] = TruncatedLaurent._trusted(
-            {e - chi: sign * c for e, c in coeffs.items() if e <= hi},
-            (len(parts) + 1) * lo - chi, whi)
-    return MultiSeries(quiver.vertices, order, (wlo, whi), terms)
+    out = []
+    for vertices, layout in layouts:
+        terms = {}
+        for d, chi, parts in layout:
+            hi = whi + chi
+            if hi < 0:
+                # the Pochhammer product starts at t^0 or above, so after the
+                # t^(-chi) shift this coefficient has no support inside the
+                # requested window; record an all-zero stub there
+                terms[d] = TruncatedLaurent._trusted({}, wlo, whi)
+                continue
+            lo = min(wlo + chi, 0)
+            # nonzero ints at exponents 0..hi
+            coeffs = products[parts].coeffs if parts else {0: 1}
+            sign = -1 if chi % 2 else 1
+            terms[d] = TruncatedLaurent._trusted(
+                {e - chi: sign * c for e, c in coeffs.items() if e <= hi},
+                (len(parts) + 1) * lo - chi, whi)
+        out.append(MultiSeries(vertices, order, (wlo, whi), terms))
+    return out
 
 
 def _pair_monomial(quiver, a, b, qpow, op):
@@ -202,9 +220,10 @@ def _verify_substitution_identity(kind, quiver, a, b, order, window,
     k at the fresh vertex to total degree |D| + k, and substitute drops
     every term above `order`.  So only the degrees with |D| + k <= order are
     built (581 of 1,001 for linked MIX3 at order 10); a MultiSeries would
-    read every other degree as zero, and none of them is ever read.  The
-    calibration scan substitutes the other constants through |d| = 2
-    first."""
+    read every other degree as zero, and none of them is ever read.  Both
+    sides come from one table of Pochhammer products.  The calibration scan
+    substitutes the other constants through |d| = 2 first, from the slice
+    of the right-hand side that lands there."""
     if kind == "linking":
         transformed = link_quiver(quiver, a, b)
         mono = link_substitution(quiver, a, b, conventions)
@@ -214,25 +233,29 @@ def _verify_substitution_identity(kind, quiver, a, b, order, window,
     if window is None:
         window = default_window(order, quiver.max_loops())
     new_label = transformed.vertices[-1]
-    lhs = motivic_series(quiver, order, window)
-    rhs = _motivic_terms(transformed, order, window, _read_degrees(len(quiver), order))
+    lhs, rhs = _motivic_sides(order, window,
+                              (quiver, iter_multidegrees(len(quiver), order)),
+                              (transformed, _read_degrees(len(quiver), order)))
 
-    def substituted(power, cap=order):
-        return rhs.substitute(new_label, replace(mono, qpow=power),
-                              quiver.vertices, out_cap=cap)
-
-    def scan_fails(power):
-        # an output degree's coefficient does not depend on the cap, so a
-        # mismatch through |d| = 2 is a mismatch of the full check; wrong
-        # constants are caught there without the full substitution
-        low = min(2, order)
-        return bool(lhs.first_mismatches(substituted(power, low), limit=1)
-                    or low < order and lhs.first_mismatches(substituted(power), limit=1))
+    def substituted(power, side=rhs, cap=order):
+        return side.substitute(new_label, replace(mono, qpow=power),
+                               quiver.vertices, out_cap=cap)
 
     inconclusive = inconclusive_mismatches(lhs, window)
     mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(substituted(mono.qpow))]
     details = {"transformed_quiver": transformed.to_json(), "new_vertex": new_label}
     if calibrate:
+        # an output degree's coefficient does not depend on the cap, so a
+        # mismatch through |d| = 2 is a mismatch of the full check; wrong
+        # constants are caught there, from the degrees D with |D| + k <= 2,
+        # the only ones that land there, without the full substitution
+        low = min(2, order)
+        low_rhs = MultiSeries(rhs.vertices, low, window,
+                              {d: c for d, c in rhs.terms.items() if sum(d) + d[-1] <= low})
+
+        def scan_fails(power):
+            return bool(lhs.first_mismatches(substituted(power, low_rhs, low), limit=1)
+                        or low < order and lhs.first_mismatches(substituted(power), limit=1))
         # a constant holds only where something nonzero was compared; the
         # configured constant's verdict is the report's own
         details["calibration"] = {

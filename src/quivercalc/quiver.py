@@ -123,6 +123,32 @@ def euler_form(quiver, d, e):
     return total
 
 
+def euler_quadratic_form(quiver):
+    """chi(d, d) as a function of d alone, for evaluating it on many
+    degrees: the sum of c d_i d_j over the nonzero (i, j, c) with i <= j,
+    c = 1 - m_ii on the diagonal and -2 m_ij off it, found once and kept
+    by row i, so a degree visits only the rows of its nonzero entries.
+    Unlike euler_form it does not check the length of d."""
+    n = len(quiver)
+    m = quiver.matrix
+    rows = []
+    for i in range(n):
+        row = tuple((j, c) for j in range(i, n)
+                    for c in ((1 - m[i][i]) if i == j else -2 * m[i][j],) if c)
+        if row:
+            rows.append((i, row))
+
+    def chi(d):
+        total = 0
+        for i, row in rows:
+            di = d[i]
+            if di:
+                for j, c in row:
+                    total += c * di * d[j]
+        return total
+    return chi
+
+
 def fresh_label(labels, base):
     """Smallest '<base>#<n>' (n >= 1) not in `labels` (any container)."""
     n = 1

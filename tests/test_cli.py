@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import quivercalc
-from quivercalc import algebra
+from quivercalc import algebra, cli
 from quivercalc.cli import build_parser, main
 from quivercalc.dt import DTEntry, DTResult
 from quivercalc.quiver import Quiver
@@ -463,6 +464,45 @@ def test_json_output_byte_identical(tmp_path):
         assert first == second
         assert first[0] == 0
         json.loads(first[1])  # every payload is valid JSON
+
+
+def random_json_value(rng, depth=0):
+    """A nested value of the kinds CLI payloads hold, and some they do not."""
+    pick = rng.random()
+    if depth > 4 or pick < 0.3:
+        return rng.choice([0, -7, 10 ** 40, True, False, None, "", "plain",
+                           "quote \" slash \\ tab \t nl \n nul \x00 del \x7f",
+                           "caf\u00e9 \u2603 \U0001f600 \ud800", 1.5, -0.0])
+    if pick < 0.45:
+        return [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 6))]
+    if pick < 0.55:
+        return [rng.choice([0, 1, True, False]) for _ in range(rng.randint(1, 4))]
+    if pick < 0.7:
+        return [random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if pick < 0.8:
+        return tuple(random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4)))
+    return {rng.choice(["k", "\u00e9", "\"", "a b", "", "\n"]) + str(rng.randint(0, 9)):
+            random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_json_writer_matches_json_dumps():
+    # the conftest fixture compares every payload main encodes; this adds
+    # values no payload holds
+    rng = random.Random(27)
+    deep = list(range(5))
+    for _ in range(40):
+        deep = [deep, [1, 2], {}]
+    values = [random_json_value(rng) for _ in range(2000)]
+    values += [deep, [], {}, (), [[]], {"a": []}, {"b": {}, "a": ()}, [True, 1, 0, False],
+               {"x": float("nan")}, [float("inf")], {1: "int key"}, {None: 1}]
+    for value in values:
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2), value
+    for bad in ({1: 0, "a": 0}, {"a": object()}, [Fraction(1, 2)]):
+        with pytest.raises(TypeError) as got:
+            cli._json_text(bad)
+        with pytest.raises(TypeError) as want:
+            json.dumps(bad, sort_keys=True, indent=2)
+        assert str(got.value) == str(want.value)
 
 
 def test_report_json_excludes_timing(tmp_path):

@@ -167,18 +167,20 @@ def test_calibrated_check_substitutes_once_per_constant(monkeypatch):
 def test_calibration_scan_checks_past_degree_two(monkeypatch):
     # a left-hand side corrupted at |d| = 3 agrees with the calibrated
     # constant through |d| = 2 only; the scan must still refute it there
-    series = motivic.motivic_series
+    # (both sides come from _motivic_sides, the left one first)
+    sides = motivic._motivic_sides
 
-    def corrupted(quiver, order, window):
-        out = series(quiver, order, window)
-        if quiver is not A2:
+    def corrupted(order, window, *requested):
+        out = sides(order, window, *requested)
+        if requested[0][0] is not A2:
             return out
-        term = out.terms[(2, 1)]
+        lhs = out[0]
+        term = lhs.terms[(2, 1)]
         bump = TruncatedLaurent.monomial(term.valuation(), 1, term.lo, term.hi)
-        return MultiSeries(out.vertices, out.cap, out.window,
-                           {**out.terms, (2, 1): term + bump})
+        return [MultiSeries(lhs.vertices, lhs.cap, lhs.window,
+                            {**lhs.terms, (2, 1): term + bump}), *out[1:]]
 
-    monkeypatch.setattr(motivic, "motivic_series", corrupted)
+    monkeypatch.setattr(motivic, "_motivic_sides", corrupted)
     printed = Conventions.from_dict(PRINTED)
     for verify in (verify_link_identity, verify_unlink_identity):
         report = verify(A2, "a", "b", 4, conventions=printed, calibrate=True)
@@ -269,6 +271,74 @@ def test_read_degrees_of_linked_mix3_at_order_ten():
     linked = link(MIX3, "a", "b")
     assert len(list(iter_multidegrees(len(linked), 10))) == 1001
     assert len(list(motivic._read_degrees(len(MIX3), 10))) == 581
+
+
+def substitution_sides_cases():
+    """(quiver, transformed) for every fleet quiver, ordered vertex pair and
+    move that applies to it."""
+    for quiver in FLEET:
+        for a, b in itertools.permutations(quiver.vertices, 2):
+            yield quiver, link(quiver, a, b)
+            if quiver.arrows(a, b):
+                yield quiver, unlink(quiver, a, b)
+
+
+def test_shared_table_builds_each_side_as_built_alone():
+    # both sides of a substitution check, from one table of Pochhammer
+    # products, equal the sides built separately: the same degrees, and the
+    # same coefficients and (lo, hi) in every degree.  Some left-hand
+    # prefix is reached further than on the right, so the merged hi matters.
+    lhs_reaches_further = False
+    for quiver, transformed in substitution_sides_cases():
+        for order in range(9):
+            read = list(motivic._read_degrees(len(quiver), order))
+            for window in (default_window(order, quiver.max_loops()), (-200, -190)):
+                lhs, rhs = motivic._motivic_sides(
+                    order, window, (quiver, iter_multidegrees(len(quiver), order)),
+                    (transformed, read))
+                for got, want in ((lhs, motivic_series(quiver, order, window)),
+                                  (rhs, motivic._motivic_terms(transformed, order,
+                                                               window, read))):
+                    assert (got.vertices, got.cap, got.window) == (
+                        want.vertices, want.cap, want.window)
+                    # equality compares the coefficients and the (lo, hi) window
+                    assert got.terms == want.terms, (quiver, transformed, order, window)
+            # a degree's hi is the window's hi plus chi(d,d); a prefix is
+            # reached by the largest one of a degree extending it
+            reach = [{}, {}]
+            for side, (q, degrees) in enumerate(
+                    ((quiver, iter_multidegrees(len(quiver), order)), (transformed, read))):
+                for d in degrees:
+                    parts = tuple(sorted(filter(None, d), reverse=True))
+                    chi = euler_form(q, d, d)
+                    for prefix in (parts[:k] for k in range(1, len(parts) + 1)):
+                        reach[side][prefix] = max(reach[side].get(prefix, chi), chi)
+            lhs_reaches_further |= any(chi > reach[1][prefix]
+                                       for prefix, chi in reach[0].items()
+                                       if prefix in reach[1])
+    assert lhs_reaches_further
+
+
+def test_substitution_check_takes_each_pochhammer_product_once(monkeypatch):
+    # one product per prefix of descending parts over both sides together
+    calls = []
+    poch = motivic.pochhammer_inv
+
+    def counting(n, lo, hi):
+        calls.append((n, lo, hi))
+        return poch(n, lo, hi)
+
+    monkeypatch.setattr(motivic, "pochhammer_inv", counting)
+    for verify, move in ((verify_link_identity, link), (verify_unlink_identity, unlink)):
+        calls.clear()
+        assert verify(MIX3, "a", "b", 6, calibrate=True).passed
+        prefixes = set()
+        for q, degrees in ((MIX3, iter_multidegrees(3, 6)),
+                           (move(MIX3, "a", "b"), motivic._read_degrees(3, 6))):
+            for d in degrees:
+                parts = tuple(sorted(filter(None, d), reverse=True))
+                prefixes.update(parts[:k] for k in range(1, len(parts) + 1))
+        assert len(calls) == len(prefixes)
 
 
 def test_printed_constants_fail():

@@ -10,11 +10,13 @@ from quivercalc.quiver import (
     QuiverFormatError,
     disjoint_union,
     euler_form,
+    euler_quadratic_form,
     fresh_label,
     link,
     one_vertex,
     unlink,
 )
+from quivercalc.series import iter_multidegrees
 
 A2 = Quiver(("a", "b"), ((0, 1), (1, 0)))
 
@@ -82,6 +84,25 @@ def test_euler_form_symmetry():
         d = tuple(rng.randint(0, 3) for _ in range(len(q)))
         e = tuple(rng.randint(0, 3) for _ in range(len(q)))
         assert euler_form(q, d, e) == euler_form(q, e, d)
+
+
+def test_euler_quadratic_form_matches_euler_form():
+    # on the fleet, its links and unlinks, and random quivers with up to
+    # five vertices, including the empty quiver and all-zero degrees
+    fleet = [one_vertex(k) for k in range(4)] + [
+        A2, Quiver(("a", "b"), ((0, 2), (2, 0))), Quiver(("a", "b"), ((1, 2), (2, 0))),
+        Quiver(("a", "b", "c"), ((1, 1, 0), (1, 0, 2), (0, 2, 1)))]
+    moved = [move(q, a, b) for q in fleet for move in (link, unlink)
+             for a in q.vertices for b in q.vertices
+             if a != b and (move is link or q.arrows(a, b))]
+    rng = random.Random(27)
+    randoms = [rand_quiver(rng, max_n=5, max_m=4) for _ in range(150)]
+    for q in fleet + moved + randoms + [Quiver((), ())]:
+        chi = euler_quadratic_form(q)
+        degrees = list(iter_multidegrees(len(q), 4))
+        degrees += [tuple(rng.randint(0, 9) for _ in range(len(q))) for _ in range(20)]
+        for d in degrees:
+            assert chi(d) == euler_form(q, d, d), (q, d)
 
 
 # -- linking -------------------------------------------------------------------
