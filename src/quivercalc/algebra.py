@@ -29,8 +29,8 @@ from operator import add
 
 from .linalg import IntegerEchelon, rank_of_rows
 from .quiver import link, unlink
-from .report import (VerificationReport, degree_mismatch, inconclusive_mismatches,
-                     inconclusive_unless)
+from .report import (VerificationReport, degree_coverage, degree_mismatch,
+                     inconclusive_mismatches, inconclusive_unless)
 from .series import (MultiSeries, TruncatedLaurent, iter_multidegrees,
                      partition_product_coeffs)
 from .motivic import default_window, motivic_series
@@ -410,7 +410,9 @@ def poincare_check(quiver, order, window=None):
 
         coeff_d(A_Q) = (-1)^(m.d) sum_s dim(d, -m.d - 2s) t^(|d| + m.d + 2s)
 
-    with dimensions from the functional realization, exactly on the window."""
+    with dimensions from the functional realization, exactly on the window.
+    The details count the degrees 0 < |d| <= order compared and those whose
+    left-hand coefficient is nonzero on the window."""
     if window is None:
         window = default_window(order, quiver.max_loops())
     wlo, whi = window
@@ -423,6 +425,7 @@ def poincare_check(quiver, order, window=None):
         parameters={"quiver": quiver.to_json(), "order": order,
                     "window": [wlo, whi]},
         mismatches=mismatches,
+        details=degree_coverage(lhs),
     )
 
 

@@ -253,7 +253,8 @@ def cmd_diagonalize(quiver, args, err):
 
 def cmd_algebra_dims(quiver, args, err):
     try:
-        degree = tuple(int(part) for part in args.degree.split(","))
+        # an empty --degree is the empty vector, the degree of a 0-vertex quiver
+        degree = tuple(int(part) for part in args.degree.split(",")) if args.degree else ()
     except ValueError:
         _fail(f"--degree must be comma-separated integers, got {args.degree!r}")
     if len(degree) != len(quiver) or any(x < 0 for x in degree):

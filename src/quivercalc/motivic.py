@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 from .quiver import (Quiver, add_fresh_vertex, euler_quadratic_form, fresh_label,
                      one_vertex, unlink)
 from .quiver import link as link_quiver
-from .report import VerificationReport, degree_mismatch, inconclusive_mismatches
+from .report import (VerificationReport, degree_coverage, degree_mismatch,
+                     inconclusive_mismatches)
 from .series import (MultiSeries, TruncatedLaurent, VertexMonomial,
                      iter_multidegrees, pochhammer_inv)
 
@@ -133,51 +134,57 @@ def _motivic_sides(order, window, *sides):
     Every side's degrees are laid out before any product is taken, and a
     prefix is multiplied once, up to the largest hi of a degree extending it
     on any side: a product taken further has the same terms up to a lower
-    hi, so each degree keeps the terms it would get alone."""
+    hi, so each degree keeps the terms it would get alone.
+
+    A coefficient depends on its degree only through the key (parts, chi),
+    so every degree with the same key, on either side, holds one shared
+    TruncatedLaurent, whose coeffs are never written; the reach of each
+    prefix is taken once per multiset of parts, from its largest chi."""
     wlo, whi = window
     if wlo > whi:
         raise ValueError(f"motivic_series: empty window [{wlo}, {whi}]")
     layouts = []
-    reach = {}  # prefix of descending parts -> largest hi of a degree extending it
+    shared = {}  # (parts, chi) -> the coefficient of every degree with that key
     for quiver, degrees in sides:
         chi_of = euler_quadratic_form(quiver)
         layout = []
         for d in degrees:
-            chi = chi_of(d)
-            parts = tuple(sorted(filter(None, d), reverse=True))
-            layout.append((d, chi, parts))
-            for k in range(1, len(parts) + 1):
-                if reach.get(parts[:k], -1) < whi + chi:
-                    reach[parts[:k]] = whi + chi
+            key = (tuple(sorted(filter(None, d), reverse=True)), chi_of(d))
+            layout.append((d, key))
+            shared[key] = None
         layouts.append((quiver.vertices, layout))
+    top = {}  # descending parts -> largest chi of a degree with those parts
+    for parts, chi in shared:
+        top[parts] = max(top.get(parts, chi), chi)
+    reach = {}  # prefix of descending parts -> largest hi of a degree extending it
+    for parts, chi in top.items():
+        for k in range(1, len(parts) + 1):
+            if reach.get(parts[:k], -1) < whi + chi:
+                reach[parts[:k]] = whi + chi
     products = {}
-    # a prefix sorts before its extensions; a reach below 0 serves only stubs
+    # a prefix sorts before its extensions; only reaches of 0 and above enter
     for prefix, hi in sorted(reach.items()):
-        if hi < 0:
-            continue
         poch = pochhammer_inv(prefix[-1], 0, hi)
         products[prefix] = (products[prefix[:-1]].mul(poch, hi_cap=hi)
                             if len(prefix) > 1 else poch)
-    out = []
-    for vertices, layout in layouts:
-        terms = {}
-        for d, chi, parts in layout:
-            hi = whi + chi
-            if hi < 0:
-                # the Pochhammer product starts at t^0 or above, so after the
-                # t^(-chi) shift this coefficient has no support inside the
-                # requested window; record an all-zero stub there
-                terms[d] = TruncatedLaurent._trusted({}, wlo, whi)
-                continue
-            lo = min(wlo + chi, 0)
-            # nonzero ints at exponents 0..hi
-            coeffs = products[parts].coeffs if parts else {0: 1}
-            sign = -1 if chi % 2 else 1
-            terms[d] = TruncatedLaurent._trusted(
-                {e - chi: sign * c for e, c in coeffs.items() if e <= hi},
-                (len(parts) + 1) * lo - chi, whi)
-        out.append(MultiSeries(vertices, order, (wlo, whi), terms))
-    return out
+    for parts, chi in shared:
+        hi = whi + chi
+        if hi < 0:
+            # the Pochhammer product starts at t^0 or above, so after the
+            # t^(-chi) shift this coefficient has no support inside the
+            # requested window; record an all-zero stub there
+            shared[parts, chi] = TruncatedLaurent._trusted({}, wlo, whi)
+            continue
+        lo = min(wlo + chi, 0)
+        # nonzero ints at exponents 0..hi
+        coeffs = products[parts].coeffs if parts else {0: 1}
+        sign = -1 if chi % 2 else 1
+        shared[parts, chi] = TruncatedLaurent._trusted(
+            {e - chi: sign * c for e, c in coeffs.items() if e <= hi},
+            (len(parts) + 1) * lo - chi, whi)
+    return [MultiSeries(vertices, order, (wlo, whi),
+                        {d: shared[key] for d, key in layout})
+            for vertices, layout in layouts]
 
 
 def _pair_monomial(quiver, a, b, qpow, op):
@@ -223,7 +230,8 @@ def _verify_substitution_identity(kind, quiver, a, b, order, window,
     read every other degree as zero, and none of them is ever read.  Both
     sides come from one table of Pochhammer products.  The calibration scan
     substitutes the other constants through |d| = 2 first, from the slice
-    of the right-hand side that lands there."""
+    of the right-hand side that lands there.  The details count the degrees
+    0 < |d| <= order of the left-hand side and those nonzero on the window."""
     if kind == "linking":
         transformed = link_quiver(quiver, a, b)
         mono = link_substitution(quiver, a, b, conventions)
@@ -243,7 +251,8 @@ def _verify_substitution_identity(kind, quiver, a, b, order, window,
 
     inconclusive = inconclusive_mismatches(lhs, window)
     mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(substituted(mono.qpow))]
-    details = {"transformed_quiver": transformed.to_json(), "new_vertex": new_label}
+    details = {"transformed_quiver": transformed.to_json(), "new_vertex": new_label,
+               **degree_coverage(lhs)}
     if calibrate:
         # an output degree's coefficient does not depend on the cap, so a
         # mismatch through |d| = 2 is a mismatch of the full check; wrong
@@ -425,7 +434,6 @@ def verify_diagonalization(quiver, rounds, window=None,
     if window is None:
         window = valuation_window(quiver, rounds)
     lhs = motivic_series(quiver, rounds, window)
-    compared = [term for d, term in lhs.terms.items() if any(d)]
     mismatches = inconclusive_mismatches(lhs, window)
     if not mismatches:
         # on windows below t^0, where 1 itself cannot be stored, the
@@ -438,7 +446,5 @@ def verify_diagonalization(quiver, rounds, window=None,
                     "window": [window[0], window[1]]},
         mismatches=mismatches,
         conventions=conventions.to_json(),
-        details={"diagonalization": result.to_json(),
-                 "degrees_compared": len(compared),
-                 "degrees_nonzero": sum(not term.is_zero() for term in compared)},
+        details={"diagonalization": result.to_json(), **degree_coverage(lhs)},
     )

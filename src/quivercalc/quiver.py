@@ -6,10 +6,28 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 
 class QuiverFormatError(ValueError):
     """Malformed quiver data; the message names the offending entry."""
+
+
+def _well_formed(vertices, matrix):
+    """Whether the labels are distinct nonempty strings and the matrix a
+    square, symmetric one of nonnegative ints, in whole-collection passes;
+    False, never an error, when a pass cannot tell, so that the caller's
+    entry-by-entry check decides."""
+    n = len(vertices)
+    try:
+        return (set(map(type, vertices)) <= {str} and all(vertices)
+                and len(set(vertices)) == n
+                and len(matrix) == n and set(map(len, matrix)) <= {n}
+                and set(map(type, chain.from_iterable(matrix))) <= {int}
+                and min(map(min, matrix), default=0) >= 0
+                and matrix == tuple(zip(*matrix)))
+    except (TypeError, ValueError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -25,6 +43,9 @@ class Quiver:
         matrix = tuple(tuple(row) for row in self.matrix)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "matrix", matrix)
+        if _well_formed(vertices, matrix):
+            return
+        # the entry-by-entry pass names the first offending entry
         n = len(vertices)
         for i, label in enumerate(vertices):
             if not isinstance(label, str) or not label:

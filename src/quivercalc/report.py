@@ -55,6 +55,15 @@ def degree_mismatch(degree, lhs, rhs):
     return {"degree": list(degree), "lhs": lhs.to_json(), "rhs": rhs.to_json()}
 
 
+def degree_coverage(lhs):
+    """The coverage counts of a series check, for its report's details: the
+    degrees 0 < |d| <= order of the left-hand series, and how many of them
+    have a nonzero coefficient on the window."""
+    compared = [term for d, term in lhs.terms.items() if any(d)]
+    return {"degrees_compared": len(compared),
+            "degrees_nonzero": sum(not term.is_zero() for term in compared)}
+
+
 def inconclusive_unless(compared_nonzero, reason):
     """One inconclusive mismatch when nothing nonzero was compared, else
     none: a check that matched only zeros (or only the unit) shows nothing."""

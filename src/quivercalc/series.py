@@ -551,6 +551,17 @@ def iter_multidegrees(nvars, max_total):
             last = nvars - 1 if v > 1 else last - 1
 
 
+def _degrees_fit(degrees, n, cap):
+    """Whether every degree has n entries, none negative, summing to at most
+    cap, in whole-collection passes; False, never an error, when a pass
+    cannot tell, so that the caller's entry-by-entry check decides."""
+    try:
+        return (set(map(len, degrees)) == {n} and max(map(sum, degrees)) <= cap
+                and (n == 0 or min(map(min, degrees)) >= 0))
+    except (TypeError, ValueError):
+        return False
+
+
 class MultiSeries:
     """A multivariate power series truncated at a total-degree cap, with
     TruncatedLaurent coefficients.
@@ -574,9 +585,12 @@ class MultiSeries:
         self.cap = cap
         self.window = (lo, hi)
         n = len(self.vertices)
-        for d in terms:
-            if len(d) != n or any(x < 0 for x in d) or sum(d) > cap:
-                raise ValueError(f"bad multidegree {d} for cap {cap} over {n} variables")
+        if terms and not _degrees_fit(terms, n, cap):
+            # the entry-by-entry pass names the first bad degree, or raises
+            # what comparing its entries raises
+            for d in terms:
+                if len(d) != n or any(x < 0 for x in d) or sum(d) > cap:
+                    raise ValueError(f"bad multidegree {d} for cap {cap} over {n} variables")
         self.terms = dict(terms)
 
     @classmethod
@@ -722,25 +736,28 @@ class MultiSeries:
 
     def first_mismatches(self, other, limit=None):
         """Per-multidegree disagreements (up to the common cap) on the common
-        known coefficient ranges.  Returns a list of (degree, lhs, rhs)."""
+        known coefficient ranges.  Returns a list of (degree, lhs, rhs) in
+        the order of (|d|, d), the first `limit` of them (at least one) when
+        a limit is given."""
         self._require_same_vertices(other)
         cap = min(self.cap, other.cap)
+        mine, theirs = self.terms, other.terms
         out = []
-        degrees = sorted(set(self.terms) | set(other.terms), key=lambda d: (sum(d), d))
-        for d in degrees:
-            if sum(d) > cap:
+        # one shared coefficient agrees with itself; only the disagreeing
+        # degrees are sorted, into the order of (|d|, d)
+        for d in mine.keys() | theirs.keys():
+            a = mine.get(d)
+            b = theirs.get(d)
+            if a is b or sum(d) > cap:
                 continue
-            a = self.terms.get(d)
-            b = other.terms.get(d)
             if a is None:
                 a = TruncatedLaurent.zero(b.lo, b.hi)
             if b is None:
                 b = TruncatedLaurent.zero(a.lo, a.hi)
             if a.first_mismatch(b) is not None:
                 out.append((d, a, b))
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
+        out.sort(key=lambda m: (sum(m[0]), m[0]))
+        return out if limit is None else out[:max(limit, 1)]
 
     def agrees_with(self, other):
         return not self.first_mismatches(other, limit=1)

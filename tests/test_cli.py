@@ -706,12 +706,12 @@ def test_homology_and_gr_golden_digest(tmp_path):
 
 # Link and unlink checks of the identity-verify benchmark workload, with fixed
 # vertex labels, once with --calibrate and once under the printed constants.
-# The digests pin the verdicts, the calibration scans and the refutations'
-# mismatch payloads with their windows.
+# The digests pin the verdicts, the calibration scans, the coverage counts
+# and the refutations' mismatch payloads with their windows.
 LINK_CELLS = [(kind, name, order) for kind in ("linking", "unlinking")
               for name in ("A2", "M2", "M2L", "MIX3") for order in (6, 10)]
-LINK_CALIBRATE_SHA256 = "6e2262753117733fb6e0a5ba55341e3c442156d688352838a09925674a390cab"
-LINK_PRINTED_SHA256 = "3dbcdeb2386c1c0b3daff31d473305f1f47af4cd0edffe6be08611c611082e6d"
+LINK_CALIBRATE_SHA256 = "2b2d89bbad3cfe375095e209b415c807c88d1d24ba74ad22126868a805be29f5"
+LINK_PRINTED_SHA256 = "1de951effc7731d858e9319c49276a8529ca864326d757bcf89f93b49ced0802"
 
 
 def test_link_and_unlink_golden_digests(tmp_path):
@@ -923,6 +923,27 @@ def test_algebra_dims_bad_degree(tmp_path):
     assert run_cli("algebra-dims", a2, "--degree", "1,-1")[0] == 2
 
 
+def test_algebra_dims_of_the_empty_quiver(tmp_path):
+    # an empty --degree is the empty vector: the unit component alone, as
+    # functional_dimension counts it, where info, series and dt also take
+    # this quiver; on a quiver with vertices it is a vector of the wrong length
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vertices": [], "matrix": []}))
+    code, out, err = run_cli("algebra-dims", str(empty), "--degree", "", "--smax", "2",
+                             "--output", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["degree"] == []
+    assert [(r["hdeg"], r["dimension"], r["functional_dimension"])
+            for r in payload["components"]] == [(0, 1, 1), (-2, 0, 0), (-4, 0, 0)]
+    assert run_cli("algebra-dims", str(empty), "--degree", "")[1].startswith("degree ():")
+    assert run_cli("algebra-dims", str(empty), "--degree", "0")[0] == 2
+    assert run_cli("algebra-dims", str(empty), "--degree", ",")[0] == 2
+    code, out, err = run_cli("algebra-dims", write_a2(tmp_path), "--degree", "")
+    assert (code, out) == (2, "")
+    assert err == "error: --degree needs 2 nonnegative entries, got ''\n"
+
+
 def test_series_text_mentions_window(tmp_path):
     a2 = write_a2(tmp_path)
     code, out, _ = run_cli("series", a2, "--order", "2")
@@ -948,7 +969,8 @@ def test_config_calibrated_override(tmp_path):
 # too-narrow window of test_dt_unstable_window_exits_one, so it exits 1 and
 # names its unstable degrees on stderr; MIX3 under the printed constants
 # exits 1 with 10 mismatches, past the five that the summary lists.  The
-# diagonalization and homology summaries carry their coverage counts.
+# linking, unlinking, diagonalization, poincare and homology summaries carry
+# their coverage counts.
 TEXT_CASES = [("info", "{A2}"), ("series", "{A2}", "--order", "2"),
               ("dt", "{A2}", "--order", "3"), ("dt", "{EMPTY}"),
               ("link", "{A2}", "a", "b"), ("unlink", "{A2}", "a", "b"),
@@ -963,7 +985,7 @@ TEXT_CASES = [("info", "{A2}"), ("series", "{A2}", "--order", "2"),
               ("verify", "linking", "{MIX3}", "a", "b", "--order", "4",
                "--config", "{PRINTED}"),
               ("dt", "{L2}", "--order", "2")]
-TEXT_SHA256 = "5b236ee0789821b48eb0ea5e248f68eb55b63134fe3a72fadcb30174818df460"
+TEXT_SHA256 = "248667a0fcea5d0f776c221f37bff34a937484bb6dfe5399afd46611ebbcbebe"
 
 
 def test_text_output_golden_digest(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from quivercalc import motivic
+from quivercalc.algebra import poincare_check
 from quivercalc.motivic import (
     CALIBRATED,
     Conventions,
@@ -303,6 +304,19 @@ def test_shared_table_builds_each_side_as_built_alone():
                         want.vertices, want.cap, want.window)
                     # equality compares the coefficients and the (lo, hi) window
                     assert got.terms == want.terms, (quiver, transformed, order, window)
+                # one object per (parts, chi) over both sides, each equal to
+                # the coefficient built alone, one degree at a time
+                shared = {}
+                for q, got in ((quiver, lhs), (transformed, rhs)):
+                    for d, term in got.terms.items():
+                        key = (tuple(sorted(filter(None, d), reverse=True)),
+                               euler_form(q, d, d))
+                        if key in shared:
+                            assert shared[key] is term, (q.vertices, d)
+                            continue
+                        shared[key] = term
+                        assert term == ref_coefficient(q, d, window), (
+                            q.vertices, order, window, d)
             # a degree's hi is the window's hi plus chi(d,d); a prefix is
             # reached by the largest one of a degree extending it
             reach = [{}, {}]
@@ -484,6 +498,25 @@ def test_verify_diagonalization_default_window_and_counts():
     assert [m["kind"] for m in report.mismatches] == ["inconclusive"]
 
 
+def test_series_checks_count_degrees_on_the_default_window():
+    # linking, unlinking and poincare count the degrees 0 < |d| <= order of
+    # the left-hand side and those nonzero on default_window: at order 10
+    # MIX3 has a nonzero coefficient at 120 of its 285 degrees there
+    for report in (verify_link_identity(MIX3, "a", "b", 10),
+                   verify_unlink_identity(MIX3, "c", "b", 10),
+                   poincare_check(MIX3, 10)):
+        assert report.parameters["window"] == list(default_window(10, 1))
+        assert (report.details["degrees_compared"], report.details["degrees_nonzero"]) == (
+            285, 120), report.name
+        assert report.summary() == (f"PASS {report.name} "
+                                    "(120 of 285 degrees nonzero on the window)")
+    # below t^1 nothing beyond the unit is nonzero
+    for report in (verify_link_identity(M2, "a", "b", 3, (-5, 0)),
+                   poincare_check(M2, 3, (-5, 0))):
+        assert (report.details["degrees_compared"], report.details["degrees_nonzero"]) == (9, 0)
+        assert [m["kind"] for m in report.mismatches] == ["inconclusive"]
+
+
 def test_diagonalization_monomials_multiply_out():
     # each factor monomial is the product of its parents' monomials; checked
     # via exponent sums against the recorded parents encoded in the label
@@ -595,23 +628,25 @@ def test_calibration_on_zero_lhs_accepts_nothing():
         assert set(report.details["calibration"].values()) == {False}
 
 
+def ref_coefficient(quiver, d, window):
+    """The coefficient of x^d as a product starting from 1, in the order of
+    the parts of d."""
+    chi = euler_form(quiver, d, d)
+    hi = window[1] + chi
+    lo = min(window[0] + chi, 0)
+    if hi < 0:
+        return TruncatedLaurent({}, *window)
+    coeff = TruncatedLaurent.one(lo, hi)
+    for di in d:
+        if di:
+            coeff = coeff.mul(pochhammer_inv(di, lo, hi), hi_cap=hi)
+    return coeff.scale(-1 if chi % 2 else 1).shift(-chi)
+
+
 def ref_motivic_series(quiver, order, window):
-    """Every degree's coefficient as a product starting from 1, one degree
-    at a time and in the order of its parts."""
-    terms = {}
-    for d in iter_multidegrees(len(quiver), order):
-        chi = euler_form(quiver, d, d)
-        hi = window[1] + chi
-        lo = min(window[0] + chi, 0)
-        if hi < 0:
-            terms[d] = TruncatedLaurent({}, *window)
-            continue
-        coeff = TruncatedLaurent.one(lo, hi)
-        for di in d:
-            if di:
-                coeff = coeff.mul(pochhammer_inv(di, lo, hi), hi_cap=hi)
-        terms[d] = coeff.scale(-1 if chi % 2 else 1).shift(-chi)
-    return terms
+    """Every degree's coefficient built alone, one degree at a time."""
+    return {d: ref_coefficient(quiver, d, window)
+            for d in iter_multidegrees(len(quiver), order)}
 
 
 # four vertices whose permuted degrees share their parts under different

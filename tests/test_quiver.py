@@ -56,6 +56,41 @@ def test_rejects_shape_and_label_problems():
         Quiver(("a", ""), ((0, 0), (0, 0)))
 
 
+@pytest.mark.parametrize("vertices, matrix, message", [
+    (("a",), ((True,),), "matrix[0][0] is not an integer"),
+    (("a", "b"), ((0, 1), (1, 1.0)), "matrix[1][1] is not an integer"),
+    (("a", "b"), ((0, -1), (-1, 0)), "matrix[0][1] is negative"),
+    (("a", "b"), ((0, 1), (2, 0)), "matrix[0][1] != matrix[1][0] (1 vs 2)"),
+    (("a", "b"), ((0, 1), (1,)), "matrix[1] has 1 entries, expected 2"),
+    (("a", "b"), ((0, 1),), "matrix has 1 rows for 2 vertices"),
+    (("a", "b", "a"), ((0,) * 3,) * 3, "vertex labels must be distinct"),
+    (("a", ""), ((0, 0), (0, 0)), "vertices[1] must be a nonempty string"),
+    ((["a"], "b"), ((0, 0), (0, 0)), "vertices[0] must be a nonempty string"),
+    (("a", 1), ((0, 0), (0, 0)), "vertices[1] must be a nonempty string"),
+    # one bad entry after many good ones
+    (tuple(f"v{i}" for i in range(30)),
+     tuple(tuple(2 if (i, j) == (29, 28) else 0 for j in range(30)) for i in range(30)),
+     "matrix[28][29] != matrix[29][28] (0 vs 2)"),
+    (tuple(f"v{i}" for i in range(30)),
+     tuple(tuple(-1 if i == j == 29 else 1 for j in range(30)) for i in range(30)),
+     "matrix[29][29] is negative"),
+])
+def test_malformed_quivers_name_the_first_offending_entry(vertices, matrix, message):
+    with pytest.raises(QuiverFormatError) as exc:
+        Quiver(vertices, matrix)
+    assert str(exc.value) == message
+
+
+def test_well_formed_quivers_are_kept_as_given():
+    class Count(int):
+        pass
+    for vertices, matrix in (((), ()), (("a",), ((Count(2),),)),
+                             (("a", "b"), [[0, 3], [3, 1]])):
+        q = Quiver(vertices, matrix)
+        assert q.matrix == tuple(tuple(row) for row in matrix)
+        assert type(q.matrix) is tuple and all(type(row) is tuple for row in q.matrix)
+
+
 def test_index_and_accessors():
     assert A2.index("b") == 1
     with pytest.raises(KeyError):

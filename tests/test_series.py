@@ -996,3 +996,104 @@ def test_unit_products_never_write_into_an_operand(monkeypatch):
             assert exact_terms(prod + a) == exact_terms(ref_add(prod, a))
         assert a.coeffs == a_before
     assert all(seen.values()), seen
+
+
+# -- comparison and validation against entry-by-entry references -----------------
+
+def ref_first_mismatches(x, y, limit=None):
+    """Every degree of either series up to the common cap, in the order of
+    (|d|, d), a missing one read as zero on the other's window; the scan
+    stops after `limit` disagreements."""
+    cap = min(x.cap, y.cap)
+    out = []
+    for d in sorted(set(x.terms) | set(y.terms), key=lambda d: (sum(d), d)):
+        if sum(d) > cap:
+            continue
+        a, b = x.terms.get(d), y.terms.get(d)
+        a = a if a is not None else TruncatedLaurent.zero(b.lo, b.hi)
+        b = b if b is not None else TruncatedLaurent.zero(a.lo, a.hi)
+        if a.first_mismatch(b) is not None:
+            out.append((d, a, b))
+            if limit is not None and len(out) >= limit:
+                break
+    return out
+
+
+def test_first_mismatches_matches_sorted_scan_reference():
+    # pairs holding the same objects on some degrees, equal copies on others,
+    # differing or missing coefficients and different caps
+    rng = random.Random(4817)
+    seen_shared = seen_limited = 0
+    for _ in range(300):
+        vertices = ("a", "b", "c")[:rng.randint(1, 3)]
+        x = rand_multiseries(rng, vertices, cap=rng.randint(0, 4))
+        terms = {}
+        for d, c in x.terms.items():
+            pick = rng.random()
+            if pick < 0.4:
+                terms[d] = c
+            elif pick < 0.6:
+                terms[d] = TruncatedLaurent(dict(c.coeffs), c.lo, c.hi)
+            elif pick < 0.85:
+                terms[d] = rand_laurent(rng)
+        cap = rng.randint(0, 4)
+        y = MultiSeries(vertices, cap, x.window,
+                        {d: c for d, c in terms.items() if sum(d) <= cap})
+        seen_shared += any(y.terms.get(d) is c for d, c in x.terms.items())
+        for limit in (None, 1, 2, 5):
+            want = ref_first_mismatches(x, y, limit)
+            got = x.first_mismatches(y, limit)
+            assert [d for d, _, _ in got] == [d for d, _, _ in want]
+            assert all(exact_terms(a) == exact_terms(a2) and exact_terms(b) == exact_terms(b2)
+                       for (_, a, b), (_, a2, b2) in zip(got, want))
+            seen_limited += limit is not None and len(ref_first_mismatches(x, y)) > limit
+        assert x.agrees_with(y) == (not ref_first_mismatches(x, y))
+    assert seen_shared and seen_limited
+
+
+def ref_degree_check(terms, n, cap):
+    """The entry-by-entry check of every multidegree."""
+    for d in terms:
+        if len(d) != n or any(x < 0 for x in d) or sum(d) > cap:
+            raise ValueError(f"bad multidegree {d} for cap {cap} over {n} variables")
+
+
+def raised(make):
+    try:
+        make()
+    except Exception as exc:  # the exception itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n, cap, bad", [
+    (2, 3, (1,)),            # wrong length
+    (2, 3, (1, 0, 0)),
+    (2, 3, (0, -1)),         # negative entry
+    (2, 3, (3, 1)),          # |d| above the cap
+    (2, 3, (1, "1")),        # a non-int entry
+    (2, 3, (None, 0)),
+    (0, 3, (0,)),
+    (3, 20, (0, -2, 5)),
+])
+def test_multiseries_rejects_bad_degrees_as_the_entry_scan_does(n, cap, bad):
+    vertices = ("a", "b", "c")[:n]
+    one = TruncatedLaurent.one(0, 3)
+    good = dict.fromkeys(iter_multidegrees(n, cap), one)
+    for terms in ({bad: one}, {**good, bad: one}, {bad: one, **good}):
+        want = raised(lambda: ref_degree_check(terms, n, cap))
+        assert want is not None
+        assert raised(lambda: MultiSeries(vertices, cap, (0, 3), terms)) == want
+
+
+def test_multiseries_accepts_what_the_entry_scan_accepts():
+    one = TruncatedLaurent.one(0, 3)
+    for n, cap in ((0, 0), (0, 4), (1, 0), (2, 5), (4, 3)):
+        vertices = ("a", "b", "c", "d")[:n]
+        terms = dict.fromkeys(iter_multidegrees(n, cap), one)
+        ref_degree_check(terms, n, cap)
+        assert MultiSeries(vertices, cap, (0, 3), terms).terms == terms
+    # entries the scan lets through: a bool and a Fraction
+    terms = {(True, 0): one, (Fraction(1, 2), 1): one}
+    ref_degree_check(terms, 2, 2)
+    assert MultiSeries(("a", "b"), 2, (0, 3), terms).terms == terms
