@@ -125,10 +125,28 @@ def _checked_degree(quiver, degree):
 
 @lru_cache(maxsize=256)
 def _generator_row(vertex, top):
-    """The generators (vertex, 0), ..., (vertex, top), indexed by level: every
-    basis at k-weight budget `top` takes its generators at `vertex` from this
-    one row, so equal generators are one object, not a tuple per monomial."""
-    return tuple((vertex, k) for k in range(top + 1))
+    """The generators (vertex, 0), ..., (vertex, top), indexed by level.  A
+    row is a prefix of the row of the least top' = 2^n - 1 >= top, and that
+    row extends the row of top' // 2, so the rows of a vertex share their
+    generators: equal generators are one object in every word table and
+    basis, not a tuple per monomial."""
+    full = (1 << top.bit_length()) - 1
+    if top < full:
+        return _generator_row(vertex, full)[:top + 1]
+    below = _generator_row(vertex, top >> 1) if top else ()
+    return below + tuple((vertex, k) for k in range(len(below), top + 1))
+
+
+@lru_cache(maxsize=4096)
+def _vertex_words(vertex, count, share, parity):
+    """The canonical words of `count` generators at `vertex` of total level
+    `share`, of distinct generators when the vertex is odd, in
+    lexicographic order, over _generator_row(vertex, share): every basis
+    reads a vertex's words here rather than building them for its own
+    (quiver, degree, budget)."""
+    row = _generator_row(vertex, share)
+    return tuple(tuple(map(row.__getitem__, levels))
+                 for levels in _level_tuples(count, share, parity))
 
 
 @lru_cache(maxsize=1024)
@@ -140,19 +158,13 @@ def _basis_monomials(quiver, degree, budget):
     # remaining k-weight -> canonical prefixes over the vertices so far
     partial = {budget: [()]}
     for pos, i in enumerate(used):
-        strict = bool(generator_parity(quiver, i))
+        parity = generator_parity(quiver, i)
         last = pos == len(used) - 1
-        row = _generator_row(i, budget)
-        words = {}  # share -> this vertex's generator tuples of that weight
         grown = {}
         for remaining, prefixes in partial.items():
             # the last vertex takes whatever k-weight is left
             for share in (remaining,) if last else range(remaining + 1):
-                tails = words.get(share)
-                if tails is None:
-                    tails = words[share] = [
-                        tuple(map(row.__getitem__, levels))
-                        for levels in _level_tuples(degree[i], share, strict)]
+                tails = _vertex_words(i, degree[i], share, parity)
                 if tails:
                     grown.setdefault(remaining - share, []).extend(
                         p + t for p in prefixes for t in tails)
@@ -554,9 +566,11 @@ def _uncollapsed_degree(degree, ia, ib, c):
 
 @lru_cache(maxsize=64)
 def _unlinked(quiver, a, b):
-    """unlink(quiver, a, b), built once for every block of a homology check
-    rather than once per block."""
-    return unlink(quiver, a, b)
+    """unlink(quiver, a, b) and the parity of each of its vertices, built
+    once for every block of a homology check rather than once per block."""
+    unlinked = unlink(quiver, a, b)
+    return unlinked, tuple(generator_parity(unlinked, v)
+                           for v in range(len(unlinked)))
 
 
 def unlink_differential(quiver, a, b, degree, big_h, c):
@@ -578,9 +592,8 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
         raise ValueError("unlink_differential requires at least one arrow between the pair")
     if c < 0:
         raise ValueError("star count must be >= 0")
-    unlinked = _unlinked(quiver, a, b)
+    unlinked, parities = _unlinked(quiver, a, b)
     star = len(unlinked) - 1
-    parities = tuple(generator_parity(unlinked, v) for v in range(len(unlinked)))
     src_degree = _uncollapsed_degree(degree, ia, ib, c)
     source = algebra_component(unlinked, src_degree, big_h - c)
     if c == 0:
@@ -623,7 +636,7 @@ def homology_check(quiver, a, b, bound, s_max=8):
     ib = quiver.index(b)
     if quiver.matrix[ia][ib] < 1:
         raise ValueError("homology_check requires at least one arrow between the pair")
-    unlinked = _unlinked(quiver, a, b)
+    unlinked, _ = _unlinked(quiver, a, b)
     n = len(quiver)
     mismatches = []
     components = 0
@@ -631,8 +644,9 @@ def homology_check(quiver, a, b, bound, s_max=8):
     nonzero = False
     for d in iter_multidegrees(n, bound):
         cmax = min(d[ia], d[ib])
+        weight = loop_weight(quiver, d)
         for s in range(s_max + 1):
-            big_h = -loop_weight(quiver, d) - 2 * s
+            big_h = -weight - 2 * s
             blocks = [unlink_differential(quiver, a, b, d, big_h, c)
                       for c in range(cmax + 1)]
             dims = [b_.source_dim for b_ in blocks]

@@ -1,21 +1,31 @@
 """Fraction-free exact row reduction over the integers.
 
-A row meets a pivot with lead a while its own lead is b; it becomes
-(a / g) row - (b / g) pivot, g = gcd(a, b): the least positive multiple of
-the row whose lead an integer multiple of the pivot cancels, so entries
-stay integral.  A row is divided by its content only when it becomes a
-pivot, so every stored pivot is primitive with a positive lead.  Every
-matrix is sparse: rows are fed as {column: nonzero int} dicts and pivot
-rows are stored the same way, so elimination costs the nonzeros of the two
-rows involved rather than the column count.  External {column: int}
-vectors are reduced the same way: integer numerators over one common
-denominator, visiting only the pivot columns they reach, so rationals
-appear only in the result.  Only rank_of_rows takes rational rows; it
-clears their denominators before feeding them.  Callers that know the
-column count can stop feeding rows once the rank reaches it: every further
-row reduces to zero.  Feeding the sparsest rows first keeps fill-in low.
-The pivot column set is canonical (it depends only on the row space, not
-on the feed order), which makes quotient bases deterministic."""
+A row leads with its highest column.  A row meets a pivot with lead a
+while its own lead is b; it becomes (a / g) row - (b / g) pivot,
+g = gcd(a, b): the least positive multiple of the row whose lead an
+integer multiple of the pivot cancels, so entries stay integral.  A row is
+divided by its content only when it becomes a pivot, so every stored pivot
+is primitive with a positive lead.  Every matrix is sparse: rows are fed as
+{column: nonzero int} dicts and pivot rows are stored the same way, so
+elimination costs the nonzeros of the two rows involved rather than the
+column count.  External {column: int} vectors are reduced the same way:
+integer numerators over one common denominator, visiting only the pivot
+columns they reach, so rationals appear only in the result.  Only
+rank_of_rows takes rational rows; it clears their denominators before
+feeding them.  Callers that know the column count can stop feeding rows
+once the rank reaches it: every further row reduces to zero.  Feeding the
+sparsest rows first keeps fill-in low.  The pivot column set is canonical
+(it depends only on the row space, not on the feed order), which makes
+quotient bases deterministic.
+
+The highest column leads because of how the algebra's relation rows are
+laid out.  The terms g(i, total - b) g(j, b) of a relation coefficient
+between two vertices i < j sit in increasing columns as b falls, so the
+highest column holds the b = p term, of coefficient p! (times a Koszul
+sign), and the lowest one perm(total, p).  For p <= 1, so on every quiver
+with at most two arrows between two vertices, such rows lead with a unit
+and their pivots with 1, and a pivot with lead 1 never scales the rows it
+meets."""
 
 from __future__ import annotations
 
@@ -45,7 +55,7 @@ class IntegerEchelon:
     def add_row(self, row):
         """Insert one sparse {column: nonzero int} row, which the echelon
         takes over and may keep or modify; returns True when the rank
-        grew.
+        grew.  The row's lead is its highest column.
 
         Each step against a pivot with lead a cancels the row's lead b by
         (a / g) row - (b / g) pivot, g = gcd(a, b), so the row is scaled only
@@ -53,7 +63,7 @@ class IntegerEchelon:
         steps.  A row that becomes a pivot is divided by its content and
         given a positive lead."""
         while row:
-            lead = min(row)
+            lead = max(row)
             pivot = self.pivots.get(lead)
             if pivot is None:
                 if row[lead] < 0:
@@ -85,18 +95,19 @@ class IntegerEchelon:
         columns, as a dict of its nonzero entries, with ints where a value
         is integral and Fractions elsewhere.
 
-        The pivot columns the vector reaches are visited in increasing
-        order from a heap, each step scaling the integer numerators and
-        their common denominator (1 at the start) by the pivot's reduced
-        leading entry."""
+        The pivot columns the vector reaches are visited from the highest
+        down, from a heap of negated columns: a pivot's other entries lie
+        below its lead, so a step queues only lower columns.  Each step
+        scales the integer numerators and their common denominator (1 at
+        the start) by the pivot's reduced leading entry."""
         den = 1
         num = {k: x for k, x in vec.items() if x}
         pivots = self.pivots
-        heap = [k for k in num if k in pivots]
+        heap = [-k for k in num if k in pivots]
         heapify(heap)
         while heap:
             # a column queued twice or cancelled is absent by its turn
-            col = heappop(heap)
+            col = -heappop(heap)
             c = num.get(col)
             if c is None:
                 continue
@@ -114,7 +125,7 @@ class IntegerEchelon:
                 if x is None:
                     num[k] = -c * p
                     if k in pivots:
-                        heappush(heap, k)
+                        heappush(heap, -k)
                 elif x != c * p:
                     num[k] = x - c * p
                 else:

@@ -30,6 +30,34 @@ def _well_formed(vertices, matrix):
         return False
 
 
+def _raise_first_offending_entry(vertices, matrix):
+    """The entry-by-entry check behind _well_formed: raise a
+    QuiverFormatError naming the first offending entry."""
+    n = len(vertices)
+    for i, label in enumerate(vertices):
+        if not isinstance(label, str) or not label:
+            raise QuiverFormatError(f"vertices[{i}] must be a nonempty string")
+    if len(set(vertices)) != n:
+        raise QuiverFormatError("vertex labels must be distinct")
+    if len(matrix) != n:
+        raise QuiverFormatError(
+            f"matrix has {len(matrix)} rows for {n} vertices")
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise QuiverFormatError(f"matrix[{i}] has {len(row)} entries, expected {n}")
+        for j, entry in enumerate(row):
+            if not isinstance(entry, int) or isinstance(entry, bool):
+                raise QuiverFormatError(f"matrix[{i}][{j}] is not an integer")
+            if entry < 0:
+                raise QuiverFormatError(f"matrix[{i}][{j}] is negative")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if matrix[i][j] != matrix[j][i]:
+                raise QuiverFormatError(
+                    f"matrix[{i}][{j}] != matrix[{j}][{i}] "
+                    f"({matrix[i][j]} vs {matrix[j][i]})")
+
+
 @dataclass(frozen=True)
 class Quiver:
     """A symmetric quiver: ordered distinct vertex labels and a symmetric
@@ -43,32 +71,18 @@ class Quiver:
         matrix = tuple(tuple(row) for row in self.matrix)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "matrix", matrix)
-        if _well_formed(vertices, matrix):
-            return
-        # the entry-by-entry pass names the first offending entry
-        n = len(vertices)
-        for i, label in enumerate(vertices):
-            if not isinstance(label, str) or not label:
-                raise QuiverFormatError(f"vertices[{i}] must be a nonempty string")
-        if len(set(vertices)) != n:
-            raise QuiverFormatError("vertex labels must be distinct")
-        if len(matrix) != n:
-            raise QuiverFormatError(
-                f"matrix has {len(matrix)} rows for {n} vertices")
-        for i, row in enumerate(matrix):
-            if len(row) != n:
-                raise QuiverFormatError(f"matrix[{i}] has {len(row)} entries, expected {n}")
-            for j, entry in enumerate(row):
-                if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise QuiverFormatError(f"matrix[{i}][{j}] is not an integer")
-                if entry < 0:
-                    raise QuiverFormatError(f"matrix[{i}][{j}] is negative")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if matrix[i][j] != matrix[j][i]:
-                    raise QuiverFormatError(
-                        f"matrix[{i}][{j}] != matrix[{j}][{i}] "
-                        f"({matrix[i][j]} vs {matrix[j][i]})")
+        if not _well_formed(vertices, matrix):
+            _raise_first_offending_entry(vertices, matrix)
+        # every lru_cache keyed by a quiver hashes it; a label may be
+        # unhashable, so the hash is taken only once the data is valid
+        object.__setattr__(self, "_hash", hash((vertices, matrix)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a copy rebuilds its own
+        return type(self), (self.vertices, self.matrix)
 
     def __len__(self):
         return len(self.vertices)

@@ -191,18 +191,24 @@ def test_component_basis_returns_fresh_list():
 
 
 def test_bases_share_one_tuple_per_generator():
-    # every basis at one k-weight budget takes its generators from one row
-    # per vertex, so equal generators are one object, in the quotient basis too
+    # every basis reads its words from per-vertex tables over generator rows
+    # that share their generators, so equal generators are one object, in
+    # the quotient basis and across bases of other budgets too
     comp = AlgebraComponent(M2, (2, 3), -30)
     checked = 0
     for monomials in (comp.basis, comp.quotient_basis,
-                      component_basis(MIX3, (2, 1, 2), hdeg_of(MIX3, (2, 1, 2), 6))):
+                      component_basis(MIX3, (2, 1, 2), hdeg_of(MIX3, (2, 1, 2), 6)),
+                      component_basis(M2, (2, 2), -8) + component_basis(M2, (3, 3), -44)):
         generators = [g for mon in monomials for g in mon]
         assert len({id(g) for g in generators}) == len(set(generators))
         checked += len(generators) > len(set(generators))
-    assert checked == 3
-    maxsize = algebra._generator_row.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= 4096
+    assert checked == 4
+    assert algebra._generator_row(1, 5) == tuple((1, k) for k in range(6))
+    assert all(x is y for x, y in zip(algebra._generator_row(1, 5),
+                                      algebra._generator_row(1, 40)))
+    for cached in (algebra._generator_row, algebra._vertex_words):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 4096
 
 
 # -- relation rows -------------------------------------------------------------------
@@ -533,9 +539,23 @@ def test_integer_echelon_rank_and_pivots():
     assert not ech.add_row({0: 1, 1: 2, 2: 3})
     assert ech.add_row({1: 1, 2: 1})
     assert ech.rank == 2
-    assert sorted(ech.pivots) == [0, 1]
+    # each row leads with its highest column
+    assert sorted(ech.pivots) == [1, 2]
     reduced = ech.reduce_vector({0: 3, 1: 7, 2: 10})
-    assert 0 not in reduced and 1 not in reduced
+    assert 1 not in reduced and 2 not in reduced
+
+
+def test_relation_rows_of_quivers_without_loops_lead_with_units():
+    # the highest column of a relation row of a vertex pair holds the term
+    # g(i, total - p) g(j, p), of coefficient p! up to sign: a unit for the
+    # derivative orders p <= 1 of A2 and M2
+    leads = 0
+    for quiver, degree, s in itertools.product((A2, M2), ((2, 2), (3, 2), (3, 3)),
+                                               range(9)):
+        rows, _ = relation_rows(quiver, degree, hdeg_of(quiver, degree, s))
+        assert all(abs(row[max(row)]) == 1 for row in rows), (quiver, degree, s)
+        leads += len(rows)
+    assert leads > 1000
 
 
 def test_integer_echelon_pivot_canonicity():
@@ -554,12 +574,13 @@ def test_integer_echelon_pivot_canonicity():
 
 def _dense_reference_echelon(rows):
     """Dense fraction-free elimination with content reduction: the oracle
-    for the sparse engine.  Returns {leading column: dense pivot row}."""
+    for the sparse engine.  A row leads with its last nonzero entry.
+    Returns {leading column: dense pivot row}."""
     pivots = {}
     for row in rows:
         row = list(row)
         while any(row):
-            lead = next(i for i, x in enumerate(row) if x)
+            lead = max(i for i, x in enumerate(row) if x)
             if lead not in pivots:
                 if row[lead] < 0:
                     row = [-x for x in row]
@@ -573,7 +594,8 @@ def _dense_reference_echelon(rows):
 
 def _dense_reference_reduce(pivots, vec):
     vec = list(vec)
-    for col in sorted(pivots):
+    # a pivot is zero right of its lead, so the highest one goes first
+    for col in sorted(pivots, reverse=True):
         if vec[col]:
             factor = Fraction(vec[col], pivots[col][col])
             vec = [v - factor * p for v, p in zip(vec, pivots[col])]
@@ -620,7 +642,7 @@ def test_integer_echelon_matches_dense_reference():
         ech = IntegerEchelon()
         grew = []
         for row in map(sparse, rows):
-            lead = min(row, default=None)
+            lead = max(row, default=None)
             pivot = ech.pivots.get(lead)
             if pivot is not None:
                 # the first elimination step scales the row by a / gcd(a, b)

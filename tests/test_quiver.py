@@ -1,10 +1,15 @@
 """Quiver data model, Euler form, linking and unlinking case tables."""
 
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+import quivercalc
 from quivercalc.quiver import (
     Quiver,
     QuiverFormatError,
@@ -79,6 +84,29 @@ def test_malformed_quivers_name_the_first_offending_entry(vertices, matrix, mess
     with pytest.raises(QuiverFormatError) as exc:
         Quiver(vertices, matrix)
     assert str(exc.value) == message
+
+
+def test_pickled_quiver_hashes_afresh_in_another_process():
+    # string hashes depend on PYTHONHASHSEED, so a cached hash must not
+    # travel with the pickle: the loaded quiver hashes like one built there
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(
+        None, (os.path.dirname(os.path.dirname(quivercalc.__file__)),
+               os.environ.get("PYTHONPATH")))))
+    script = (
+        "import pickle, sys\n"
+        "from quivercalc.quiver import Quiver\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = Quiver(('a', 'b'), ((0, 3), (3, 1)))\n"
+        "assert loaded == fresh and hash(loaded) == hash(fresh)\n"
+        "assert {fresh: 1}[loaded] == 1\n"
+        "print(hash('a'))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=False,
+                          input=pickle.dumps(Quiver(("a", "b"), ((0, 3), (3, 1)))),
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    # the child really hashed strings under another seed
+    assert int(done.stdout) != hash("a")
 
 
 def test_well_formed_quivers_are_kept_as_given():
