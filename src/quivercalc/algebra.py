@@ -78,7 +78,6 @@ def _k_budget(quiver, degree, hdeg):
     return s2 // 2
 
 
-@lru_cache(maxsize=4096)
 def _level_tuples(count, total, strict):
     """Nondecreasing (strictly increasing when strict) k-tuples of the given
     length and sum, in lexicographic order."""
@@ -204,20 +203,15 @@ def relation_rows(quiver, degree, hdeg):
     costs one dict lookup.
 
     Even generators commute with everything, so the Koszul sign counts only
-    odd transpositions: one when both generators are odd and
-    g(i, a) > g(j, b), and, for each odd generator of the pair, the odd
-    generators of w below it (a bisection into w's odd generators).  The
-    term vanishes when an odd generator of the pair equals the other one or
-    occurs in w.
-
-    In a loop pair (i = j) the terms b and total - b name one monomial, so
-    they are merged once per relation coefficient, before any complement,
-    into one term in the orientation total - b <= b: for odd generators
-    the swapped term enters with the sign of its transposition, and the
-    signs from w are the same for both.  A merged coefficient that cancels
-    is dropped: at p = 0 every one of an odd loop does, since
-    g(i, a) g(i, b) = -g(i, b) g(i, a).  The remaining terms of a
-    coefficient name distinct monomials, so no two of them meet in a row."""
+    odd transpositions.  Each term's pair is put in canonical order, with
+    the sign of its transposition when both generators are odd; a repeated
+    odd generator vanishes.  The pairs of a relation coefficient that name
+    one monomial (b and total - b in a loop pair i = j) then add up, once
+    per coefficient, before any complement, and a sum that cancels is
+    dropped, so no two terms of a coefficient meet in a row.  For each odd
+    generator of a pair, the odd generators of w below it add one
+    transposition each (a bisection into w's odd generators), and the term
+    vanishes when the generator occurs in w."""
     basis = component_basis(quiver, degree, hdeg)
     m = quiver.matrix
     support = [v for v in range(len(quiver)) if degree[v]]
@@ -243,6 +237,7 @@ def relation_rows(quiver, degree, hdeg):
         comp_degree[j] -= 1
         comp_degree = tuple(comp_degree)
         odd_i, odd_j = parities[i], parities[j]
+        row_i, row_j = _generator_row(i, budget), _generator_row(j, budget)
         # complements of the relation coefficients of level sum `total`
         # (generator levels a + b = total), of k-weight budget - total,
         # each with its code and its odd generators
@@ -256,25 +251,23 @@ def relation_rows(quiver, degree, hdeg):
             for total in range(p, budget + 1):
                 if not complements[total]:
                     continue
-                if i != j:
-                    terms = [(perm(b, p), (i, total - b), (j, b))
-                             for b in range(p, total + 1)]
-                else:
-                    terms = []
-                    for b in range(max(p, (total + 1) // 2), total + 1):
-                        a = total - b
-                        c = perm(b, p)
-                        if a == b:
-                            if odd_i:
-                                continue  # an odd generator squared
-                        elif a >= p:
-                            # the term b' = a names g(i, b) g(i, a)
-                            c += -perm(a, p) if odd_i else perm(a, p)
-                        if c:
-                            terms.append((c, (i, a), (i, b)))
+                # each term in canonical order, summed per monomial (its code)
+                merged = {}
+                for b in range(p, total + 1):
+                    ga, gb, c = row_i[total - b], row_j[b], perm(b, p)
+                    if gb < ga:
+                        ga, gb = gb, ga
+                        if odd_i and odd_j:
+                            c = -c
+                    elif ga == gb and odd_i:
+                        continue  # an odd generator squared
+                    pair = field[ga] + field[gb]
+                    if pair in merged:
+                        c += merged[pair][0]
+                    merged[pair] = c, ga, gb, pair
+                terms = [term for term in merged.values() if term[0]]
                 if not terms:
                     continue
-                terms = [(c, ga, gb, field[ga] + field[gb]) for c, ga, gb in terms]
                 if not (odd_i or odd_j):
                     rows.extend({index[cw + pair]: c for c, _, _, pair in terms}
                                 for cw, _ in complements[total])
@@ -316,12 +309,14 @@ class AlgebraComponent:
         self.echelon = IntegerEchelon()
         # sparsest rows first (the pivot order of structured Gaussian
         # elimination) keeps fill-in low; the pivot columns and reductions
-        # depend only on the row space, not on the feed order
-        for row in sorted(rows, key=len):
-            # at full rank every further row reduces to zero
-            if self.echelon.rank == len(basis):
-                break
-            self.echelon.add_row(row)
+        # depend only on the row space, not on the feed order.  Rows are
+        # popped off the reversed list as they are fed, so a row that does
+        # not become a pivot is freed at once; at full rank every further
+        # row reduces to zero
+        rows.sort(key=len)
+        rows.reverse()
+        while rows and self.echelon.rank < len(basis):
+            self.echelon.add_row(rows.pop())
         pivots = self.echelon.pivots
         self.quotient_basis = [mon for t, mon in enumerate(basis) if t not in pivots]
         self.dim = len(self.quotient_basis)
@@ -430,14 +425,15 @@ def poincare_check(quiver, order, window=None):
     wlo, whi = window
     lhs = motivic_series(quiver, order, window)
     rhs = _poincare_series(quiver, order, window)
+    coverage = degree_coverage(lhs)
     mismatches = ([degree_mismatch(*m) for m in lhs.first_mismatches(rhs)]
-                  + inconclusive_mismatches(lhs, window))
+                  + inconclusive_mismatches(coverage, window))
     return VerificationReport(
         name="poincare-series-identity",
         parameters={"quiver": quiver.to_json(), "order": order,
                     "window": [wlo, whi]},
         mismatches=mismatches,
-        details=degree_coverage(lhs),
+        details=coverage,
     )
 
 

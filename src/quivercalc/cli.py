@@ -19,8 +19,8 @@ no nonzero invariant, which `dt` names in one line on stderr), 2 on usage or
 input errors: argparse usage errors, an option or vertex labels a verify
 target does not read among them, reported before any file is read; missing,
 unreadable or malformed files, unknown vertex labels, a window given by one
-bound only or an empty one, orders, guards or level-weight bounds below
-their minimum, which are also reported before any file is read.
+bound only or an empty one, orders or level-weight bounds below their
+minimum, which are also reported before any file is read.
 
 `main` returns that status, for argparse usage errors (2) and --help (0)
 too, and writes only to the streams it is given.  It may be called any
@@ -196,8 +196,9 @@ def cmd_series(quiver, args, err):
 
 
 def cmd_dt(quiver, args, err):
-    window = dt_window(quiver, args.order, args.guard)
-    result = dt_extract(motivic_series(quiver, args.order, window), guard=args.guard)
+    # the default guard band: on dt_window every degree is stable for any
+    # guard, so the invariants do not depend on it
+    result = dt_extract(motivic_series(quiver, args.order, dt_window(quiver, args.order)))
     # dt_check needs every degree stable, then checks positivity and that
     # some invariant is nonzero; a failure names its reason on err
     try:
@@ -362,9 +363,7 @@ def build_parser():
 
     sub = subs.add_parser("dt", help="extract motivic DT invariants")
     _add_common(sub, window=False)
-    sub.add_argument("--guard", type=int, default=5,
-                     help="stabilization guard band (default 5)")
-    sub.set_defaults(handler=cmd_dt, parser=sub, minimums={"order": 0, "guard": 1})
+    sub.set_defaults(handler=cmd_dt, parser=sub)
 
     for name, op in (("link", link), ("unlink", unlink)):
         sub = subs.add_parser(name, help=f"{name} a vertex pair")

@@ -78,7 +78,7 @@ class DTResult:
         }
 
 
-def dt_window(quiver, order, guard):
+def dt_window(quiver, order, guard=5):
     """The one t-window on which dt_extract(motivic_series(quiver, order,
     window), guard) is stable in every degree 1 <= |d| <= order:
     (-(guard + 1), top + guard + 1), top = max_d (1 - chi(d,d)), or 0 when

@@ -117,20 +117,15 @@ def motivic_series(quiver, order, window):
     window ((k+1) lo, hi) for k nonzero parts, lo = min(wlo + chi, 0): the
     window of 1 on (lo, hi) times k factors on (lo, hi) each.  Its sign and
     its shift by t^(-chi) are applied in the same pass."""
-    return _motivic_terms(quiver, order, window, iter_multidegrees(len(quiver), order))
-
-
-def _motivic_terms(quiver, order, window, degrees):
-    """The series of motivic_series on the given degrees only, each one as
-    motivic_series computes it; the others are left out, where a MultiSeries
-    would read them as zero, so the result may only be read at the degrees
-    given."""
-    return _motivic_sides(order, window, (quiver, degrees))[0]
+    return _motivic_sides(order, window, (quiver, iter_multidegrees(len(quiver), order)))[0]
 
 
 def _motivic_sides(order, window, *sides):
-    """_motivic_terms(quiver, order, window, degrees) for each side
-    (quiver, degrees), in order, from one table of Pochhammer products.
+    """For each side (quiver, degrees), in order, the series of
+    motivic_series(quiver, order, window) on the given degrees only, each
+    one as motivic_series computes it; the others are left out, where a
+    MultiSeries would read them as zero, so a side may only be read at the
+    degrees given.  All sides come from one table of Pochhammer products.
     Every side's degrees are laid out before any product is taken, and a
     prefix is multiplied once, up to the largest hi of a degree extending it
     on any side: a product taken further has the same terms up to a lower
@@ -249,10 +244,11 @@ def _verify_substitution_identity(kind, quiver, a, b, order, window,
         return side.substitute(new_label, replace(mono, qpow=power),
                                quiver.vertices, out_cap=cap)
 
-    inconclusive = inconclusive_mismatches(lhs, window)
+    coverage = degree_coverage(lhs)
+    inconclusive = inconclusive_mismatches(coverage, window)
     mismatches = [degree_mismatch(*m) for m in lhs.first_mismatches(substituted(mono.qpow))]
     details = {"transformed_quiver": transformed.to_json(), "new_vertex": new_label,
-               **degree_coverage(lhs)}
+               **coverage}
     if calibrate:
         # an output degree's coefficient does not depend on the cap, so a
         # mismatch through |d| = 2 is a mismatch of the full check; wrong
@@ -434,7 +430,8 @@ def verify_diagonalization(quiver, rounds, window=None,
     if window is None:
         window = valuation_window(quiver, rounds)
     lhs = motivic_series(quiver, rounds, window)
-    mismatches = inconclusive_mismatches(lhs, window)
+    coverage = degree_coverage(lhs)
+    mismatches = inconclusive_mismatches(coverage, window)
     if not mismatches:
         # on windows below t^0, where 1 itself cannot be stored, the
         # left-hand side is zero, so the right-hand side waits until here
@@ -446,5 +443,5 @@ def verify_diagonalization(quiver, rounds, window=None,
                     "window": [window[0], window[1]]},
         mismatches=mismatches,
         conventions=conventions.to_json(),
-        details={"diagonalization": result.to_json(), **degree_coverage(lhs)},
+        details={"diagonalization": result.to_json(), **coverage},
     )

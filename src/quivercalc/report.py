@@ -72,12 +72,12 @@ def inconclusive_unless(compared_nonzero, reason):
     return [{"kind": "inconclusive", "reason": reason}]
 
 
-def inconclusive_mismatches(lhs, window):
-    """One inconclusive mismatch when the left-hand series has no nonzero
-    coefficient with |d| >= 1 on the window, else none.  A window below all
-    support compares zeros with zeros, and the constant term 1 = 1 holds for
-    every quiver, so neither shows anything."""
+def inconclusive_mismatches(coverage, window):
+    """One inconclusive mismatch when the degree_coverage of the left-hand
+    series counts no degree |d| >= 1 nonzero on the window, else none.  A
+    window below all support compares zeros with zeros, and the constant
+    term 1 = 1 holds for every quiver, so neither shows anything."""
     return inconclusive_unless(
-        any(sum(d) and not term.is_zero() for d, term in lhs.terms.items()),
+        coverage["degrees_nonzero"],
         f"left-hand series has no nonzero coefficient with |d| >= 1 on window "
         f"[{window[0]}, {window[1]}]; nothing beyond the unit was compared")

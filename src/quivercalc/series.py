@@ -856,7 +856,6 @@ def pleth_exp(series):
     return out
 
 
-@lru_cache(maxsize=256)
 def _mobius(n):
     if n == 1:
         return 1

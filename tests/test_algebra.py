@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -707,6 +708,40 @@ def test_full_rank_component_stops_feeding_rows(monkeypatch):
     assert comp.quotient_basis == []
     assert comp.reduce({basis[0]: 1, basis[-1]: -2}) == {}
     assert len(calls) < len(rows)
+
+
+def test_component_build_lets_go_of_each_fed_row(monkeypatch):
+    # a row fed to the echelon is freed by the next feed unless it became a
+    # pivot: the component holds no other reference to the rows it has fed
+    class Row(dict):
+        """A relation row that a weak reference can follow."""
+
+    original_rows = algebra.relation_rows
+    original_add = IntegerEchelon.add_row
+    fed = []
+    freed = 0
+
+    def weak_rows(quiver, degree, hdeg):
+        rows, basis = original_rows(quiver, degree, hdeg)
+        return [Row(row) for row in rows], basis
+
+    def tracking_add_row(self, row):
+        nonlocal freed
+        pivots = {id(p) for p in self.pivots.values()}
+        for ref in fed:
+            assert ref() is None or id(ref()) in pivots
+        freed += sum(ref() is None for ref in fed)
+        fed[:] = [ref for ref in fed if ref() is not None]
+        fed.append(weakref.ref(row))
+        return original_add(self, row)
+
+    monkeypatch.setattr(algebra, "relation_rows", weak_rows)
+    monkeypatch.setattr(IntegerEchelon, "add_row", tracking_add_row)
+    for quiver, degree, s in ((M2, (3, 3), 9), (MIX3, (1, 1, 2), 9)):
+        fed.clear()
+        h = hdeg_of(quiver, degree, s)
+        assert AlgebraComponent(quiver, degree, h).dim == functional_dimension(quiver, degree, h)
+    assert freed > 100
 
 
 def test_feed_order_keeps_quotient_and_reductions():

@@ -211,7 +211,7 @@ def test_dt_window_without_constant_term_exits_two(tmp_path, monkeypatch):
     # no argv reaches a window without t^0 any more; main still turns the
     # SeriesError its handler raises there (the constant term of A_Q is not 1
     # on it) into exit 2 with one line
-    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order, guard: (-5, -1))
+    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order, guard=5: (-5, -1))
     code, out, err = run_cli("dt", write_a2(tmp_path), "--order", "2")
     assert (code, out) == (2, "")
     assert err == "error: pleth_log: series must have constant term 1\n"
@@ -233,6 +233,7 @@ def test_dt_rejects_a_window(tmp_path, flags):
 @pytest.mark.parametrize("command, argv, leftover", [
     ("verify gr", ("a", "b", "--calibrate"), "--calibrate"),
     ("dt", ("--qmin", "1", "--qmax", "2"), "--qmin 1 --qmax 2"),
+    ("dt", ("--guard", "5"), "--guard 5"),
 ])
 def test_leftover_arguments_print_the_leaf_usage(tmp_path, command, argv, leftover):
     # an option the leaf sub-parser does not declare is rejected with that
@@ -287,9 +288,10 @@ def test_negative_series_order_exits_two(tmp_path):
 
 
 def test_zero_dt_guard_exits_two(tmp_path):
+    # dt has no --guard: a guard, valid or not, is a usage error
     code, out, err = run_cli("dt", write_a2(tmp_path), "--guard", "0", "--output", "json")
     assert (code, out) == (2, "")
-    assert err == "error: --guard must be >= 1, got 0\n"
+    assert err.endswith("quivercalc dt: error: unrecognized arguments: --guard 0\n")
 
 
 def test_zero_diagonalize_order_exits_two(tmp_path):
@@ -525,7 +527,7 @@ def test_dt_text_output(tmp_path):
 
 
 def test_dt_unstable_window_exits_one(tmp_path, monkeypatch):
-    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order, guard: (-6, 6))
+    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order, guard=5: (-6, 6))
     two = tmp_path / "two.json"
     two.write_text(json.dumps({"vertices": ["v"], "matrix": [[2]]}))
     code, out, err = run_cli("dt", str(two), "--order", "2")
@@ -579,7 +581,7 @@ def test_dt_euler_form_window_is_stable_at_high_order(tmp_path, matrix, order):
 def test_dt_stable_but_not_positive_exits_one(tmp_path, monkeypatch, bad):
     # a stable result with a negative or non-integral coefficient fails the
     # positivity check, in text and in JSON
-    def fake_extract(series, guard):
+    def fake_extract(series, guard=5):
         return DTResult(series.vertices, series.cap, guard, [
             DTEntry((1, 0), {0: 1}, (-6, 6), True),
             DTEntry((0, 1), {0: bad}, (-6, 6), True)])
@@ -1001,7 +1003,7 @@ def test_text_output_golden_digest(tmp_path, monkeypatch):
     for case in TEXT_CASES:
         if case[1] == "{L2}":
             monkeypatch.setattr("quivercalc.cli.dt_window",
-                                lambda quiver, order, guard: (-6, 6))
+                                lambda quiver, order, guard=5: (-6, 6))
         argv = [arg.format(**paths) for arg in case]
         code, out, err = run_cli(*argv, "--output", "text")
         exits.append(code)

@@ -253,9 +253,9 @@ def test_read_degrees_substitute_like_the_full_series():
         for order in range(1, 8):
             window = default_window(order, transformed.max_loops())
             full = motivic_series(transformed, order, window)
-            read = motivic._motivic_terms(
-                transformed, order, window,
-                motivic._read_degrees(len(transformed) - 1, order))
+            read = motivic._motivic_sides(
+                order, window,
+                (transformed, motivic._read_degrees(len(transformed) - 1, order)))[0]
             assert set(read.terms) == {d for d in full.terms if sum(d) + d[-1] <= order}
             for power in range(-2, 3):
                 mono = VertexMonomial(expo, power)
@@ -298,8 +298,8 @@ def test_shared_table_builds_each_side_as_built_alone():
                     order, window, (quiver, iter_multidegrees(len(quiver), order)),
                     (transformed, read))
                 for got, want in ((lhs, motivic_series(quiver, order, window)),
-                                  (rhs, motivic._motivic_terms(transformed, order,
-                                                               window, read))):
+                                  (rhs, motivic._motivic_sides(order, window,
+                                                               (transformed, read))[0])):
                     assert (got.vertices, got.cap, got.window) == (
                         want.vertices, want.cap, want.window)
                     # equality compares the coefficients and the (lo, hi) window
