@@ -4,7 +4,8 @@ Every subcommand reads a quiver from JSON, computes or verifies, and prints
 either human-readable text or canonical JSON (sorted keys, two-space indent,
 no timing data) so identical invocations produce byte-identical output.
 `main` loads the quiver once for every subcommand, after the bound checks,
-and checks the vertex pair a b against it where the subcommand reads one.
+and checks the vertex pair a b against it where the subcommand reads one:
+both labels known, then distinct.
 Each handler `cmd_*(quiver, args, err)` returns (payload, lines, status): a
 zero-argument callable that builds the JSON payload, an iterable of text
 lines without newlines, and the exit status.  `main` alone reads --output
@@ -18,7 +19,8 @@ extraction with an unstable degree, a non-integral or negative invariant or
 no nonzero invariant, which `dt` names in one line on stderr), 2 on usage or
 input errors: argparse usage errors, an option or vertex labels a verify
 target does not read among them, reported before any file is read; missing,
-unreadable or malformed files, unknown vertex labels, a window given by one
+unreadable or malformed files, text that is not JSON or nests too deeply,
+unknown vertex labels or a pair that is not distinct, a window given by one
 bound only or an empty one, orders or level-weight bounds below their
 minimum, which are also reported before any file is read.
 
@@ -41,7 +43,7 @@ from .dt import dt_check, dt_extract, dt_window
 from .motivic import (Conventions, DEFAULT_CONVENTIONS, default_window,
                       diagonalize, motivic_series, verify_diagonalization,
                       verify_link_identity, verify_unlink_identity)
-from .quiver import Quiver, link, unlink
+from .quiver import Quiver, link, read_json, unlink
 from .series import SeriesError, exact_str
 
 
@@ -53,11 +55,12 @@ def _fail(message):
     raise InputError(message)
 
 
-def _load(loader, path):
-    """loader(path), with a file or format error as an input error; a
-    malformed quiver and bad JSON both raise ValueError."""
+def _load(parse, path):
+    """parse(the JSON value in the file at path), with a file or format error
+    as an input error that names the path once; text that is not JSON and a
+    value parse rejects both raise ValueError."""
     try:
-        return loader(path)
+        return parse(read_json(path))
     except FileNotFoundError:
         _fail(f"{path}: no such file")
     except OSError as exc:
@@ -66,12 +69,14 @@ def _load(loader, path):
         _fail(f"{path}: {exc}")
 
 
-def _check_vertices(quiver, *labels):
-    for label in labels:
+def _check_pair(quiver, a, b):
+    for label in (a, b):
         try:
             quiver.index(label)
         except KeyError:
             _fail(f"unknown vertex {label!r}; quiver has {list(quiver.vertices)}")
+    if a == b:
+        _fail(f"vertex pair must be distinct, got {a!r} twice")
 
 
 def _window(args):
@@ -89,7 +94,7 @@ def _window(args):
 def _conventions(args):
     if args.config is None:
         return DEFAULT_CONVENTIONS
-    return _load(Conventions.load, args.config)
+    return _load(Conventions.from_dict, args.config)
 
 
 def _save_quiver(quiver, path):
@@ -225,9 +230,9 @@ def cmd_dt(quiver, args, err):
 
 
 def cmd_transform(quiver, args, err):
-    """link or unlink, as args.op; args.command names it."""
+    """link or unlink, as args.command names it."""
     try:
-        transformed = args.op(quiver, args.a, args.b)
+        transformed = (link if args.command == "link" else unlink)(quiver, args.a, args.b)
     except ValueError as exc:
         _fail(str(exc))
     if args.outfile:
@@ -274,38 +279,36 @@ def cmd_algebra_dims(quiver, args, err):
             lines, status)
 
 
-# Each verify target: whether it reads a vertex pair a b, the options it
-# reads beside --order and --output, its --order minimum and its check.
+# Each verify target: the options it reads beside the quiver path, in the
+# order its usage line shows them, its --order minimum and its check.
 # build_parser gives each one a sub-parser of `verify` declaring just these,
 # so argparse rejects any other option or label.
 _VERIFY = {
-    "linking": (True, ("window", "config", "calibrate"), 0,
+    "linking": (("order", "window", "output", "config", "calibrate", "pair"), 0,
                 lambda quiver, args: verify_link_identity(
                     quiver, args.a, args.b, args.order, _window(args),
                     _conventions(args), args.calibrate)),
-    "unlinking": (True, ("window", "config", "calibrate"), 0,
+    "unlinking": (("order", "window", "output", "config", "calibrate", "pair"), 0,
                   lambda quiver, args: verify_unlink_identity(
                       quiver, args.a, args.b, args.order, _window(args),
                       _conventions(args), args.calibrate)),
     # diagonalize runs at least one round, as on the diagonalize command;
     # without --qmin/--qmax the window is valuation_window(quiver, order)
-    "diagonalization": (False, ("window", "config"), 1,
+    "diagonalization": (("order", "window", "output", "config"), 1,
                         lambda quiver, args: verify_diagonalization(
                             quiver, args.order, _window(args), _conventions(args))),
-    "poincare": (False, ("window",), 0,
+    "poincare": (("order", "window", "output"), 0,
                  lambda quiver, args: poincare_check(quiver, args.order, _window(args))),
-    "gr": (True, ("smax",), 0,
+    "gr": (("order", "output", "smax", "pair"), 0,
            lambda quiver, args: gr_linking_check(quiver, args.a, args.b, args.order,
                                                  s_max=args.smax)),
-    "homology": (True, ("smax",), 0,
+    "homology": (("order", "output", "smax", "pair"), 0,
                  lambda quiver, args: homology_check(quiver, args.a, args.b, args.order,
                                                      s_max=args.smax)),
 }
 
 
 def cmd_verify(quiver, args, err):
-    if "a" in args and args.a == args.b:
-        _fail("vertex pair must be distinct")
     try:
         report = args.check(quiver, args)
     except ValueError as exc:
@@ -322,22 +325,58 @@ def cmd_verify(quiver, args, err):
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(sub, order=True, window=True, config=False, min_order=0):
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+# Every option a subcommand may read, by the name the tables use: the
+# add_argument calls that declare it.
+_OPTIONS = {
+    "order": [_arg("--order", type=int, default=3,
+                   help="total x-degree truncation (default 3)")],
+    "window": [_arg("--qmin", type=int, help="window lower bound, in half-integer q powers"),
+               _arg("--qmax", type=int, help="window upper bound, in half-integer q powers")],
+    "output": [_arg("--output", choices=("text", "json"), default="text",
+                    help="output format (default text)")],
+    "config": [_arg("--config", help="JSON file overriding substitution conventions")],
+    "calibrate": [_arg("--calibrate", action="store_true",
+                       help="also scan substitution constants q^(k/2), k=-2..2")],
+    "outfile": [_arg("-o", "--outfile", help="write the resulting quiver JSON here")],
+    "degree": [_arg("--degree", required=True,
+                    help="dimension vector, comma separated (e.g. 1,1)")],
+    "smax": [_arg("--smax", type=int, default=8,
+                  help="largest total level weight (default 8)")],
+    "pair": [_arg("a", help="first vertex label"), _arg("b", help="second vertex label")],
+}
+
+# Each subcommand but verify: its help line, its handler, the options it
+# reads beside the quiver path, in the order its usage line shows them, and
+# its --order minimum, None where it reads no --order.
+_COMMANDS = {
+    "info": ("describe a quiver file", cmd_info, ("output",), None),
+    "series": ("print the motivic generating series", cmd_series,
+               ("order", "window", "output"), 0),
+    "dt": ("extract motivic DT invariants", cmd_dt, ("order", "output"), 0),
+    "link": ("link a vertex pair", cmd_transform, ("outfile", "output", "pair"), None),
+    "unlink": ("unlink a vertex pair", cmd_transform, ("outfile", "output", "pair"), None),
+    "diagonalize": ("unlink repeatedly and report diagonal factors", cmd_diagonalize,
+                    ("order", "output", "config", "outfile"), 1),
+    "algebra-dims": ("exact component dimensions of the quadratic algebra",
+                     cmd_algebra_dims, ("output", "degree", "smax"), None),
+}
+
+
+def _add_options(sub, reads, min_order):
+    """Declare on the leaf sub-parser `sub` the quiver path and then each
+    option named in `reads`, in that order; set `minimums`, the lower bound
+    of each numeric option it reads, and `parser`, `sub` itself."""
     sub.add_argument("quiver", help="path to a quiver JSON file")
-    if order:
-        sub.add_argument("--order", type=int, default=3,
-                         help="total x-degree truncation (default 3)")
-        sub.set_defaults(minimums={"order": min_order})
-    if window:
-        sub.add_argument("--qmin", type=int, default=None,
-                         help="window lower bound, in half-integer q powers")
-        sub.add_argument("--qmax", type=int, default=None,
-                         help="window upper bound, in half-integer q powers")
-    sub.add_argument("--output", choices=("text", "json"), default="text",
-                     help="output format (default text)")
-    if config:
-        sub.add_argument("--config", default=None,
-                         help="JSON file overriding substitution conventions")
+    for name in reads:
+        for flags, kwargs in _OPTIONS[name]:
+            sub.add_argument(*flags, **kwargs)
+    lows = {"order": min_order, "smax": 0}
+    sub.set_defaults(parser=sub, minimums={name: lows[name] for name in reads
+                                           if name in lows})
 
 
 @cache
@@ -352,62 +391,16 @@ def build_parser():
         description="Exact motivic series, DT invariants, and quadratic-algebra "
                     "computations for symmetric quivers.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("info", help="describe a quiver file")
-    _add_common(sub, order=False, window=False)
-    sub.set_defaults(handler=cmd_info, parser=sub)
-
-    sub = subs.add_parser("series", help="print the motivic generating series")
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_series, parser=sub)
-
-    sub = subs.add_parser("dt", help="extract motivic DT invariants")
-    _add_common(sub, window=False)
-    sub.set_defaults(handler=cmd_dt, parser=sub)
-
-    for name, op in (("link", link), ("unlink", unlink)):
-        sub = subs.add_parser(name, help=f"{name} a vertex pair")
-        sub.add_argument("-o", "--outfile", default=None,
-                         help="write the transformed quiver JSON here")
-        _add_common(sub, order=False, window=False)
-        sub.add_argument("a", help="first vertex label")
-        sub.add_argument("b", help="second vertex label")
-        sub.set_defaults(handler=cmd_transform, parser=sub, op=op)
-
-    sub = subs.add_parser("diagonalize",
-                          help="unlink repeatedly and report diagonal factors")
-    _add_common(sub, window=False, config=True, min_order=1)
-    sub.add_argument("-o", "--outfile", default=None,
-                     help="write the diagonal quiver JSON here")
-    sub.set_defaults(handler=cmd_diagonalize, parser=sub)
-
-    sub = subs.add_parser("algebra-dims",
-                          help="exact component dimensions of the quadratic algebra")
-    _add_common(sub, order=False, window=False)
-    sub.add_argument("--degree", required=True,
-                     help="dimension vector, comma separated (e.g. 1,1)")
-    sub.add_argument("--smax", type=int, default=8,
-                     help="largest total level weight to tabulate (default 8)")
-    sub.set_defaults(handler=cmd_algebra_dims, parser=sub, minimums={"smax": 0})
-
+    for name, (help_line, handler, reads, min_order) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        _add_options(sub, reads, min_order)
+        sub.set_defaults(handler=handler)
     targets = subs.add_parser("verify", help="run an exact identity check"
                               ).add_subparsers(dest="target", required=True)
-    for target, (pair, reads, min_order, check) in _VERIFY.items():
+    for target, (reads, min_order, check) in _VERIFY.items():
         sub = targets.add_parser(target)
-        _add_common(sub, window="window" in reads, config="config" in reads,
-                    min_order=min_order)
-        if pair:
-            sub.add_argument("a", help="first vertex label")
-            sub.add_argument("b", help="second vertex label")
-        if "smax" in reads:
-            sub.add_argument("--smax", type=int, default=8,
-                             help="largest total level weight to check (default 8)")
-            sub.set_defaults(minimums={"order": min_order, "smax": 0})
-        if "calibrate" in reads:
-            sub.add_argument("--calibrate", action="store_true",
-                             help="also scan substitution constants q^(k/2), k=-2..2")
-        sub.set_defaults(handler=cmd_verify, parser=sub, check=check)
-
+        _add_options(sub, reads, min_order)
+        sub.set_defaults(handler=cmd_verify, check=check)
     return parser
 
 
@@ -424,13 +417,13 @@ def main(argv=None, out=None, err=None):
         return exc.code
     try:
         # numeric arguments with a lower bound, declared per subcommand
-        for name, low in getattr(args, "minimums", {}).items():
+        for name, low in args.minimums.items():
             value = getattr(args, name)
             if value is not None and value < low:
                 _fail(f"--{name} must be >= {low}, got {value}")
-        quiver = _load(Quiver.load, args.quiver)
+        quiver = _load(Quiver.from_json, args.quiver)
         if "a" in args:
-            _check_vertices(quiver, args.a, args.b)
+            _check_pair(quiver, args.a, args.b)
         payload, lines, status = args.handler(quiver, args, err)
         if args.output == "json":
             out.write(_json_text(payload()) + "\n")

@@ -40,9 +40,7 @@ def _content_reduce(row):
         g = gcd(g, x)
         if g == 1:
             return row
-    if g > 1:
-        return {k: x // g for k, x in row.items()}
-    return row
+    return {k: x // g for k, x in row.items()}
 
 
 class IntegerEchelon:

@@ -13,7 +13,6 @@ symbol, every factor expanded exactly on a requested t-exponent window
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from .quiver import (Quiver, add_fresh_vertex, euler_quadratic_form, fresh_label,
@@ -60,11 +59,6 @@ class Conventions:
         if unknown:
             raise ValueError(f"unknown conventions keys: {sorted(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
     def to_json(self):
         return {

@@ -13,6 +13,17 @@ class QuiverFormatError(ValueError):
     """Malformed quiver data; the message names the offending entry."""
 
 
+def read_json(path):
+    """The JSON value in the file at `path`.  Text that is not JSON, or that
+    nests too deeply for the parser, raises QuiverFormatError("invalid JSON
+    (...)"); the message leaves naming the path to the caller."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise QuiverFormatError(f"invalid JSON ({exc})") from None
+
+
 def _well_formed(vertices, matrix):
     """Whether the labels are distinct nonempty strings and the matrix a
     square, symmetric one of nonnegative ints, in whole-collection passes;
@@ -126,12 +137,7 @@ class Quiver:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise QuiverFormatError(f"{path}: invalid JSON ({exc})") from None
-        return cls.from_json(obj)
+        return cls.from_json(read_json(path))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

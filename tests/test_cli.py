@@ -151,17 +151,49 @@ def test_verify_rejects_labels_its_target_does_not_read(tmp_path, target, labels
     assert f"error: unrecognized arguments: {' '.join(labels)}\n" in err
 
 
-@pytest.mark.parametrize("target", sorted(VERIFY_READS))
-def test_verify_help_lists_only_the_options_its_target_reads(target):
-    code, out, err = run_cli("verify", target, "--help")
+# Every leaf sub-parser, by its last word: its command words, the options
+# its --help lists, in declaration order, and its positionals.
+HELP_TABLE = {
+    "info": ("info", "--output", "quiver"),
+    "series": ("series", "--order --qmin --qmax --output", "quiver"),
+    "dt": ("dt", "--order --output", "quiver"),
+    "link": ("link", "-o --outfile --output", "quiver a b"),
+    "unlink": ("unlink", "-o --outfile --output", "quiver a b"),
+    "diagonalize": ("diagonalize", "--order --output --config -o --outfile", "quiver"),
+    "algebra-dims": ("algebra-dims", "--output --degree --smax", "quiver"),
+    "linking": ("verify linking",
+                "--order --qmin --qmax --output --config --calibrate", "quiver a b"),
+    "unlinking": ("verify unlinking",
+                  "--order --qmin --qmax --output --config --calibrate", "quiver a b"),
+    "diagonalization": ("verify diagonalization", "--order --qmin --qmax --output --config",
+                        "quiver"),
+    "poincare": ("verify poincare", "--order --qmin --qmax --output", "quiver"),
+    "gr": ("verify gr", "--order --output --smax", "quiver a b"),
+    "homology": ("verify homology", "--order --output --smax", "quiver a b"),
+}
+
+
+def _help_section(out, title):
+    """The first word of each entry under `title` in a --help text, or of
+    each of its flags where the entry lists several."""
+    section = next(part for part in out.split("\n\n") if part.startswith(title))
+    entries = [re.split(r"\s{2,}", line.strip())[0]
+               for line in section.splitlines()[1:] if re.match(r"  \S", line)]
+    return [flag.split()[0] for entry in entries for flag in entry.split(", ")]
+
+
+@pytest.mark.parametrize("leaf", HELP_TABLE)
+def test_verify_help_lists_only_the_options_its_target_reads(leaf):
+    # every leaf sub-parser, not only the verify targets, declares just the
+    # options and positionals its handler reads
+    command, options, positionals = HELP_TABLE[leaf]
+    code, out, err = run_cli(*command.split(), "--help")
     assert (code, err) == (0, "")
     usage = out.split("\n\n")[0]
-    assert usage.startswith(f"usage: quivercalc verify {target} ")
-    flags = {"--qmin", "--qmax"} if "window" in VERIFY_READS[target] else set()
-    flags |= VERIFY_READS[target] - {"window"}
-    assert set(re.findall(r"--[a-z]+", usage)) == {"--order", "--output"} | flags
-    positionals = "quiver a b" if target in PAIR_TARGETS else "quiver"
+    assert usage.startswith(f"usage: quivercalc {command} [-h] ")
     assert usage.split()[-len(positionals.split()):] == positionals.split()
+    assert _help_section(out, "options:") == ["-h", "--help", *options.split()]
+    assert _help_section(out, "positional arguments:") == positionals.split()
 
 
 def test_verify_pair_target_without_labels_exits_two(tmp_path):
@@ -186,6 +218,58 @@ def test_unknown_pair_label_exits_two(tmp_path, command, labels):
     assert (code, out) == (2, "")
     assert err == "error: unknown vertex 'z'; quiver has ['a', 'b']\n"
     assert not outfile.exists()
+
+
+@pytest.mark.parametrize("command", [("link",), ("unlink",),
+                                     *(("verify", target) for target in PAIR_TARGETS)])
+def test_repeated_pair_label_exits_two(tmp_path, command):
+    # main checks every pair once, with one message for every command
+    outfile = tmp_path / "out.json"
+    written = ("-o", str(outfile)) if command[0] != "verify" else ()
+    code, out, err = run_cli(*command, write_a2(tmp_path), "a", "a", *written)
+    assert (code, out) == (2, "")
+    assert err == "error: vertex pair must be distinct, got 'a' twice\n"
+    assert not outfile.exists()
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+# Input files the loaders reject, and a check that rejects its pair: the
+# text of the file {bad}, the argv, and the start of the one stderr line
+# after "error: ", which names {bad} once; a start that ends in "(" is
+# followed by the JSON parser's own words and ")".
+@pytest.mark.parametrize("text, argv, message", [
+    ('{"vertices": ["a"]}', ("info", "{bad}"), "{bad}: quiver JSON is missing 'matrix'"),
+    ('{"vertices": "a", "matrix": [[0]]}', ("info", "{bad}"),
+     "{bad}: 'vertices' must be a list of labels"),
+    ('{"vertices": ["a"], "matrix": [0]}', ("info", "{bad}"),
+     "{bad}: 'matrix' must be a list of rows"),
+    ('{"vertices": ["a", "b"], "matr', ("info", "{bad}"), "{bad}: invalid JSON ("),
+    (DEEP_JSON, ("info", "{bad}"), "{bad}: invalid JSON ("),
+    ("[1]", ("verify", "linking", "{A2}", "a", "b", "--config", "{bad}"),
+     "{bad}: conventions config must be a JSON object"),
+    (DEEP_JSON, ("verify", "linking", "{A2}", "a", "b", "--config", "{bad}"),
+     "{bad}: invalid JSON ("),
+    ("{}", ("verify", "unlinking", "{MIX3}", "a", "c"),
+     "unlink requires at least one arrow between 'a' and 'c'"),
+], ids=["no-matrix", "vertices-not-list", "row-not-list", "truncated", "deep-quiver",
+        "config-not-object", "deep-config", "unlink-without-arrow"])
+def test_bad_input_exits_two_with_one_line(tmp_path, text, argv, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    mix3 = tmp_path / "MIX3.json"
+    mix3.write_text(json.dumps({"vertices": ["a", "b", "c"],
+                                "matrix": [[1, 1, 0], [1, 0, 2], [0, 2, 1]]}))
+    paths = {"bad": bad, "A2": write_a2(tmp_path), "MIX3": mix3}
+    code, out, err = run_cli(*(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    message = "error: " + message.format(**paths)
+    if message.endswith("("):
+        assert err.startswith(message) and err.endswith(")\n")
+    else:
+        assert err == message + "\n"
+    assert err.count("\n") == 1 and err.count(str(bad)) == ("{bad}" in argv)
 
 
 def test_bounds_are_checked_before_the_quiver_file_is_read(tmp_path):
@@ -916,6 +1000,13 @@ def test_module_entry_point_passes_the_exit_status_through(tmp_path):
     code, out, err = module("info", str(tmp_path / "missing.json"))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+    # a file nested too deeply for the JSON parser is an input error, not a
+    # RecursionError traceback, in a fresh interpreter too
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    code, out, err = module("info", str(deep))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {deep}: invalid JSON (") and err.count("\n") == 1
 
 
 def test_algebra_dims_bad_degree(tmp_path):
@@ -951,6 +1042,21 @@ def test_series_text_mentions_window(tmp_path):
     code, out, _ = run_cli("series", a2, "--order", "2")
     assert code == 0
     assert "window" in out and "x^(1, 1)" in out
+
+
+@pytest.mark.parametrize("matrix, argv, line", [
+    # a coefficient that is zero on the window prints as 0
+    ([[0, 2], [2, 0]], ("--order", "2", "--qmin", "1", "--qmax", "3"), "x^(1, 1): 0"),
+    # a leading monomial of coefficient -1 prints as -q
+    ([[1]], ("--order", "1", "--qmin", "-2", "--qmax", "6"), "x^(1,): -q - q^2 - q^3"),
+])
+def test_series_text_prints_zero_and_negative_terms(tmp_path, matrix, argv, line):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": [chr(97 + i) for i in range(len(matrix))],
+                                "matrix": matrix}))
+    code, out, err = run_cli("series", str(path), *argv)
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
 
 
 def test_config_calibrated_override(tmp_path):

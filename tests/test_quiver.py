@@ -293,5 +293,9 @@ def test_load_errors_name_the_problem(tmp_path):
     notjson.write_text("{")
     with pytest.raises(QuiverFormatError):
         Quiver.load(notjson)
+    # nesting too deep for the JSON parser is invalid JSON, not a RecursionError
+    notjson.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(QuiverFormatError, match=r"^invalid JSON \("):
+        Quiver.load(notjson)
     with pytest.raises(QuiverFormatError):
         Quiver.from_json([1, 2])
