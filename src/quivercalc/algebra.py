@@ -12,7 +12,11 @@ e_i^(p) e_j^(q) = (d/dz)^p e_i * (d/dz)^q e_j, p + q < m_ij.  By the Leibniz
 rule e_i^(p+1) e_j^(q) = d(e_i^(p) e_j^(q)) - e_i^(p) e_j^(q+1), and the z^n
 coefficient of df is (n + 1) f_(n+1), in the same bidegree; so induction on
 p puts every extended coefficient into the span of the one-sided ones
-(checked in rank by the test suite).  Components are indexed by a
+(checked in rank by the test suite).  Of the rows w f_j, w a complement
+monomial, the relation matrix leaves out those whose w is divisible by the
+leading monomial of a relation f_i built before f_j: the Koszul syzygies
+f_i f_j = +-f_j f_i put them in the span of the others (the syzygy
+criterion of F5; see relation_rows).  Components are indexed by a
 dimension vector d and a homological degree h; their exact dimensions come
 from fraction-free row reduction of the relation matrix, and independently
 from a functional realization whose Hilbert series is a restricted
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
-from math import comb, perm
+from itertools import accumulate
+from math import comb, inf, perm
 from operator import add
 
 from .linalg import IntegerEchelon, rank_of_rows
@@ -151,8 +156,9 @@ def _vertex_words(vertex, count, share, parity):
 @lru_cache(maxsize=1024)
 def _basis_monomials(quiver, degree, budget):
     """The enumeration behind component_basis at total k-weight `budget`, as
-    a tuple, cached because relation_rows asks again for every complement of
-    every larger component."""
+    a tuple, cached because _complement_basis asks again for the bases that
+    fall out of its own, smaller cache, and for component bases that serve
+    as complements of larger components."""
     used = [i for i in range(len(quiver)) if degree[i]]
     # remaining k-weight -> canonical prefixes over the vertices so far
     partial = {budget: [()]}
@@ -169,6 +175,104 @@ def _basis_monomials(quiver, degree, budget):
                         p + t for p in prefixes for t in tails)
         partial = grown
     return tuple(sorted(partial.get(0, ())))
+
+
+def _fitting_pairs(quiver, degree):
+    """The vertex pairs i <= j with arrows that fit the degree, in build
+    order (lexicographic): d_i, d_j >= 1 for i != j, d_i >= 2 for a loop
+    pair i = j."""
+    m = quiver.matrix
+    support = [v for v in range(len(m)) if degree[v]]
+    return [(i, j) for x, i in enumerate(support) for j in support[x:]
+            if m[i][j] and (i != j or degree[i] >= 2)]
+
+
+def _key_base(i, j, n, top):
+    """The part of a relation's build key fixed by its vertex pair i <= j:
+    the key of the relation of derivative order p and level sum t, on the
+    scale of level sums below `span`, is
+    ((i * n + j) * top + p) * span + t, with n vertices and top the most
+    arrows between two of them, so p < top.  Keys then compare as the
+    tuples (i, j, p, t) do."""
+    return (i * n + j) * top
+
+
+def _loop_divisor(gens, loops, odd):
+    """(p, total), least in that order, of the relations e_i(z) (d^p e_i)(z)
+    of a vertex with `loops` loops whose leading monomial divides a monomial
+    with the generators `gens` (two or more, in canonical order) at that
+    vertex; None when there is none.  An odd vertex has loops >= 3 here:
+    with one loop, e_i(z) e_i(z) = 0.
+
+    The terms of the coefficient of level sum t are the pairs {t - b, b},
+    b >= p, and the leading one is the most balanced pair that survives
+    merging.  For an even vertex that is {a, c}, c = max(p, ceil(t / 2)):
+    a pair with c - a <= 1 leads p = 0, and an unbalanced one leads only
+    p = c.  Odd generators square to zero and the two orders of a pair
+    cancel at p = 0, so for an odd vertex (p >= 1) it is {a, c}, a < c,
+    c = max(p, floor(t / 2) + 1): a pair with c - a <= 2 leads p = 1, and
+    an unbalanced one only p = c.  A close pair of least sum is two
+    neighbouring generators, and every other pair has c >= gens[1]'s."""
+    for (_, a), (_, c) in zip(gens, gens[1:]):
+        if c - a <= 1 + odd:
+            return odd, a + c
+    a, c = gens[0][1], gens[1][1]
+    return (c, a + c) if c < loops else None
+
+
+@lru_cache(maxsize=256)
+def _complement_basis(quiver, degree, budget):
+    """(monomials, firsts): the tuple _basis_monomials(quiver, degree,
+    budget), and F(w) of each of its monomials w, as a tuple: the least
+    build key (see _key_base) of a relation whose leading monomial divides
+    w, on the scale span = budget + 1, inf when there is none; firsts is
+    empty when no w has one.  relation_rows reads every complement basis
+    here, for every larger component it serves.
+
+    A divisor of w has level sum at most w's k-weight `budget`, below the
+    scale.  The leading monomial of a relation of a pair i < j is
+    g(i, t - p) g(j, p), so that pair's least divisor of w is read off the
+    lowest generators of i and j in w; _loop_divisor gives a loop pair's.
+    w holds degree[v] generators at each vertex v, in vertex order, so
+    each vertex's generators sit at fixed positions."""
+    monomials = _basis_monomials(quiver, degree, budget)
+    if not monomials:
+        return monomials, ()
+    m = quiver.matrix
+    n, top = len(m), max(map(max, m))
+    span = budget + 1
+    start = list(accumulate(degree, initial=0))
+    # (key base, position of i's lowest generator, of j's for i < j or past
+    # i's for a loop pair, arrows, None for i < j or the loop vertex's
+    # parity); a vertex with one loop is odd, and e_i(z) e_i(z) = 0 there
+    checks = [(_key_base(i, j, n, top), start[i], start[j], m[i][j], None) if i != j
+              else (_key_base(i, i, n, top), start[i], start[i + 1], m[i][i],
+                    generator_parity(quiver, i))
+              for i, j in _fitting_pairs(quiver, degree) if i != j or m[i][i] > 1]
+    if not checks:
+        return monomials, ()
+
+    def first(w):
+        for base, lo, hi, arrows, odd in checks:
+            if odd is None:
+                p = w[hi][1]
+                if p < arrows:
+                    return (base + p) * span + w[lo][1] + p
+            else:
+                lead = _loop_divisor(w[lo:hi], arrows, odd)
+                if lead:
+                    return (base + lead[0]) * span + lead[1]
+        return inf
+
+    firsts = tuple(map(first, monomials))
+    return monomials, firsts if min(firsts) < inf else ()
+
+
+def _kept_complements(complements, firsts, key):
+    """The complements whose rows the relation of build key `key` builds:
+    those w with F(w) >= key, F(w) given in `firsts`.  A row w f with
+    F(w) < key lies in the span of the rows built (see relation_rows)."""
+    return [c for c, first in zip(complements, firsts) if first >= key]
 
 
 def relation_rows(quiver, degree, hdeg):
@@ -211,14 +315,36 @@ def relation_rows(quiver, degree, hdeg):
     dropped, so no two terms of a coefficient meet in a row.  For each odd
     generator of a pair, the odd generators of w below it add one
     transposition each (a bisection into w's odd generators), and the term
-    vanishes when the generator occurs in w."""
+    vanishes when the generator occurs in w.
+
+    A row that the Koszul syzygies f_i f_j = +-f_j f_i make redundant is not
+    built: this is the syzygy criterion of Faugere's F5 ("A new efficient
+    algorithm for computing Groebner bases without reduction to zero",
+    ISSAC 2002).  Relations come in build order, their keys (i, j, p,
+    total) compared lexicographically (_key_base).  A relation's leading
+    monomial is its highest column: g(i, total - p) g(j, p), of coefficient
+    p!, for i < j, and for a loop pair the most balanced pair that
+    survives merging (_loop_divisor).  F(w) is the least key of a relation
+    whose leading monomial divides w, which depends only on the quiver and
+    w (_complement_basis), and the row of relation r and complement w is
+    built iff F(w) >= key(r) (_kept_complements).  A skipped row lies in
+    the span of the built ones.  Say f_i comes before f_j, its leading
+    monomial L divides w = +-L w'', its leading coefficient is c and
+    T_i = f_i - c L.  Then c w f_j = +-f_i (w'' f_j) -+ T_i w'' f_j.  The
+    first term is a combination of rows of f_i.  The canonical order puts
+    first the monomial with more of the lowest generator where two differ,
+    so it is multiplicative; every monomial t of T_i is below L, so the
+    second term is a combination of rows of f_j whose complements t w''
+    come before w, and a product with an odd generator twice drops out.
+    Induction on the key, then on w, puts every skipped row in the span of
+    the built rows, so the span, the quotient basis, every reduction and
+    every dimension stay as they are with the whole system."""
     basis = component_basis(quiver, degree, hdeg)
     m = quiver.matrix
-    support = [v for v in range(len(quiver)) if degree[v]]
-    pairs = [(i, j) for x, i in enumerate(support) for j in support[x:]
-             if m[i][j] and (i != j or degree[i] >= 2)]
+    pairs = _fitting_pairs(quiver, degree)
     if not basis or not pairs:
         return [], basis
+    support = [v for v in range(len(quiver)) if degree[v]]
     parities = tuple(generator_parity(quiver, v) for v in range(len(quiver)))
     budget = _k_budget(quiver, degree, hdeg)
     width = max(degree).bit_length()
@@ -230,6 +356,7 @@ def relation_rows(quiver, degree, hdeg):
         return sum(map(field.__getitem__, mon))
 
     index = {code(mon): t for t, mon in enumerate(basis)}
+    top = 0  # the most arrows between two vertices, once a key is needed
     rows = []
     for i, j in pairs:
         comp_degree = list(degree)
@@ -240,16 +367,25 @@ def relation_rows(quiver, degree, hdeg):
         row_i, row_j = _generator_row(i, budget), _generator_row(j, budget)
         # complements of the relation coefficients of level sum `total`
         # (generator levels a + b = total), of k-weight budget - total,
-        # each with its code and its odd generators
-        complements = []
-        for total in range(budget + 1):
-            complements.append([
-                (code(w), tuple(g for g in w if parities[g[0]])
-                 if odd_i or odd_j else ())
-                for w in _basis_monomials(quiver, comp_degree, budget - total)])
+        # each with its code and its odd generators, and their F(w)
+        bases = [_complement_basis(quiver, comp_degree, budget - total)
+                 for total in range(budget + 1)]
+        complements = [[(code(w), tuple(g for g in w if parities[g[0]])
+                         if odd_i or odd_j else ()) for w in monomials]
+                       for monomials, _ in bases]
         for p in range(m[i][j]):
             for total in range(p, budget + 1):
-                if not complements[total]:
+                built = complements[total]
+                firsts = bases[total][1]
+                if firsts:
+                    # the key on the scale of F(w): every divisor's level
+                    # sum is below span, so a total of span or more
+                    # compares as span
+                    top = top or max(map(max, m))
+                    span = budget - total + 1
+                    key = (_key_base(i, j, len(m), top) + p) * span + min(total, span)
+                    built = _kept_complements(built, firsts, key)
+                if not built:
                     continue
                 # each term in canonical order, summed per monomial (its code)
                 merged = {}
@@ -270,10 +406,10 @@ def relation_rows(quiver, degree, hdeg):
                     continue
                 if not (odd_i or odd_j):
                     rows.extend({index[cw + pair]: c for c, _, _, pair in terms}
-                                for cw, _ in complements[total])
+                                for cw, _ in built)
                     continue
                 # odd generators: signs from w, and terms that vanish in it
-                for cw, odd in complements[total]:
+                for cw, odd in built:
                     row = {}
                     for c, ga, gb, pair in terms:
                         if odd_i:
@@ -469,8 +605,9 @@ def gr_linking_check(quiver, a, b, bound, s_max=8):
     where d' runs over vectors of the linked quiver collapsing to d under
     alpha_new -> alpha_a + alpha_b.  Both sides use functional_dimension;
     the left side's slices with |d| <= 2, s <= 3 are re-validated against
-    the relation-rank dimension.  The check is inconclusive when no nonzero
-    dimension with |d| >= 1 is compared."""
+    the relation-rank dimension.  The details count the components compared
+    and those with |d| >= 1 where some side is nonzero; the check is
+    inconclusive when there is none."""
     linked = link(quiver, a, b)
     ia = quiver.index(a)
     ib = quiver.index(b)
@@ -478,7 +615,7 @@ def gr_linking_check(quiver, a, b, bound, s_max=8):
     mismatches = []
     checked = 0
     spot_checked = 0
-    nonzero = False
+    nonzero = 0
     for d in iter_multidegrees(n, bound):
         for s in range(s_max + 1):
             h = -loop_weight(quiver, d) - 2 * s
@@ -492,7 +629,7 @@ def gr_linking_check(quiver, a, b, bound, s_max=8):
                 if f:
                     contributions.append({"degree": list(dprime), "dim": f})
             checked += 1
-            nonzero = nonzero or bool(sum(d) and (lhs or rhs))
+            nonzero += bool(sum(d) and (lhs or rhs))
             if lhs != rhs:
                 mismatches.append({"degree": list(d), "hdeg": h,
                                    "lhs": str(lhs), "rhs": str(rhs),
@@ -511,8 +648,8 @@ def gr_linking_check(quiver, a, b, bound, s_max=8):
         parameters={"quiver": quiver.to_json(), "pair": [a, b], "bound": bound,
                     "s_max": s_max},
         mismatches=mismatches,
-        details={"components_checked": checked, "spot_checked": spot_checked,
-                 "linked_quiver": linked.to_json()},
+        details={"components_checked": checked, "components_nonzero": nonzero,
+                 "spot_checked": spot_checked, "linked_quiver": linked.to_json()},
     )
 
 
@@ -626,8 +763,9 @@ def homology_check(quiver, a, b, bound, s_max=8):
         dim H_0 = dim A_Q(d, H)   and   dim H_c = 0 for c >= 1,
 
     with dim H_c = dim C_c - rank(d_c) - rank(d_{c+1}); also asserts that all
-    consecutive blocks compose to zero.  The check is inconclusive when no
-    nonzero dimension with |d| >= 1 is compared."""
+    consecutive blocks compose to zero.  The details count the (d, H, c)
+    components compared and those with |d| >= 1 where C_c or the expected
+    dimension is nonzero; the check is inconclusive when there is none."""
     ia = quiver.index(a)
     ib = quiver.index(b)
     if quiver.matrix[ia][ib] < 1:
@@ -637,7 +775,7 @@ def homology_check(quiver, a, b, bound, s_max=8):
     mismatches = []
     components = 0
     blocks_composed = 0
-    nonzero = False
+    nonzero = 0
     for d in iter_multidegrees(n, bound):
         cmax = min(d[ia], d[ib])
         weight = loop_weight(quiver, d)
@@ -653,11 +791,11 @@ def homology_check(quiver, a, b, bound, s_max=8):
                     mismatches.append({"degree": list(d), "H": big_h, "c": c,
                                        "kind": "nonzero composition"})
             expected0 = component_dimension(quiver, d, big_h)
-            nonzero = nonzero or bool(sum(d) and (expected0 or any(dims)))
             for c in range(cmax + 1):
                 components += 1
                 hom = dims[c] - ranks[c] - ranks[c + 1]
                 want = expected0 if c == 0 else 0
+                nonzero += bool(sum(d) and (dims[c] or want))
                 if hom != want:
                     mismatches.append({
                         "degree": list(d), "H": big_h, "c": c,
@@ -671,6 +809,7 @@ def homology_check(quiver, a, b, bound, s_max=8):
                     "s_max": s_max},
         mismatches=mismatches,
         details={"components_checked": components,
+                 "components_nonzero": nonzero,
                  "compositions_checked": blocks_composed,
                  "unlinked_quiver": unlinked.to_json()},
     )

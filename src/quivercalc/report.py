@@ -44,6 +44,9 @@ class VerificationReport:
         if "degrees_compared" in details:
             notes.append(f"{details['degrees_nonzero']} of {details['degrees_compared']} "
                          "degrees nonzero on the window")
+        if "components_nonzero" in details:
+            notes.append(f"{details['components_nonzero']} of "
+                         f"{details['components_checked']} components nonzero")
         if "compositions_checked" in details:
             notes.append(f"{details['compositions_checked']} compositions checked")
         extra = f" ({'; '.join(notes)})" if notes else ""

@@ -376,9 +376,11 @@ def test_relation_system_rank_equivalence():
 
 
 def test_relation_rows_m2_33_row_count():
-    # the extended system p + q < m_ij built 8,426 rows here
+    # every row w f, f e_i(z) (d^p e_j)(z) one-sided, was 5,786 rows here,
+    # and the extended system p + q < m_ij 8,426; the rows whose complement
+    # an earlier relation's leading monomial divides are no longer built
     rows, basis = relation_rows(M2, (3, 3), -40)
-    assert len(rows) == 5786
+    assert len(rows) == 3995
     assert len(basis) > 5
 
 
@@ -453,6 +455,24 @@ def _ref_relation_rows(quiver, degree, hdeg, system):
     return rows, basis
 
 
+def _in_order_within(rows, reference):
+    """Whether every row appears among the reference rows, in their order."""
+    remaining = iter(reference)
+    return all(row in remaining for row in rows)
+
+
+def _assert_same_span(quiver, degree, hdeg):
+    """relation_rows keeps, in build order, a subset of the whole one-sided
+    system of _ref_relation_rows with its rank, so with its span; returns
+    (rows kept, basis, rows of the whole system)."""
+    rows, basis = relation_rows(quiver, degree, hdeg)
+    reference, ref_basis = _ref_relation_rows(quiver, degree, hdeg, "one-sided")
+    assert basis == ref_basis
+    assert _in_order_within(rows, reference), (quiver.matrix, degree, hdeg)
+    assert rank_of_rows(rows) == rank_of_rows(reference), (quiver.matrix, degree, hdeg)
+    return rows, basis, reference
+
+
 def _relation_cases(quiver, degree, hdeg):
     """Which special cases of relation_rows one component reaches: "merged"
     when a loop pair has two terms b != total - b, both >= p, over a
@@ -505,9 +525,7 @@ def test_relation_rows_match_normalize_word_reference():
         else:
             degree = tuple(rng.randint(0, 3 if n < 3 else 2) for _ in range(n))
         h = hdeg_of(quiver, degree, rng.randint(0, 6))
-        rows, basis = relation_rows(quiver, degree, h)
-        assert (rows, basis) == _ref_relation_rows(quiver, degree, h, "one-sided"), \
-            (m, degree, h)
+        rows, basis, _ = _assert_same_span(quiver, degree, h)
         # the benchmark's rows counter takes the length of the rows
         assert isinstance(rows, list)
         cases |= _relation_cases(quiver, degree, h)
@@ -527,9 +545,111 @@ def test_relation_rows_match_normalize_word_reference():
     # monomials one code at degree 5 and level 9
     two_loop = one_vertex(2)
     for degree, s in itertools.product(((4,), (8,)), range(11)):
-        h = hdeg_of(two_loop, degree, s)
-        assert relation_rows(two_loop, degree, h) == \
-            _ref_relation_rows(two_loop, degree, h, "one-sided"), (degree, s)
+        _assert_same_span(two_loop, degree, hdeg_of(two_loop, degree, s))
+
+
+def test_skipped_relation_rows_keep_the_span():
+    # the rows relation_rows skips (an earlier relation's leading monomial
+    # divides the complement) lie in the span of the rows it builds, on
+    # random quivers with odd and even loop counts at every vertex
+    rng = random.Random(314159)
+    components = kept = built = 0
+    while components < 1500:
+        n = rng.randint(1, 3)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = rng.randint(0, 4)
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(0, 3)
+        quiver = Quiver(tuple(f"v{k}" for k in range(n)),
+                        tuple(tuple(row) for row in m))
+        degree = tuple(rng.randint(0, (4, 3, 2)[n - 1]) for _ in range(n))
+        if not any(degree):
+            continue
+        rows, _, reference = _assert_same_span(
+            quiver, degree, hdeg_of(quiver, degree, rng.randint(0, 8)))
+        components += 1
+        kept += len(rows)
+        built += len(reference)
+    # 24,775 of the 37,814 rows of the whole system are built
+    assert built > 30000 and kept < 0.7 * built
+
+
+def _least_divisor_key(quiver, w):
+    """(i, j, p, t) of the relation e_i(z) (d^p e_j)(z) at level sum t, least
+    in that order, whose leading monomial (highest canonical monomial of
+    its nonzero terms, merged through normalize_word) divides w; None when
+    there is none."""
+    n = len(quiver)
+    parities = tuple(quiver.matrix[v][v] % 2 for v in range(n))
+    weight = sum(k for _, k in w)
+    for i in range(n):
+        for j in range(i, n):
+            for p in range(quiver.matrix[i][j]):
+                for t in range(p, weight + 1):
+                    terms = {}
+                    for b in range(p, t + 1):
+                        nf = normalize_word(((i, t - b), (j, b)), parities)
+                        if nf is not None:
+                            terms[nf[1]] = terms.get(nf[1], 0) + nf[0] * math.perm(b, p)
+                    leads = [mon for mon, c in terms.items() if c]
+                    if not leads:
+                        continue
+                    rest = list(w)
+                    for g in max(leads):
+                        if g not in rest:
+                            break
+                        rest.remove(g)
+                    else:
+                        return i, j, p, t
+    return None
+
+
+def test_first_divisor_keys_are_the_least_divisors():
+    # F(w) of every monomial w of small bases is the build key of the least
+    # relation whose leading monomial, found by brute force, divides w
+    cases = 0
+    for quiver in FLEET + (Quiver(("a", "b"), ((3, 1), (1, 4))),):
+        n = len(quiver)
+        top = max(map(max, quiver.matrix))
+        for degree in iter_multidegrees(n, 4):
+            for budget in range(7):
+                monomials, firsts = algebra._complement_basis(quiver, degree, budget)
+                assert monomials == tuple(component_basis(
+                    quiver, degree, hdeg_of(quiver, degree, budget)))
+                for t, w in enumerate(monomials):
+                    least = _least_divisor_key(quiver, w)
+                    want = math.inf if least is None else \
+                        ((least[0] * n + least[1]) * top + least[2]) * (budget + 1) + least[3]
+                    assert (firsts[t] if firsts else math.inf) == want, (quiver.matrix, w)
+                    cases += least is not None
+    assert cases > 1000
+
+
+def _kept_unless_later(complements, firsts, key):
+    # the wrong, non-strict comparison: F(w) > key
+    return [c for c, first in zip(complements, firsts) if first > key]
+
+
+def _kept_unless_divided(complements, firsts, key):
+    # the wrong, order-free rule: skip a row whenever any relation's
+    # leading monomial divides w, wherever that relation comes in build order
+    return [c for c, first in zip(complements, firsts) if first == math.inf]
+
+
+@pytest.mark.parametrize("mutant", [_kept_unless_later, _kept_unless_divided])
+def test_wrong_skip_rules_lose_rank(monkeypatch, mutant):
+    # M2 (2, 2) at s = 0 has the one monomial g(a,0)^2 g(b,0)^2 and the one
+    # row g(a,0) g(b,0) * f, f = g(a,0) g(b,0): rank 1, dimension 0.  The row's
+    # own relation's leading monomial divides its complement, which a
+    # non-strict comparison or an order-free rule takes for a reason to skip it
+    h = hdeg_of(M2, (2, 2), 0)
+    assert functional_dimension(M2, (2, 2), h) == 0
+    assert AlgebraComponent(M2, (2, 2), h).dim == 0
+    assert rank_of_rows(relation_rows(M2, (2, 2), h)[0]) == 1
+    monkeypatch.setattr(algebra, "_kept_complements", mutant)
+    assert rank_of_rows(relation_rows(M2, (2, 2), h)[0]) == 0
+    assert AlgebraComponent(M2, (2, 2), h).dim == 1
 
 
 # -- exact elimination ----------------------------------------------------------------

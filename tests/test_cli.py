@@ -17,6 +17,7 @@ from quivercalc import algebra, cli
 from quivercalc.cli import build_parser, main
 from quivercalc.dt import DTEntry, DTResult
 from quivercalc.quiver import Quiver
+from quivercalc.series import iter_multidegrees
 
 A2_OBJ = {"vertices": ["a", "b"], "matrix": [[0, 1], [1, 0]]}
 
@@ -767,13 +768,13 @@ def test_dt_golden_digest(tmp_path):
 
 # One homology cell and the order-5 gr cell per quiver of the algebra-homology
 # benchmark workload, with fixed vertex labels.  The digest pins the verdicts
-# and the component and composition counts they print.
+# and the component, nonzero component and composition counts they print.
 HOMOLOGY_CELLS = [("homology", "A2", "a", "b", 4, 10),
                   ("homology", "M2", "a", "b", 4, 10),
                   ("homology", "M2L", "a", "b", 4, 10),
                   ("homology", "MIX3", "b", "c", 4, 8)]
 GR_CELLS = [("gr", name, a, b, 5, 8) for _, name, a, b, _, _ in HOMOLOGY_CELLS]
-HOMOLOGY_GR_SHA256 = "5007e5e757dce57bca1db18b426142061b1aca7ed78a881abae3ff9a0e13f389"
+HOMOLOGY_GR_SHA256 = "2ba0bd9db5f8bde475fb006c6794ba3f9212fe8154a0cfcf7827d59ebd503982"
 
 
 def test_homology_and_gr_golden_digest(tmp_path):
@@ -868,9 +869,34 @@ def test_homology_summary_shows_compositions_checked(tmp_path):
     # below order 4 no degree has two consecutive blocks to compose
     a2 = str(write_a2(tmp_path))
     code, out, _ = run_cli("verify", "homology", a2, "a", "b", "--order", "3")
-    assert (code, out) == (0, "PASS unlinking-homology (0 compositions checked)\n")
+    assert (code, out) == (0, "PASS unlinking-homology (108 of 117 components "
+                              "nonzero; 0 compositions checked)\n")
     code, out, _ = run_cli("verify", "homology", a2, "a", "b", "--order", "4", "--smax", "2")
     assert code == 0 and out.startswith("PASS unlinking-homology (") and "(0 " not in out
+
+
+@pytest.mark.parametrize("target", ["gr", "homology"])
+def test_algebra_checks_count_nonzero_components(tmp_path, target):
+    # components_nonzero counts the compared components with |d| >= 1
+    # where some side is nonzero: none at order 0, where only the unit is
+    # compared and the check is inconclusive
+    a2 = write_a2(tmp_path)
+    for order in (0, 2):
+        code, out, _ = run_cli("verify", target, a2, "a", "b", "--order", str(order),
+                               "--output", "json")
+        details = json.loads(out)["details"]
+        nonzero, checked = details["components_nonzero"], details["components_checked"]
+        assert (code, nonzero > 0) == ((0, True) if order else (1, False))
+        assert nonzero < checked
+        code, out, _ = run_cli("verify", target, a2, "a", "b", "--order", str(order))
+        assert f"{nonzero} of {checked} components nonzero" in out
+    if target == "gr":
+        # a passing gr check has equal sides, so its count is the number of
+        # nonzero functional dimensions with 1 <= |d| <= 2 and s <= 8
+        quiver = Quiver.from_json(A2_OBJ)
+        assert nonzero == sum(
+            algebra.functional_dimension(quiver, d, -algebra.loop_weight(quiver, d) - 2 * s) != 0
+            for d in iter_multidegrees(2, 2) if sum(d) for s in range(9))
 
 
 def write_fleet(tmp_path):
@@ -1077,8 +1103,8 @@ def test_config_calibrated_override(tmp_path):
 # too-narrow window of test_dt_unstable_window_exits_one, so it exits 1 and
 # names its unstable degrees on stderr; MIX3 under the printed constants
 # exits 1 with 10 mismatches, past the five that the summary lists.  The
-# linking, unlinking, diagonalization, poincare and homology summaries carry
-# their coverage counts.
+# linking, unlinking, diagonalization, poincare, gr and homology summaries
+# carry their coverage counts.
 TEXT_CASES = [("info", "{A2}"), ("series", "{A2}", "--order", "2"),
               ("dt", "{A2}", "--order", "3"), ("dt", "{EMPTY}"),
               ("link", "{A2}", "a", "b"), ("unlink", "{A2}", "a", "b"),
@@ -1093,7 +1119,7 @@ TEXT_CASES = [("info", "{A2}"), ("series", "{A2}", "--order", "2"),
               ("verify", "linking", "{MIX3}", "a", "b", "--order", "4",
                "--config", "{PRINTED}"),
               ("dt", "{L2}", "--order", "2")]
-TEXT_SHA256 = "248667a0fcea5d0f776c221f37bff34a937484bb6dfe5399afd46611ebbcbebe"
+TEXT_SHA256 = "162340c3a306e121c8811a06e88047f49083352f86de427b040531153a91848d"
 
 
 def test_text_output_golden_digest(tmp_path, monkeypatch):
