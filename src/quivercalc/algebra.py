@@ -21,15 +21,17 @@ dimension vector d and a homological degree h; their exact dimensions come
 from fraction-free row reduction of the relation matrix, and independently
 from a functional realization whose Hilbert series is a restricted
 partition product.  The unlinking move induces a differential on the
-algebra of the unlinked quiver whose homology recovers the original
-algebra's dimensions; both statements are implemented as exact checks."""
+algebra of the unlinked quiver, which sends each star generator to a
+coefficient of the relation e_a(z) (d^(m_ab - 1) e_b)(z) that the unlinked
+quiver lacks; its homology recovers the original algebra's dimensions;
+both statements are implemented as exact checks."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import comb, inf, perm
+from math import comb, perm
 from operator import add
 
 from .linalg import IntegerEchelon, rank_of_rows
@@ -187,16 +189,6 @@ def _fitting_pairs(quiver, degree):
             if m[i][j] and (i != j or degree[i] >= 2)]
 
 
-def _key_base(i, j, n, top):
-    """The part of a relation's build key fixed by its vertex pair i <= j:
-    the key of the relation of derivative order p and level sum t, on the
-    scale of level sums below `span`, is
-    ((i * n + j) * top + p) * span + t, with n vertices and top the most
-    arrows between two of them, so p < top.  Keys then compare as the
-    tuples (i, j, p, t) do."""
-    return (i * n + j) * top
-
-
 def _loop_divisor(gens, loops, odd):
     """(p, total), least in that order, of the relations e_i(z) (d^p e_i)(z)
     of a vertex with `loops` loops whose leading monomial divides a monomial
@@ -224,13 +216,13 @@ def _loop_divisor(gens, loops, odd):
 def _complement_basis(quiver, degree, budget):
     """(monomials, firsts): the tuple _basis_monomials(quiver, degree,
     budget), and F(w) of each of its monomials w, as a tuple: the least
-    build key (see _key_base) of a relation whose leading monomial divides
-    w, on the scale span = budget + 1, inf when there is none; firsts is
-    empty when no w has one.  relation_rows reads every complement basis
-    here, for every larger component it serves.
+    build key (i, j, p, t) of a relation whose leading monomial divides w,
+    and (n,), above every key of a quiver with n vertices, when there is
+    none; firsts is empty when no w has one.  Equal keys are one tuple
+    within a basis.  relation_rows reads every complement basis here, for
+    every larger component it serves.
 
-    A divisor of w has level sum at most w's k-weight `budget`, below the
-    scale.  The leading monomial of a relation of a pair i < j is
+    The leading monomial of a relation of a pair i < j is
     g(i, t - p) g(j, p), so that pair's least divisor of w is read off the
     lowest generators of i and j in w; _loop_divisor gives a loop pair's.
     w holds degree[v] generators at each vertex v, in vertex order, so
@@ -239,33 +231,32 @@ def _complement_basis(quiver, degree, budget):
     if not monomials:
         return monomials, ()
     m = quiver.matrix
-    n, top = len(m), max(map(max, m))
-    span = budget + 1
     start = list(accumulate(degree, initial=0))
-    # (key base, position of i's lowest generator, of j's for i < j or past
+    # (i, j, position of i's lowest generator, of j's for i < j or past
     # i's for a loop pair, arrows, None for i < j or the loop vertex's
     # parity); a vertex with one loop is odd, and e_i(z) e_i(z) = 0 there
-    checks = [(_key_base(i, j, n, top), start[i], start[j], m[i][j], None) if i != j
-              else (_key_base(i, i, n, top), start[i], start[i + 1], m[i][i],
-                    generator_parity(quiver, i))
+    checks = [(i, j, start[i], start[j], m[i][j], None) if i != j
+              else (i, i, start[i], start[i + 1], m[i][i], generator_parity(quiver, i))
               for i, j in _fitting_pairs(quiver, degree) if i != j or m[i][i] > 1]
     if not checks:
         return monomials, ()
+    keys = {}
+    none = (len(m),)
 
     def first(w):
-        for base, lo, hi, arrows, odd in checks:
+        for i, j, lo, hi, arrows, odd in checks:
             if odd is None:
                 p = w[hi][1]
-                if p < arrows:
-                    return (base + p) * span + w[lo][1] + p
+                lead = (p, w[lo][1] + p) if p < arrows else None
             else:
                 lead = _loop_divisor(w[lo:hi], arrows, odd)
-                if lead:
-                    return (base + lead[0]) * span + lead[1]
-        return inf
+            if lead:
+                key = (i, j) + lead
+                return keys.setdefault(key, key)
+        return none
 
     firsts = tuple(map(first, monomials))
-    return monomials, firsts if min(firsts) < inf else ()
+    return monomials, firsts if min(firsts) < none else ()
 
 
 def _kept_complements(complements, firsts, key):
@@ -275,22 +266,51 @@ def _kept_complements(complements, firsts, key):
     return [c for c, first in zip(complements, firsts) if first >= key]
 
 
+@lru_cache(maxsize=1024)
+def _relation_terms(i, j, p, total, odd_i, odd_j):
+    """The terms (c, ga, gb) of the z^total coefficient of
+    e_i(z) (d^p e_j)(z), as a tuple: the sum over b >= p of
+    perm(b, p) g(i, total - b) g(j, b), odd_i and odd_j the parities of i
+    and j.  relation_rows builds its rows from these terms, and
+    unlink_differential sends a star generator to them.
+
+    Even generators commute with everything, so the Koszul sign counts only
+    odd transpositions.  Each term's pair is put in canonical order
+    (ga <= gb), with the sign of its transposition when both generators are
+    odd; a repeated odd generator vanishes.  The pairs that name one
+    monomial (b and total - b in a loop pair i = j) then add up, and a sum
+    that cancels is dropped, so no two terms name one monomial.  Terms come
+    in the order of their first b."""
+    row_i, row_j = _generator_row(i, total), _generator_row(j, total)
+    merged = {}
+    for b in range(p, total + 1):
+        ga, gb, c = row_i[total - b], row_j[b], perm(b, p)
+        if gb < ga:
+            ga, gb = gb, ga
+            if odd_i and odd_j:
+                c = -c
+        elif ga == gb and odd_i:
+            continue  # an odd generator squared
+        merged[ga, gb] = merged.get((ga, gb), 0) + c
+    return tuple((c, ga, gb) for (ga, gb), c in merged.items() if c)
+
+
 def relation_rows(quiver, degree, hdeg):
     """Rows of the relation matrix in one bidegree, over component_basis.
 
     Every coefficient of every relation series e_i(z) (d^p e_j)(z),
     p < m_ij and i <= j, multiplied by every complementary basis monomial
     of the right bidegree, is expanded into canonical monomials: the
-    coefficient of level sum `total` is the sum over b >= p of
-    perm(b, p) g(i, total - b) g(j, b).  The extended series
-    (d^p e_i)(d^q e_j), p + q < m_ij, add no row to the span (see the module
-    docstring), and the quotient basis and every reduction depend only on
-    that span.  Each row is a sparse {basis position: nonzero int} dict;
-    rows that cancel to zero are dropped.  Rows come in build order (vertex
-    pair, derivative order, relation degree, complement), as a list.  A
-    pair fits the degree when it leaves a complement: d_i, d_j >= 1 for
-    i != j, d_i >= 2 for a loop pair i = j; when no pair with m_ij > 0
-    fits, the list is empty and nothing else is built.
+    coefficient of level sum `total` has the terms _relation_terms(i, j,
+    p, total, ...).  The extended series (d^p e_i)(d^q e_j), p + q < m_ij,
+    add no row to the span (see the module docstring), and the quotient
+    basis and every reduction depend only on that span.  Each row is a
+    sparse {basis position: nonzero int} dict; rows that cancel to zero are
+    dropped.  Rows come in build order (vertex pair, derivative order,
+    relation degree, complement), as a list.  A pair fits the degree when
+    it leaves a complement: d_i, d_j >= 1 for i != j, d_i >= 2 for a loop
+    pair i = j; when no pair with m_ij > 0 fits, the list is empty and
+    nothing else is built.
 
     A term g(i, a) g(j, b) w, with w a canonical complement monomial, is
     looked up by an additive integer code.  With s the component's k-weight
@@ -304,29 +324,22 @@ def relation_rows(quiver, degree, hdeg):
     hence the canonical monomial, so it is injective.  It is additive, so
     the code of g(i, a) g(j, b) w is w's code, computed once per complement,
     plus the pair's code, computed once per relation term, and each term
-    costs one dict lookup.
-
-    Even generators commute with everything, so the Koszul sign counts only
-    odd transpositions.  Each term's pair is put in canonical order, with
-    the sign of its transposition when both generators are odd; a repeated
-    odd generator vanishes.  The pairs of a relation coefficient that name
-    one monomial (b and total - b in a loop pair i = j) then add up, once
-    per coefficient, before any complement, and a sum that cancels is
-    dropped, so no two terms of a coefficient meet in a row.  For each odd
-    generator of a pair, the odd generators of w below it add one
-    transposition each (a bisection into w's odd generators), and the term
-    vanishes when the generator occurs in w.
+    costs one dict lookup.  No two terms of a coefficient name one
+    monomial, so none meet in a row.  For each odd generator of a term's
+    pair, the odd generators of w below it add one transposition each (a
+    bisection into w's odd generators), and the term vanishes when the
+    generator occurs in w.
 
     A row that the Koszul syzygies f_i f_j = +-f_j f_i make redundant is not
     built: this is the syzygy criterion of Faugere's F5 ("A new efficient
     algorithm for computing Groebner bases without reduction to zero",
     ISSAC 2002).  Relations come in build order, their keys (i, j, p,
-    total) compared lexicographically (_key_base).  A relation's leading
-    monomial is its highest column: g(i, total - p) g(j, p), of coefficient
-    p!, for i < j, and for a loop pair the most balanced pair that
-    survives merging (_loop_divisor).  F(w) is the least key of a relation
-    whose leading monomial divides w, which depends only on the quiver and
-    w (_complement_basis), and the row of relation r and complement w is
+    total) compared lexicographically.  A relation's leading monomial is
+    its highest column: g(i, total - p) g(j, p), of coefficient p!, for
+    i < j, and for a loop pair the most balanced pair that survives merging
+    (_loop_divisor).  F(w) is the least key of a relation whose leading
+    monomial divides w, which depends only on the quiver and w
+    (_complement_basis), and the row of relation r and complement w is
     built iff F(w) >= key(r) (_kept_complements).  A skipped row lies in
     the span of the built ones.  Say f_i comes before f_j, its leading
     monomial L divides w = +-L w'', its leading coefficient is c and
@@ -356,7 +369,6 @@ def relation_rows(quiver, degree, hdeg):
         return sum(map(field.__getitem__, mon))
 
     index = {code(mon): t for t, mon in enumerate(basis)}
-    top = 0  # the most arrows between two vertices, once a key is needed
     rows = []
     for i, j in pairs:
         comp_degree = list(degree)
@@ -364,7 +376,6 @@ def relation_rows(quiver, degree, hdeg):
         comp_degree[j] -= 1
         comp_degree = tuple(comp_degree)
         odd_i, odd_j = parities[i], parities[j]
-        row_i, row_j = _generator_row(i, budget), _generator_row(j, budget)
         # complements of the relation coefficients of level sum `total`
         # (generator levels a + b = total), of k-weight budget - total,
         # each with its code and its odd generators, and their F(w)
@@ -378,30 +389,12 @@ def relation_rows(quiver, degree, hdeg):
                 built = complements[total]
                 firsts = bases[total][1]
                 if firsts:
-                    # the key on the scale of F(w): every divisor's level
-                    # sum is below span, so a total of span or more
-                    # compares as span
-                    top = top or max(map(max, m))
-                    span = budget - total + 1
-                    key = (_key_base(i, j, len(m), top) + p) * span + min(total, span)
-                    built = _kept_complements(built, firsts, key)
+                    built = _kept_complements(built, firsts, (i, j, p, total))
                 if not built:
                     continue
-                # each term in canonical order, summed per monomial (its code)
-                merged = {}
-                for b in range(p, total + 1):
-                    ga, gb, c = row_i[total - b], row_j[b], perm(b, p)
-                    if gb < ga:
-                        ga, gb = gb, ga
-                        if odd_i and odd_j:
-                            c = -c
-                    elif ga == gb and odd_i:
-                        continue  # an odd generator squared
-                    pair = field[ga] + field[gb]
-                    if pair in merged:
-                        c += merged[pair][0]
-                    merged[pair] = c, ga, gb, pair
-                terms = [term for term in merged.values() if term[0]]
+                # each term with the code of its pair
+                terms = [(c, ga, gb, field[ga] + field[gb])
+                         for c, ga, gb in _relation_terms(i, j, p, total, odd_i, odd_j)]
                 if not terms:
                     continue
                 if not (odd_i or odd_j):
@@ -712,12 +705,13 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
     degree is a dimension vector of the ORIGINAL quiver (the star direction
     is collapsed back onto a and b); big_h = h + c is the differential-
     invariant homological grading; c counts star generators.  The block maps
-    the (degree, big_h, c) quotient component to the c-1 one.  On a star
-    generator g(star, k) the differential is
-
-        sum over a' + b' = k + m_ab - 1 of perm(b', m_ab - 1) g(a,a') g(b,b')
-
-    (m_ab taken in the original quiver), extended as an odd derivation."""
+    the (degree, big_h, c) quotient component to the c-1 one.  It sends a
+    star generator g(star, k) to the z^(k + m_ab - 1) coefficient of
+    e_a(z) (d^(m_ab - 1) e_b)(z), m_ab taken in the original quiver: the
+    relation that the unlinked quiver lacks, with the terms of
+    _relation_terms.  It extends as an odd derivation; each term is spliced
+    in place of the star generator and put in canonical order by
+    normalize_word."""
     ia = quiver.index(a)
     ib = quiver.index(b)
     m_ab = quiver.matrix[ia][ib]
@@ -734,17 +728,15 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
     tgt_degree = _uncollapsed_degree(degree, ia, ib, c - 1)
     target = algebra_component(unlinked, tgt_degree, big_h - c + 1)
     p = m_ab - 1
+    odd_a, odd_b = parities[ia], parities[ib]
     columns = []
     for mon in source.quotient_basis:
         image = {}
         prefix_parity = 0
         for pos, (v, k) in enumerate(mon):
             if v == star:
-                for bk in range(p, k + p + 1):
-                    ak = k + p - bk
-                    coeff = perm(bk, p)
-                    word = mon[:pos] + ((ia, ak), (ib, bk)) + mon[pos + 1:]
-                    nf = normalize_word(word, parities)
+                for coeff, ga, gb in _relation_terms(ia, ib, p, k + p, odd_a, odd_b):
+                    nf = normalize_word(mon[:pos] + (ga, gb) + mon[pos + 1:], parities)
                     if nf is None:
                         continue
                     sign, w = nf

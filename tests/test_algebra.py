@@ -575,6 +575,41 @@ def test_skipped_relation_rows_keep_the_span():
     assert built > 30000 and kept < 0.7 * built
 
 
+def test_relation_terms_match_normalize_word():
+    # the terms of a relation coefficient are its expansion through
+    # normalize_word, summed per monomial, nonzero sums only, in the order
+    # of their first b: at random (i, j, p, total) of both parities, with
+    # loop pairs i = j (odd squares, and the two orders of an odd pair
+    # cancelling at p = 0) and the reversed pairs i > j that the unlinking
+    # differential passes
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(600):
+        i, j = rng.randint(0, 2), rng.randint(0, 2)
+        parities = tuple(rng.randint(0, 1) for _ in range(3))
+        p = rng.randint(0, 3)
+        total = rng.randint(p, p + 6)
+        expanded = {}
+        for b in range(p, total + 1):
+            nf = normalize_word(((i, total - b), (j, b)), parities)
+            if nf is not None:
+                expanded[nf[1]] = expanded.get(nf[1], 0) + nf[0] * math.perm(b, p)
+        want = [(c, *mon) for mon, c in expanded.items() if c]
+        got = algebra._relation_terms(i, j, p, total, parities[i], parities[j])
+        assert list(got) == want, (i, j, p, total, parities)
+        if i > j:
+            seen.add(("reversed", parities[i] + parities[j]))
+        elif i == j:
+            if 0 in expanded.values():
+                seen.add(("cancelled", p))
+            if parities[i] and total % 2 == 0 and total // 2 >= p:
+                seen.add("squared")
+            if not parities[i] and total > 2 * p:
+                seen.add("merged")
+    assert seen == {("reversed", 0), ("reversed", 1), ("reversed", 2),
+                    ("cancelled", 0), "squared", "merged"}
+
+
 def _least_divisor_key(quiver, w):
     """(i, j, p, t) of the relation e_i(z) (d^p e_j)(z) at level sum t, least
     in that order, whose leading monomial (highest canonical monomial of
@@ -608,20 +643,19 @@ def _least_divisor_key(quiver, w):
 def test_first_divisor_keys_are_the_least_divisors():
     # F(w) of every monomial w of small bases is the build key of the least
     # relation whose leading monomial, found by brute force, divides w
+    # (n,), above every key of an n-vertex quiver, when no relation does
     cases = 0
     for quiver in FLEET + (Quiver(("a", "b"), ((3, 1), (1, 4))),):
-        n = len(quiver)
-        top = max(map(max, quiver.matrix))
-        for degree in iter_multidegrees(n, 4):
+        none = (len(quiver),)
+        for degree in iter_multidegrees(len(quiver), 4):
             for budget in range(7):
                 monomials, firsts = algebra._complement_basis(quiver, degree, budget)
                 assert monomials == tuple(component_basis(
                     quiver, degree, hdeg_of(quiver, degree, budget)))
                 for t, w in enumerate(monomials):
                     least = _least_divisor_key(quiver, w)
-                    want = math.inf if least is None else \
-                        ((least[0] * n + least[1]) * top + least[2]) * (budget + 1) + least[3]
-                    assert (firsts[t] if firsts else math.inf) == want, (quiver.matrix, w)
+                    assert (firsts[t] if firsts else none) == (least or none), \
+                        (quiver.matrix, w)
                     cases += least is not None
     assert cases > 1000
 
@@ -633,8 +667,9 @@ def _kept_unless_later(complements, firsts, key):
 
 def _kept_unless_divided(complements, firsts, key):
     # the wrong, order-free rule: skip a row whenever any relation's
-    # leading monomial divides w, wherever that relation comes in build order
-    return [c for c, first in zip(complements, firsts) if first == math.inf]
+    # leading monomial divides w, wherever that relation comes in build order;
+    # F(w) is then the one-entry key (n,) above every relation's (i, j, p, t)
+    return [c for c, first in zip(complements, firsts) if len(first) == 1]
 
 
 @pytest.mark.parametrize("mutant", [_kept_unless_later, _kept_unless_divided])

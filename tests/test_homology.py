@@ -1,5 +1,6 @@
 """The unlinking differential: blocks, d^2 = 0, homology dimensions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,18 @@ def test_homology_with_zero_quotients_bound4(monkeypatch):
     zero = [comp for comp in components if comp.basis and not comp.dim]
     assert zero and all(comp.echelon is None for comp in zero)
     assert any(comp.echelon is not None for comp in components)
+
+
+def test_homology_in_both_orientations_on_two_vertex_quivers():
+    # every two-vertex quiver with 0-3 loops at each vertex and 1-3 arrows,
+    # at both orientations of the pair: m_ab = 3 sends a star generator to
+    # terms of coefficient perm(b', 2), and the pair (b, a) takes its star
+    # image from the reversed vertex pair; 96 checks
+    for loops_a, loops_b, arrows in itertools.product(range(4), range(4), range(1, 4)):
+        quiver = Quiver(("a", "b"), ((loops_a, arrows), (arrows, loops_b)))
+        for a, b in (("a", "b"), ("b", "a")):
+            report = homology_check(quiver, a, b, 4, s_max=6)
+            assert report.passed, (quiver.matrix, a, b, report.mismatches[:1])
 
 
 def test_homology_matches_component_dimension_directly():
