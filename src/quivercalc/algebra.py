@@ -117,7 +117,7 @@ def component_basis(quiver, degree, hdeg):
     total homological degree hdeg, as a fresh list in canonical order."""
     degree = _checked_degree(quiver, degree)
     budget = _k_budget(quiver, degree, hdeg)
-    return [] if budget is None else list(_basis_monomials(quiver, degree, budget))
+    return [] if budget is None else _basis_monomials(quiver, degree, budget)
 
 
 def _checked_degree(quiver, degree):
@@ -155,12 +155,9 @@ def _vertex_words(vertex, count, share, parity):
                  for levels in _level_tuples(count, share, parity))
 
 
-@lru_cache(maxsize=1024)
 def _basis_monomials(quiver, degree, budget):
     """The enumeration behind component_basis at total k-weight `budget`, as
-    a tuple, cached because _complement_basis asks again for the bases that
-    fall out of its own, smaller cache, and for component bases that serve
-    as complements of larger components."""
+    a fresh sorted list."""
     used = [i for i in range(len(quiver)) if degree[i]]
     # remaining k-weight -> canonical prefixes over the vertices so far
     partial = {budget: [()]}
@@ -176,7 +173,7 @@ def _basis_monomials(quiver, degree, budget):
                     grown.setdefault(remaining - share, []).extend(
                         p + t for p in prefixes for t in tails)
         partial = grown
-    return tuple(sorted(partial.get(0, ())))
+    return sorted(partial.get(0, ()))
 
 
 def _fitting_pairs(quiver, degree):
@@ -212,10 +209,10 @@ def _loop_divisor(gens, loops, odd):
     return (c, a + c) if c < loops else None
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _complement_basis(quiver, degree, budget):
-    """(monomials, firsts): the tuple _basis_monomials(quiver, degree,
-    budget), and F(w) of each of its monomials w, as a tuple: the least
+    """(monomials, firsts): _basis_monomials(quiver, degree, budget) as a
+    tuple, and F(w) of each of its monomials w, as a tuple: the least
     build key (i, j, p, t) of a relation whose leading monomial divides w,
     and (n,), above every key of a quiver with n vertices, when there is
     none; firsts is empty when no w has one.  Equal keys are one tuple
@@ -227,7 +224,7 @@ def _complement_basis(quiver, degree, budget):
     lowest generators of i and j in w; _loop_divisor gives a loop pair's.
     w holds degree[v] generators at each vertex v, in vertex order, so
     each vertex's generators sit at fixed positions."""
-    monomials = _basis_monomials(quiver, degree, budget)
+    monomials = tuple(_basis_monomials(quiver, degree, budget))
     if not monomials:
         return monomials, ()
     m = quiver.matrix
@@ -397,11 +394,8 @@ def relation_rows(quiver, degree, hdeg):
                          for c, ga, gb in _relation_terms(i, j, p, total, odd_i, odd_j)]
                 if not terms:
                     continue
-                if not (odd_i or odd_j):
-                    rows.extend({index[cw + pair]: c for c, _, _, pair in terms}
-                                for cw, _ in built)
-                    continue
-                # odd generators: signs from w, and terms that vanish in it
+                # signs from w's odd generators, and terms that vanish in it;
+                # a pair with no odd vertex skips both
                 for cw, odd in built:
                     row = {}
                     for c, ga, gb, pair in terms:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 
 class QuiverFormatError(ValueError):
@@ -24,26 +23,12 @@ def read_json(path):
             raise QuiverFormatError(f"invalid JSON ({exc})") from None
 
 
-def _well_formed(vertices, matrix):
-    """Whether the labels are distinct nonempty strings and the matrix a
-    square, symmetric one of nonnegative ints, in whole-collection passes;
-    False, never an error, when a pass cannot tell, so that the caller's
-    entry-by-entry check decides."""
-    n = len(vertices)
-    try:
-        return (set(map(type, vertices)) <= {str} and all(vertices)
-                and len(set(vertices)) == n
-                and len(matrix) == n and set(map(len, matrix)) <= {n}
-                and set(map(type, chain.from_iterable(matrix))) <= {int}
-                and min(map(min, matrix), default=0) >= 0
-                and matrix == tuple(zip(*matrix)))
-    except (TypeError, ValueError):
-        return False
-
-
-def _raise_first_offending_entry(vertices, matrix):
-    """The entry-by-entry check behind _well_formed: raise a
-    QuiverFormatError naming the first offending entry."""
+def _check_well_formed(vertices, matrix):
+    """Raise a QuiverFormatError naming the first offending entry unless the
+    labels are distinct nonempty strings and the matrix a square, symmetric
+    one of nonnegative ints, in one in-order pass: labels, shape, then each
+    row's entries, then symmetry.  An int subclass other than bool (say an
+    IntEnum member) counts as an int."""
     n = len(vertices)
     for i, label in enumerate(vertices):
         if not isinstance(label, str) or not label:
@@ -57,16 +42,17 @@ def _raise_first_offending_entry(vertices, matrix):
         if len(row) != n:
             raise QuiverFormatError(f"matrix[{i}] has {len(row)} entries, expected {n}")
         for j, entry in enumerate(row):
-            if not isinstance(entry, int) or isinstance(entry, bool):
+            if entry.__class__ is not int and (
+                    not isinstance(entry, int) or isinstance(entry, bool)):
                 raise QuiverFormatError(f"matrix[{i}][{j}] is not an integer")
             if entry < 0:
                 raise QuiverFormatError(f"matrix[{i}][{j}] is negative")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
-                raise QuiverFormatError(
-                    f"matrix[{i}][{j}] != matrix[{j}][{i}] "
-                    f"({matrix[i][j]} vs {matrix[j][i]})")
+    if matrix != tuple(zip(*matrix)):
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                    if matrix[i][j] != matrix[j][i])
+        raise QuiverFormatError(
+            f"matrix[{i}][{j}] != matrix[{j}][{i}] "
+            f"({matrix[i][j]} vs {matrix[j][i]})")
 
 
 @dataclass(frozen=True)
@@ -82,8 +68,7 @@ class Quiver:
         matrix = tuple(tuple(row) for row in self.matrix)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "matrix", matrix)
-        if not _well_formed(vertices, matrix):
-            _raise_first_offending_entry(vertices, matrix)
+        _check_well_formed(vertices, matrix)
         # every lru_cache keyed by a quiver hashes it; a label may be
         # unhashable, so the hash is taken only once the data is valid
         object.__setattr__(self, "_hash", hash((vertices, matrix)))

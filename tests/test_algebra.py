@@ -187,7 +187,7 @@ def test_component_basis_returns_fresh_list():
     first.reverse()
     assert component_basis(M2, degree, h) == expected
     assert component_basis(M2, [2, 2], h) == expected
-    maxsize = algebra._basis_monomials.cache_info().maxsize
+    maxsize = algebra._complement_basis.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize <= 4096
 
 

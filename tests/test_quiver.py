@@ -1,5 +1,6 @@
 """Quiver data model, Euler form, linking and unlinking case tables."""
 
+import enum
 import json
 import os
 import pickle
@@ -79,6 +80,14 @@ def test_rejects_shape_and_label_problems():
     (tuple(f"v{i}" for i in range(30)),
      tuple(tuple(-1 if i == j == 29 else 1 for j in range(30)) for i in range(30)),
      "matrix[29][29] is negative"),
+    # a negative entry is named before a later asymmetric pair
+    (("a", "b", "c"), ((0, -1, 0), (-1, 0, 2), (0, 1, 0)), "matrix[0][1] is negative"),
+    (tuple(f"v{i}" for i in range(30)),
+     tuple(tuple(True if i == j == 29 else 1 for j in range(30)) for i in range(30)),
+     "matrix[29][29] is not an integer"),
+    (tuple(f"v{i}" for i in range(30)),
+     tuple(tuple(3.0 if (i, j) == (17, 23) else 3 for j in range(30)) for i in range(30)),
+     "matrix[17][23] is not an integer"),
 ])
 def test_malformed_quivers_name_the_first_offending_entry(vertices, matrix, message):
     with pytest.raises(QuiverFormatError) as exc:
@@ -117,6 +126,15 @@ def test_well_formed_quivers_are_kept_as_given():
         q = Quiver(vertices, matrix)
         assert q.matrix == tuple(tuple(row) for row in matrix)
         assert type(q.matrix) is tuple and all(type(row) is tuple for row in q.matrix)
+
+
+def test_int_enum_entries_are_accepted():
+    class Arrows(enum.IntEnum):
+        NONE = 0
+        TWO = 2
+    q = Quiver(("a", "b"), ((Arrows.NONE, Arrows.TWO), (2, 0)))
+    assert q == Quiver(("a", "b"), ((0, 2), (2, 0)))
+    assert q.matrix[0][1] == 2 and q.arrows("a", "b") == 2
 
 
 def test_index_and_accessors():
