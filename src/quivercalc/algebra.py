@@ -687,7 +687,8 @@ def _uncollapsed_degree(degree, ia, ib, c):
 @lru_cache(maxsize=64)
 def _unlinked(quiver, a, b):
     """unlink(quiver, a, b) and the parity of each of its vertices, built
-    once for every block of a homology check rather than once per block."""
+    once for every block of a homology check rather than once per block.
+    unlink rejects a pair without an arrow before any block is built."""
     unlinked = unlink(quiver, a, b)
     return unlinked, tuple(generator_parity(unlinked, v)
                            for v in range(len(unlinked)))
@@ -709,11 +710,9 @@ def unlink_differential(quiver, a, b, degree, big_h, c):
     ia = quiver.index(a)
     ib = quiver.index(b)
     m_ab = quiver.matrix[ia][ib]
-    if m_ab < 1:
-        raise ValueError("unlink_differential requires at least one arrow between the pair")
+    unlinked, parities = _unlinked(quiver, a, b)
     if c < 0:
         raise ValueError("star count must be >= 0")
-    unlinked, parities = _unlinked(quiver, a, b)
     star = len(unlinked) - 1
     src_degree = _uncollapsed_degree(degree, ia, ib, c)
     source = algebra_component(unlinked, src_degree, big_h - c)
@@ -754,8 +753,6 @@ def homology_check(quiver, a, b, bound, s_max=8):
     dimension is nonzero; the check is inconclusive when there is none."""
     ia = quiver.index(a)
     ib = quiver.index(b)
-    if quiver.matrix[ia][ib] < 1:
-        raise ValueError("homology_check requires at least one arrow between the pair")
     unlinked, _ = _unlinked(quiver, a, b)
     n = len(quiver)
     mismatches = []

@@ -107,16 +107,13 @@ def _save_quiver(quiver, path):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-class _Unrendered(Exception):
-    """A value _write_json leaves to json.dumps."""
-
-
 def _write_json(value, indent, out):
-    """Append to `out` the text json.dumps(value, sort_keys=True, indent=2)
-    gives `value` where `indent` ("\n" and spaces) starts its lines: the
+    """Append to `out` the text json.dumps gives `value` with sort_keys=True
+    and indent=2, where `indent` ("\n" and spaces) starts its lines: the
     str, int, bool and None leaves, str-keyed dicts, lists and tuples.  A
     list of plain ints is one join.  Anything else (a float, a non-str key,
-    a subclass) raises _Unrendered."""
+    a subclass) raises TypeError, as json.dumps does for a value it cannot
+    encode; keys that do not sort raise the TypeError json.dumps raises."""
     kind = type(value)
     if kind is str:
         out.append(_encode_str(value))
@@ -132,11 +129,11 @@ def _write_json(value, indent, out):
         if not value:
             out.append("{}")
             return
-        if not all(type(key) is str for key in value):
-            raise _Unrendered
         inner = indent + "  "
         lead = "{" + inner
         for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(lead + _encode_str(key) + ": ")
             _write_json(value[key], inner, out)
             lead = "," + inner
@@ -157,18 +154,13 @@ def _write_json(value, indent, out):
             lead = "," + inner
         out.append(indent + "]")
     else:
-        raise _Unrendered
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _json_text(value):
-    """json.dumps(value, sort_keys=True, indent=2), the same text, written
-    by _write_json unless some part of `value` is left to json.dumps (which
-    then raises its own error for a value it cannot encode)."""
+    """The canonical JSON text of `value`, as _write_json writes it."""
     out = []
-    try:
-        _write_json(value, "\n", out)
-    except (_Unrendered, RecursionError):
-        return json.dumps(value, sort_keys=True, indent=2)
+    _write_json(value, "\n", out)
     return "".join(out)
 
 
@@ -201,8 +193,7 @@ def cmd_series(quiver, args, err):
 
 
 def cmd_dt(quiver, args, err):
-    # the default guard band: on dt_window every degree is stable for any
-    # guard, so the invariants do not depend on it
+    # on dt_window every degree is stable at the guard band dt.GUARD
     result = dt_extract(motivic_series(quiver, args.order, dt_window(quiver, args.order)))
     # dt_check needs every degree stable, then checks positivity and that
     # some invariant is nonzero; a failure names its reason on err

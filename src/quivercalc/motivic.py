@@ -406,7 +406,8 @@ def _factor_product(factors, vertices, rounds, window):
                 single = singles[loops, sub_order] = motivic_series(
                     one_vertex(loops), sub_order, factor_window)
             product = single if product is None else product * single
-        rhs = rhs * product.substitute("v", mono, vertices, out_cap=rounds)
+        rhs = rhs * product.substitute(product.vertices[0], mono, vertices,
+                                       out_cap=rounds)
     return rhs
 
 

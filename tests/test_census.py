@@ -60,7 +60,7 @@ def test_every_check_passes_on_the_census(quiver):
     order, bound = 5, 4
     reports = [poincare_check(quiver, order), verify_diagonalization(quiver, order),
                dt_check(dt_extract(motivic_series(quiver, order,
-                                                  dt_window(quiver, order, 5))))]
+                                                  dt_window(quiver, order))))]
     if len(quiver) == 2:
         reports += [verify_link_identity(quiver, "a", "b", order),
                     gr_linking_check(quiver, "a", "b", bound)]

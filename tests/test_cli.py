@@ -254,8 +254,11 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
      "{bad}: invalid JSON ("),
     ("{}", ("verify", "unlinking", "{MIX3}", "a", "c"),
      "unlink requires at least one arrow between 'a' and 'c'"),
+    ("{}", ("verify", "homology", "{MIX3}", "a", "c"),
+     "unlink requires at least one arrow between 'a' and 'c'"),
 ], ids=["no-matrix", "vertices-not-list", "row-not-list", "truncated", "deep-quiver",
-        "config-not-object", "deep-config", "unlink-without-arrow"])
+        "config-not-object", "deep-config", "unlink-without-arrow",
+        "homology-without-arrow"])
 def test_bad_input_exits_two_with_one_line(tmp_path, text, argv, message):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -296,7 +299,7 @@ def test_dt_window_without_constant_term_exits_two(tmp_path, monkeypatch):
     # no argv reaches a window without t^0 any more; main still turns the
     # SeriesError its handler raises there (the constant term of A_Q is not 1
     # on it) into exit 2 with one line
-    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order, guard=5: (-5, -1))
+    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order: (-5, -1))
     code, out, err = run_cli("dt", write_a2(tmp_path), "--order", "2")
     assert (code, out) == (2, "")
     assert err == "error: pleth_log: series must have constant term 1\n"
@@ -554,12 +557,13 @@ def test_json_output_byte_identical(tmp_path):
 
 
 def random_json_value(rng, depth=0):
-    """A nested value of the kinds CLI payloads hold, and some they do not."""
+    """A nested value of the kinds the JSON writer encodes: str, int, bool and
+    None leaves, str-keyed dicts, lists and tuples."""
     pick = rng.random()
     if depth > 4 or pick < 0.3:
         return rng.choice([0, -7, 10 ** 40, True, False, None, "", "plain",
                            "quote \" slash \\ tab \t nl \n nul \x00 del \x7f",
-                           "caf\u00e9 \u2603 \U0001f600 \ud800", 1.5, -0.0])
+                           "caf\u00e9 \u2603 \U0001f600 \ud800"])
     if pick < 0.45:
         return [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 6))]
     if pick < 0.55:
@@ -580,10 +584,18 @@ def test_json_writer_matches_json_dumps():
     for _ in range(40):
         deep = [deep, [1, 2], {}]
     values = [random_json_value(rng) for _ in range(2000)]
-    values += [deep, [], {}, (), [[]], {"a": []}, {"b": {}, "a": ()}, [True, 1, 0, False],
-               {"x": float("nan")}, [float("inf")], {1: "int key"}, {None: 1}]
+    values += [deep, [], {}, (), [[]], {"a": []}, {"b": {}, "a": ()}, [True, 1, 0, False]]
     for value in values:
         assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2), value
+    # json.dumps encodes these, the writer does not: no payload holds them
+    for bad, message in (([1, 1.5], "Object of type float is not JSON serializable"),
+                         ({"x": [-0.0]}, "Object of type float is not JSON serializable"),
+                         ({"x": float("nan")}, "Object of type float is not JSON serializable"),
+                         ([float("inf")], "Object of type float is not JSON serializable"),
+                         ({1: "int key"}, "keys must be str, not int"),
+                         ({None: 1}, "keys must be str, not NoneType")):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            cli._json_text(bad)
     for bad in ({1: 0, "a": 0}, {"a": object()}, [Fraction(1, 2)]):
         with pytest.raises(TypeError) as got:
             cli._json_text(bad)
@@ -612,7 +624,7 @@ def test_dt_text_output(tmp_path):
 
 
 def test_dt_unstable_window_exits_one(tmp_path, monkeypatch):
-    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order, guard=5: (-6, 6))
+    monkeypatch.setattr("quivercalc.cli.dt_window", lambda quiver, order: (-6, 6))
     two = tmp_path / "two.json"
     two.write_text(json.dumps({"vertices": ["v"], "matrix": [[2]]}))
     code, out, err = run_cli("dt", str(two), "--order", "2")
@@ -666,8 +678,8 @@ def test_dt_euler_form_window_is_stable_at_high_order(tmp_path, matrix, order):
 def test_dt_stable_but_not_positive_exits_one(tmp_path, monkeypatch, bad):
     # a stable result with a negative or non-integral coefficient fails the
     # positivity check, in text and in JSON
-    def fake_extract(series, guard=5):
-        return DTResult(series.vertices, series.cap, guard, [
+    def fake_extract(series):
+        return DTResult(series.vertices, series.cap, [
             DTEntry((1, 0), {0: 1}, (-6, 6), True),
             DTEntry((0, 1), {0: bad}, (-6, 6), True)])
 
@@ -1135,7 +1147,7 @@ def test_text_output_golden_digest(tmp_path, monkeypatch):
     for case in TEXT_CASES:
         if case[1] == "{L2}":
             monkeypatch.setattr("quivercalc.cli.dt_window",
-                                lambda quiver, order, guard=5: (-6, 6))
+                                lambda quiver, order: (-6, 6))
         argv = [arg.format(**paths) for arg in case]
         code, out, err = run_cli(*argv, "--output", "text")
         exits.append(code)

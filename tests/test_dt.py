@@ -6,7 +6,7 @@ from math import factorial, prod
 
 import pytest
 
-from quivercalc.dt import DTEntry, DTResult, dt_check, dt_extract, dt_window
+from quivercalc.dt import GUARD, DTEntry, DTResult, dt_check, dt_extract, dt_window
 from quivercalc.motivic import (
     default_window,
     link_substitution,
@@ -82,7 +82,7 @@ def test_positivity_two_and_three_loops():
 
 def test_negated_input_fails_with_location():
     result = dt_of(one_vertex(2), 2)
-    broken = DTResult(result.vertices, result.order, result.guard, [
+    broken = DTResult(result.vertices, result.order, [
         DTEntry(e.degree, {k: -v for k, v in e.u_coeffs.items()},
                 e.window, e.stable)
         for e in result.entries])
@@ -98,6 +98,18 @@ def test_unstable_window_flags_not_errors():
     assert not result.all_stable()
     with pytest.raises(ValueError):
         dt_check(result)
+
+
+def test_degrees_absent_from_log_are_stable_zeros():
+    # Log(1 - t x_a) has no term in any degree with a b part: those entries
+    # are exact zeros on the series' window
+    series = MultiSeries(("a", "b"), 2, (-6, 6), {
+        (0, 0): TruncatedLaurent.one(-6, 6),
+        (1, 0): TruncatedLaurent({1: -1}, -6, 6)})
+    result = dt_extract(series)
+    for degree in ((0, 1), (1, 1), (0, 2)):
+        entry = result.entry(degree)
+        assert (entry.u_coeffs, entry.window, entry.stable) == ({}, (-6, 6), True)
 
 
 def test_nonunit_constant_rejected():
@@ -150,11 +162,12 @@ def test_loop_quiver_matches_reineke_closed_form(loops):
 
 def test_dt_window_values():
     # top = max over 1 <= d <= order of 1 - chi(d,d) = 1 + (m - 1) d^2
-    assert dt_window(one_vertex(3), 20, 5) == (-6, 807)
-    assert dt_window(one_vertex(0), 12, 5) == (-6, 6)  # top 0, at d = 1
-    assert dt_window(A2, 2, 1) == (-2, 3)  # top 1, at (1, 1)
-    assert dt_window(one_vertex(2), 0, 5) == (-6, 6)  # no degree: top 0
-    assert dt_window(Quiver((), ()), 3, 2) == (-3, 3)
+    assert GUARD == 5  # the windows below are (-(GUARD + 1), top + GUARD + 1)
+    assert dt_window(one_vertex(3), 20) == (-6, 807)
+    assert dt_window(one_vertex(0), 12) == (-6, 6)  # top 0, at d = 1
+    assert dt_window(A2, 2) == (-6, 7)  # top 1, at (1, 1)
+    assert dt_window(one_vertex(2), 0) == (-6, 6)  # no degree: top 0
+    assert dt_window(Quiver((), ()), 3) == (-6, 6)
 
 
 def random_symmetric_quiver(rng, n):
@@ -166,27 +179,26 @@ def random_symmetric_quiver(rng, n):
 
 
 def test_dt_window_decides_every_degree():
-    # on 60 seeded symmetric quivers, every degree is stable on dt_window, the
+    # on 63 seeded symmetric quivers, every degree is stable on dt_window, the
     # invariants equal those on a window three times as wide, and every
     # u-exponent lies within the moduli dimension 1 - chi(d,d); one t-power
     # less at the top leaves some degree unstable
     rng = random.Random(20261018)
     nonzero = 0
-    for case in range(60):
+    for case in range(63):
         n = case % 3 + 1
         quiver = random_symmetric_quiver(rng, n)
         order = {1: 7, 2: 5, 3: 4}[n]
-        guard = rng.randint(1, 6)
-        lo, hi = dt_window(quiver, order, guard)
-        result = dt_extract(motivic_series(quiver, order, (lo, hi)), guard)
-        wide = dt_extract(motivic_series(quiver, order, (3 * lo, 3 * hi)), guard)
+        lo, hi = dt_window(quiver, order)
+        result = dt_extract(motivic_series(quiver, order, (lo, hi)))
+        wide = dt_extract(motivic_series(quiver, order, (3 * lo, 3 * hi)))
         for entry in result.entries:
-            assert entry.stable, (quiver.matrix, entry.degree, guard)
+            assert entry.stable, (quiver.matrix, entry.degree)
             assert entry.u_coeffs == wide.entry(entry.degree).u_coeffs
             top = 1 - euler_form(quiver, entry.degree, entry.degree)
             assert all(abs(e) <= top for e in entry.u_coeffs), (quiver.matrix, entry.degree)
             nonzero += len(entry.u_coeffs)
-        short = dt_extract(motivic_series(quiver, order, (lo, hi - 1)), guard)
+        short = dt_extract(motivic_series(quiver, order, (lo, hi - 1)))
         assert not short.all_stable(), quiver.matrix
     assert nonzero > 3000
 

@@ -91,10 +91,12 @@ def test_star_count_bounds():
 
 
 def test_requires_arrow():
+    # both reject the pair through unlink, with its message
     bare = Quiver(("a", "b"), ((0, 0), (0, 0)))
-    with pytest.raises(ValueError):
+    message = "unlink requires at least one arrow between 'a' and 'b'"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         unlink_differential(bare, "a", "b", (1, 1), -2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         homology_check(bare, "a", "b", 2)
 
 

@@ -107,6 +107,16 @@ def test_unlink_substitution_requires_edge():
         unlink_substitution(q, "a", "b")
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: motivic_series(A2, 2, (3, 2)), "motivic_series: empty window [3, 2]"),
+    (lambda: link_substitution(A2, "a", "a"), "link_substitution requires two distinct vertices"),
+], ids=["empty-window", "same-vertex"])
+def test_bad_arguments_raise_their_message(make, message):
+    with pytest.raises(ValueError) as got:
+        make()
+    assert str(got.value) == message
+
+
 def test_conventions_from_dict_validation():
     c = Conventions.from_dict({"link_qpow": -2})
     assert c.link_qpow == -2 and c.unlink_qpow == 0

@@ -11,6 +11,7 @@ from quivercalc.series import (
     _PACK_MIN_TERMS,
     MultiSeries,
     NotInvertible,
+    SeriesError,
     TruncatedLaurent,
     TruncationUnderflow,
     VertexMonomial,
@@ -1097,3 +1098,41 @@ def test_multiseries_accepts_what_the_entry_scan_accepts():
     terms = {(True, 0): one, (Fraction(1, 2), 1): one}
     ref_degree_check(terms, 2, 2)
     assert MultiSeries(("a", "b"), 2, (0, 3), terms).terms == terms
+
+
+AB = MultiSeries.one(("a", "b"), 2, (0, 3))
+
+
+@pytest.mark.parametrize("make, kind, message", [
+    (lambda: MultiSeries(("a",), -1, (0, 3), {}), ValueError,
+     "degree cap must be nonnegative"),
+    (lambda: MultiSeries(("a",), 1, (2, 1), {}), TruncationUnderflow,
+     "MultiSeries: empty default window [2, 1]"),
+    (lambda: AB.mul(MultiSeries.one(("a", "c"), 2, (0, 3))), ValueError,
+     "vertex sets differ: ('a', 'b') vs ('a', 'c')"),
+    (lambda: AB.psi(0), ValueError, "psi index must be >= 1"),
+    (lambda: AB.substitute("z", VertexMonomial((1, 0)), ("a", "b")), ValueError,
+     "unknown vertex 'z' in substitution"),
+    (lambda: AB.substitute("a", VertexMonomial((1,)), ("a", "b")), ValueError,
+     "monomial exponent vector does not match output vertices"),
+    (lambda: AB.substitute("a", VertexMonomial((2, -1)), ("a", "b")), ValueError,
+     "monomial exponents must be nonnegative"),
+    (lambda: AB.substitute("a", VertexMonomial((1,)), ("a",)), ValueError,
+     "vertex 'b' missing from output vertex set ('a',)"),
+    (lambda: AB.substitute("a", VertexMonomial((1, 1)), ("a", "b"), out_cap=3), SeriesError,
+     "substitute_variable: requested cap 3 exceeds provable cap 2"),
+    (lambda: VertexMonomial((1, 0)).times(VertexMonomial((1,))), ValueError,
+     "monomials over different vertex sets"),
+    (lambda: pochhammer_inv(-1, 0, 4), ValueError, "pochhammer_inv: n must be >= 0"),
+    (lambda: pochhammer_inv(1, 5, 4), TruncationUnderflow, "pochhammer_inv: empty window [5, 4]"),
+], ids=["negative-cap", "empty-window", "mul-vertex-sets", "psi-zero", "substitute-unknown",
+        "substitute-length", "substitute-negative", "substitute-missing", "substitute-cap",
+        "times-vertex-sets", "pochhammer-negative", "pochhammer-empty-window"])
+def test_bad_arguments_raise_their_message(make, kind, message):
+    assert raised(make) == (kind, message)
+
+
+def test_pochhammer_inv_below_t0_is_zero():
+    # n = 0 gives 1, which a window ending below t^0 cannot hold
+    p0 = pochhammer_inv(0, -5, -1)
+    assert p0.is_zero() and p0.window() == (-5, -1)
