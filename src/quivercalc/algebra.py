@@ -209,36 +209,57 @@ def _loop_divisor(gens, loops, odd):
     return (c, a + c) if c < loops else None
 
 
+def _code_fields(n, degree, budget, width):
+    """{generator: its code} for every generator (v, k) with degree[v] > 0
+    and k <= budget of an n-vertex quiver: the lowest bit of the bit field,
+    `width` bits wide, that starts at bit (k * n + v) * width.  The layout
+    depends on the quiver and the width alone, not on the budget, so a
+    complement's code is the same for every component that uses it at that
+    width (see relation_rows)."""
+    return {g: 1 << ((g[1] * n + v) * width)
+            for v in range(n) if degree[v] for g in _generator_row(v, budget)}
+
+
 @lru_cache(maxsize=1024)
-def _complement_basis(quiver, degree, budget):
-    """(monomials, firsts): _basis_monomials(quiver, degree, budget) as a
-    tuple, and F(w) of each of its monomials w, as a tuple: the least
-    build key (i, j, p, t) of a relation whose leading monomial divides w,
-    and (n,), above every key of a quiver with n vertices, when there is
-    none; firsts is empty when no w has one.  Equal keys are one tuple
-    within a basis.  relation_rows reads every complement basis here, for
-    every larger component it serves.
+def _complement_basis(quiver, degree, budget, width):
+    """(codes, odds, firsts) over _basis_monomials(quiver, degree, budget),
+    as parallel tuples: each monomial w's code in fields `width` bits wide
+    (_code_fields), its odd generators in canonical order, and F(w), the
+    least build key (i, j, p, t) of a relation whose leading monomial
+    divides w, and (n,), above every key of a quiver with n vertices, when
+    there is none; firsts is empty when no w has one.  Equal keys are one
+    tuple within a basis.  relation_rows reads every complement basis here,
+    for every larger component it serves; the monomials themselves are not
+    kept, since no row reads them.
 
     The leading monomial of a relation of a pair i < j is
     g(i, t - p) g(j, p), so that pair's least divisor of w is read off the
     lowest generators of i and j in w; _loop_divisor gives a loop pair's.
     w holds degree[v] generators at each vertex v, in vertex order, so
     each vertex's generators sit at fixed positions."""
-    monomials = tuple(_basis_monomials(quiver, degree, budget))
+    monomials = _basis_monomials(quiver, degree, budget)
     if not monomials:
-        return monomials, ()
+        return (), (), ()
+    n = len(quiver)
+    field = _code_fields(n, degree, budget, width)
+    codes = tuple(sum(map(field.__getitem__, w)) for w in monomials)
+    parities = [generator_parity(quiver, v) for v in range(n)]
+    if any(parities[v] for v in range(n) if degree[v]):
+        odds = tuple(tuple(g for g in w if parities[g[0]]) for w in monomials)
+    else:
+        odds = ((),) * len(monomials)
     m = quiver.matrix
     start = list(accumulate(degree, initial=0))
     # (i, j, position of i's lowest generator, of j's for i < j or past
     # i's for a loop pair, arrows, None for i < j or the loop vertex's
     # parity); a vertex with one loop is odd, and e_i(z) e_i(z) = 0 there
     checks = [(i, j, start[i], start[j], m[i][j], None) if i != j
-              else (i, i, start[i], start[i + 1], m[i][i], generator_parity(quiver, i))
+              else (i, i, start[i], start[i + 1], m[i][i], parities[i])
               for i, j in _fitting_pairs(quiver, degree) if i != j or m[i][i] > 1]
     if not checks:
-        return monomials, ()
+        return codes, odds, ()
     keys = {}
-    none = (len(m),)
+    none = (n,)
 
     def first(w):
         for i, j, lo, hi, arrows, odd in checks:
@@ -253,13 +274,14 @@ def _complement_basis(quiver, degree, budget):
         return none
 
     firsts = tuple(map(first, monomials))
-    return monomials, firsts if min(firsts) < none else ()
+    return codes, odds, firsts if min(firsts) < none else ()
 
 
 def _kept_complements(complements, firsts, key):
-    """The complements whose rows the relation of build key `key` builds:
-    those w with F(w) >= key, F(w) given in `firsts`.  A row w f with
-    F(w) < key lies in the span of the rows built (see relation_rows)."""
+    """The complements whose rows the relation of build key `key` builds,
+    as a list: those w with F(w) >= key, F(w) given in `firsts`.  A row
+    w f with F(w) < key lies in the span of the rows built (see
+    relation_rows)."""
     return [c for c, first in zip(complements, firsts) if first >= key]
 
 
@@ -310,22 +332,26 @@ def relation_rows(quiver, degree, hdeg):
     nothing else is built.
 
     A term g(i, a) g(j, b) w, with w a canonical complement monomial, is
-    looked up by an additive integer code.  With s the component's k-weight
-    budget (so every level k <= s) and width = max(degree).bit_length(),
-    generator (v, k) owns the bit field that starts at bit
-    (v * (s + 1) + k) * width, and a monomial's code sums that field's
-    lowest bit over its generators: each field holds that generator's
-    multiplicity.  In a monomial with at most degree[v] generators at each
-    vertex v, a multiplicity never exceeds degree[v] < 2 ** width, so no
-    field carries into the next; the code gives back every multiplicity,
-    hence the canonical monomial, so it is injective.  It is additive, so
-    the code of g(i, a) g(j, b) w is w's code, computed once per complement,
-    plus the pair's code, computed once per relation term, and each term
-    costs one dict lookup.  No two terms of a coefficient name one
-    monomial, so none meet in a row.  For each odd generator of a term's
-    pair, the odd generators of w below it add one transposition each (a
-    bisection into w's odd generators), and the term vanishes when the
-    generator occurs in w.
+    looked up by an additive integer code.  With n the quiver's vertex
+    count and width = max(degree).bit_length(), generator (v, k) owns the
+    bit field that starts at bit (k * n + v) * width (_code_fields), and a
+    monomial's code sums that field's lowest bit over its generators: each
+    field holds that generator's multiplicity.  In a monomial with at most
+    degree[v] generators at each vertex v, a multiplicity never exceeds
+    degree[v] < 2 ** width, so no field carries into the next; the code
+    gives back every multiplicity, hence the canonical monomial, so it is
+    injective.  The layout does not depend on the component's k-weight
+    budget, so a complement basis keeps its codes, with its odd generators
+    and F(w), in the one basis cache (_complement_basis), keyed by the
+    width of the component it serves; the component's own basis is
+    enumerated here, uncached, and indexed by code in the same layout.  The
+    code is additive, so the code of g(i, a) g(j, b) w is w's code plus the
+    pair's code, computed once per relation term, and each term costs one
+    dict lookup.  No two terms of a coefficient name one monomial, so none
+    meet in a row.  For each odd generator of a term's pair, the odd
+    generators of w below it add one transposition each (a bisection into
+    w's odd generators), and the term vanishes when the generator occurs in
+    w.
 
     A row that the Koszul syzygies f_i f_j = +-f_j f_i make redundant is not
     built: this is the syzygy criterion of Faugere's F5 ("A new efficient
@@ -354,18 +380,11 @@ def relation_rows(quiver, degree, hdeg):
     pairs = _fitting_pairs(quiver, degree)
     if not basis or not pairs:
         return [], basis
-    support = [v for v in range(len(quiver)) if degree[v]]
     parities = tuple(generator_parity(quiver, v) for v in range(len(quiver)))
     budget = _k_budget(quiver, degree, hdeg)
     width = max(degree).bit_length()
-    stride = (budget + 1) * width
-    field = {g: 1 << (v * stride + g[1] * width)
-             for v in support for g in _generator_row(v, budget)}
-
-    def code(mon):
-        return sum(map(field.__getitem__, mon))
-
-    index = {code(mon): t for t, mon in enumerate(basis)}
+    field = _code_fields(len(quiver), degree, budget, width)
+    index = {sum(map(field.__getitem__, mon)): t for t, mon in enumerate(basis)}
     rows = []
     for i, j in pairs:
         comp_degree = list(degree)
@@ -374,21 +393,19 @@ def relation_rows(quiver, degree, hdeg):
         comp_degree = tuple(comp_degree)
         odd_i, odd_j = parities[i], parities[j]
         # complements of the relation coefficients of level sum `total`
-        # (generator levels a + b = total), of k-weight budget - total,
-        # each with its code and its odd generators, and their F(w)
-        bases = [_complement_basis(quiver, comp_degree, budget - total)
+        # (generator levels a + b = total), of k-weight budget - total
+        bases = [_complement_basis(quiver, comp_degree, budget - total, width)
                  for total in range(budget + 1)]
-        complements = [[(code(w), tuple(g for g in w if parities[g[0]])
-                         if odd_i or odd_j else ()) for w in monomials]
-                       for monomials, _ in bases]
         for p in range(m[i][j]):
             for total in range(p, budget + 1):
-                built = complements[total]
-                firsts = bases[total][1]
+                codes, odds, firsts = bases[total]
+                if not codes:
+                    continue
+                built = zip(codes, odds)
                 if firsts:
                     built = _kept_complements(built, firsts, (i, j, p, total))
-                if not built:
-                    continue
+                    if not built:
+                        continue
                 # each term with the code of its pair
                 terms = [(c, ga, gb, field[ga] + field[gb])
                          for c, ga, gb in _relation_terms(i, j, p, total, odd_i, odd_j)]

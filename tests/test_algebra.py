@@ -649,15 +649,110 @@ def test_first_divisor_keys_are_the_least_divisors():
         none = (len(quiver),)
         for degree in iter_multidegrees(len(quiver), 4):
             for budget in range(7):
-                monomials, firsts = algebra._complement_basis(quiver, degree, budget)
-                assert monomials == tuple(component_basis(
-                    quiver, degree, hdeg_of(quiver, degree, budget)))
+                codes, odds, firsts = algebra._complement_basis(
+                    quiver, degree, budget, max(degree).bit_length())
+                monomials = component_basis(quiver, degree, hdeg_of(quiver, degree, budget))
+                assert len(codes) == len(odds) == len(monomials)
                 for t, w in enumerate(monomials):
                     least = _least_divisor_key(quiver, w)
                     assert (firsts[t] if firsts else none) == (least or none), \
                         (quiver.matrix, w)
                     cases += least is not None
     assert cases > 1000
+
+
+def _layout_code(mon, n, width):
+    """A monomial's code in the per-quiver layout, from its generators:
+    (v, k) adds the lowest bit of the field at bit (k * n + v) * width."""
+    return sum(1 << ((k * n + v) * width) for v, k in mon)
+
+
+def test_monomial_codes_in_the_per_quiver_layout():
+    # complement codes at the field width of the component they serve, on
+    # random quivers with odd and even loop counts at vertex 0, which holds
+    # 4 to 8 generators (widths 3 and 4): distinct within each basis, equal
+    # to the cached entries that relation_rows left and to a fresh
+    # computation, and additive: a complement's code plus a generator
+    # pair's names their canonical product in the component's basis
+    rng = random.Random(1729)
+    widths = set()
+    loops = set()
+    full = set()
+    products = 0
+    for trial in range(40):
+        n = rng.randint(1, 3)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = rng.randint(0, 3) if i else trial % 4
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(1, 2)
+        quiver = Quiver(tuple(f"v{k}" for k in range(n)),
+                        tuple(tuple(row) for row in m))
+        parities = tuple(m[v][v] % 2 for v in range(n))
+        # an odd vertex takes distinct levels, so 4 generators need s >= 6
+        degree = ((4 if parities[0] else rng.randint(4, 8)),) + tuple(
+            rng.randint(0, 2) for _ in range(n - 1))
+        budget = rng.randint(6 if parities[0] else 0, 8)
+        width = max(degree).bit_length()
+        h = hdeg_of(quiver, degree, budget)
+        basis = component_basis(quiver, degree, h)
+        decode = {_layout_code(mon, n, width): mon for mon in basis}
+        assert len(decode) == len(basis)
+        relation_rows(quiver, degree, h)
+        for i, j in algebra._fitting_pairs(quiver, degree):
+            comp = tuple(x - (v == i) - (v == j) for v, x in enumerate(degree))
+            for total in range(budget + 1):
+                monomials = component_basis(quiver, comp, hdeg_of(quiver, comp, budget - total))
+                cached = algebra._complement_basis(quiver, comp, budget - total, width)
+                codes, odds, _ = cached
+                assert cached == algebra._complement_basis.__wrapped__(
+                    quiver, comp, budget - total, width)
+                assert codes == tuple(_layout_code(w, n, width) for w in monomials)
+                assert odds == tuple(tuple(g for g in w if parities[g[0]])
+                                     for w in monomials)
+                assert len(set(codes)) == len(codes)
+                for code, w in zip(codes, monomials):
+                    for b in range(total + 1):
+                        ga, gb = (i, total - b), (j, b)
+                        nf = normalize_word((ga, gb) + w, parities)
+                        if nf is not None:
+                            pair = _layout_code((ga, gb), n, width)
+                            assert decode[code + pair] == nf[1], (m, degree, w, ga, gb)
+                            products += 1
+                            full.add((width, max(map(nf[1].count, nf[1]))))
+        if basis:
+            widths.add(width)
+            loops.add(parities[0])
+    assert widths == {3, 4} and loops == {0, 1}
+    # products with a generator of multiplicity 4 in a 3-bit field and of
+    # multiplicity 8 in a 4-bit one, the highest each width holds
+    assert {(3, 4), (4, 8)} <= full, full
+    assert products > 5000
+
+
+def test_relation_rows_do_not_depend_on_the_cache_state():
+    # on ((2,1),(1,0)) the components (4,1) and (3,2) both read the
+    # complement bases of degree (2,1), at field widths 3 and 2: their rows
+    # are the same whichever is built first and after the basis cache is
+    # cleared, as they would not be if the cache ignored the width
+    quiver = Quiver(("a", "b"), ((2, 1), (1, 0)))
+    components = [(d, hdeg_of(quiver, d, 4)) for d in ((4, 1), (3, 2))]
+
+    def rows_of(order, clear_each):
+        algebra._complement_basis.cache_clear()
+        rows = {}
+        for degree, h in order:
+            if clear_each:
+                algebra._complement_basis.cache_clear()
+            rows[degree] = relation_rows(quiver, degree, h)
+        return rows
+
+    cold = rows_of(components, True)
+    for degree, h in components:
+        assert cold[degree][0]
+        assert cold[degree][0] == _assert_same_span(quiver, degree, h)[0]
+    assert rows_of(components, False) == cold
+    assert rows_of(components[::-1], False) == cold
 
 
 def _kept_unless_later(complements, firsts, key):
