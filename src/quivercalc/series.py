@@ -22,7 +22,11 @@ Pairs of long coefficients are multiplied by Kronecker substitution (Harvey,
 fixed-width biased digits, each pair costs one big-int product, the products
 landing on one output degree are added in packed form and unpacked once.
 Long integer pairs are packed; anything else (monomials, binomials, Fraction
-coefficients) runs the schoolbook loop.
+coefficients) runs the schoolbook loop.  A long operand keeps its packing
+shape (valuation, exponent gcd, top exponent, largest |coefficient|) in a
+slot, computed on its first product and read by every later one; a degree
+that only one packed residue class reaches is its unpacked digits, with no
+closing pass.
 
 A TruncatedLaurent's ``coeffs`` dict is never written after it is built, so
 results may share it, under one borrow rule that sums and products keep
@@ -43,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
-from operator import add
+from operator import add, itemgetter
 
 
 class SeriesError(ValueError):
@@ -77,7 +81,10 @@ def _div(a, b):
 
 
 class TruncatedLaurent:
-    __slots__ = ("coeffs", "lo", "hi")
+    # shape: None, or the _pack_shape that the product kernel cached on a
+    # long operand; it stays true because coeffs is never written after it
+    # is built
+    __slots__ = ("coeffs", "lo", "hi", "shape")
 
     def __init__(self, coeffs, lo, hi):
         if lo > hi:
@@ -93,6 +100,7 @@ class TruncatedLaurent:
         self.coeffs = clean
         self.lo = lo
         self.hi = hi
+        self.shape = None
 
     @classmethod
     def _trusted(cls, coeffs, lo, hi):
@@ -102,6 +110,7 @@ class TruncatedLaurent:
         self.coeffs = coeffs
         self.lo = lo
         self.hi = hi
+        self.shape = None
         return self
 
     @classmethod
@@ -137,7 +146,9 @@ class TruncatedLaurent:
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self):
-        return TruncatedLaurent({e: -c for e, c in self.coeffs.items()}, self.lo, self.hi)
+        # negated coefficients stay nonzero and reduced, on the same exponents
+        return TruncatedLaurent._trusted({e: -c for e, c in self.coeffs.items()},
+                                         self.lo, self.hi)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedLaurent):
@@ -338,51 +349,64 @@ def _sum_terms(parts):
 _PACK_MIN_TERMS = 12
 
 
+def _pack_shape(coeffs):
+    """(valuation, gcd of the exponent gaps from it, top exponent, largest
+    |coefficient|) of nonempty coeffs, or False when one is not an int."""
+    if set(map(type, coeffs.values())) != {int}:
+        return False
+    v = min(coeffs)
+    return v, gcd(*map(v.__rsub__, coeffs)), max(coeffs), max(map(abs, coeffs.values()))
+
+
 def _operands(pairs, cap):
-    """(multidegree, total degree, coeffs, lo, hi, valuation, packable,
-    series) of every (multidegree, TruncatedLaurent) pair with total degree
-    <= cap.  An all-zero series counts as having valuation just above its
-    window; a series is packable when it has at least _PACK_MIN_TERMS
-    coefficients, all of them ints."""
+    """(multidegree, total degree, coeffs, lo, hi, valuation, shape, series)
+    of every (multidegree, TruncatedLaurent) pair with total degree <= cap.
+    An all-zero series counts as having valuation just above its window.  A
+    series with at least _PACK_MIN_TERMS coefficients reads its _pack_shape
+    from its shape slot, computed on its first product; shape is truthy
+    exactly when the series is packable (long, with int coefficients).
+    Shorter series keep no shape: their valuation is one min()."""
     out = []
     for d, s in pairs:
         total = sum(d)
         if total <= cap:
             c = s.coeffs
-            out.append((d, total, c, s.lo, s.hi, min(c) if c else s.hi + 1,
-                        len(c) >= _PACK_MIN_TERMS and set(map(type, c.values())) == {int}, s))
+            shape = s.shape
+            if shape is None and len(c) >= _PACK_MIN_TERMS:
+                shape = s.shape = _pack_shape(c)
+            out.append((d, total, c, s.lo, s.hi,
+                        shape[0] if shape else min(c) if c else s.hi + 1, shape, s))
     return out
 
 
-def _pack(coeffs, val, step, wb, bias):
+def _pack(coeffs, val, top, step, wb, bias):
     """Kronecker form of integer coeffs: the sum of c * 2^(8 wb k) over the
-    exponents e = val + step k.  Each digit goes in biased by `bias`, which
-    makes it nonnegative; the summed bias comes off at the end."""
+    exponents e = val + step k up to top.  Each digit goes in biased by
+    `bias`, which makes it nonnegative; the summed bias comes off at the end."""
     zero = bias.to_bytes(wb, "little")
-    digits = [zero] * ((max(coeffs) - val) // step + 1)
+    digits = [zero] * ((top - val) // step + 1)
     for e, c in coeffs.items():
         digits[(e - val) // step] = (c + bias).to_bytes(wb, "little")
     return (int.from_bytes(b"".join(digits), "little")
             - int.from_bytes(zero * len(digits), "little"))
 
 
-def _unpack(acc, base, hi, step, wb, bias, coeffs):
-    """Add the nonzero digits of a packed sum, which sit at exponents
-    base + step k, into coeffs up to exponent hi.  Digits above hi are cut
+def _unpack(acc, base, hi, step, wb, bias):
+    """The nonzero digits of a packed sum, which sit at exponents base +
+    step k, up to exponent hi: a fresh dict of nonzero ints, which a degree
+    that this sum alone reaches keeps as it stands.  Digits above hi are cut
     off first: with the bias added, the digits below the cut are exact
     whatever lies above it."""
     n = (hi - base) // step + 1
     if n <= 0:
-        return
+        return {}
     zero = bias.to_bytes(wb, "little")
     low = (acc + int.from_bytes(zero * n, "little")) & ((1 << (8 * wb * n)) - 1)
     # a Struct of its own: struct.unpack would keep every format in its cache
     raw = struct.Struct(f"{wb}s" * n).unpack(low.to_bytes(wb * n, "little"))
     digits = map(int.from_bytes, raw, repeat("little"))
-    exps = range(base, base + step * n, step)
-    for e, c in zip(exps, digits):
-        if c != bias:
-            coeffs[e] = coeffs.get(e, 0) + c - bias
+    return {e: c - bias for e, c in zip(range(base, base + step * n, step), digits)
+            if c != bias}
 
 
 def _convolve(left, right, cap, hi_cap):
@@ -398,7 +422,11 @@ def _convolve(left, right, cap, hi_cap):
     _add_parts, closed by the same _closed, under the same borrow rule: a
     first contribution that is an operand times an exact 1 borrows that
     operand as it is, and the first later write, a schoolbook pair or the
-    unpacked digits, copies it into a dict of the slot's own.
+    unpacked digits, copies it into a dict of the slot's own.  A degree whose
+    only contributions are the packed sum of one residue class (no schoolbook
+    pair, nothing borrowed) is its unpacked digits as they stand: nonzero
+    ints inside the window, with nothing for _close to do.  The columns run
+    sorted by total degree, so a row stops at the first one past its budget.
 
     A pair of two packable operands (long, with int coefficients) is
     multiplied packed (Kronecker substitution): one big-int product, added in
@@ -410,22 +438,21 @@ def _convolve(left, right, cap, hi_cap):
     modulo that step add up separately.  A digit of a packed sum adds up at
     most min(#packable rows, #packable cols) pairs of at most min(span)
     products each, every product bounded by max|a| * max|b|; that bound plus
-    a sign bit is the digit width of the whole call.  Other pairs run the
-    schoolbook loop."""
+    a sign bit is the digit width of the whole call.  Every one of these
+    numbers comes from the operands' cached shapes, so no coefficient is
+    rescanned.  Other pairs run the schoolbook loop."""
     rows = _operands(left, cap)
     cols = _operands(right, cap)
-    pack_rows = [op for op in rows if op[6]]
-    pack_cols = [op for op in cols if op[6]]
+    cols.sort(key=itemgetter(1))
+    row_shapes = [op[6] for op in rows if op[6]]
+    col_shapes = [op[6] for op in cols if op[6]]
     step = wb = bias = 1
-    if pack_rows and pack_cols:
-        step = 0
-        for op in pack_rows + pack_cols:
-            step = gcd(step, *map(op[5].__rsub__, op[2]))
-        spans = [max((max(op[2]) - op[5]) // step + 1 for op in ops)
-                 for ops in (pack_rows, pack_cols)]
-        tops = [max(max(map(abs, op[2].values())) for op in ops)
-                for ops in (pack_rows, pack_cols)]
-        bound = min(len(pack_rows), len(pack_cols)) * min(spans) * tops[0] * tops[1]
+    if row_shapes and col_shapes:
+        step = gcd(*(shape[1] for shape in row_shapes + col_shapes))
+        spans = [max((shape[2] - shape[0]) // step + 1 for shape in shapes)
+                 for shapes in (row_shapes, col_shapes)]
+        tops = [max(shape[3] for shape in shapes) for shapes in (row_shapes, col_shapes)]
+        bound = min(len(row_shapes), len(col_shapes)) * min(spans) * tops[0] * tops[1]
         wb = (bound.bit_length() + 8) // 8  # one spare bit for the sign
         bias = 1 << (8 * wb - 1)
     shift = 8 * wb
@@ -438,7 +465,7 @@ def _convolve(left, right, cap, hi_cap):
         packed_a = None  # a row's packed form lives for its row only
         for d2, t2, cb, lo2, hi2, v2, pack_b, b in cols:
             if t2 > budget:
-                continue
+                break
             d = tuple(map(add, d1, d2))
             lo = lo1 + lo2
             hi = min(hi1 + v2, hi2 + v1)
@@ -456,10 +483,10 @@ def _convolve(left, right, cap, hi_cap):
                     slot[1] = hi
             if pack_a and pack_b:
                 if packed_a is None:
-                    packed_a = _pack(ca, v1, step, wb, bias)
+                    packed_a = _pack(ca, v1, pack_a[2], step, wb, bias)
                 packed_b = packed_cols.get(id(cb))
                 if packed_b is None:
-                    packed_b = packed_cols[id(cb)] = _pack(cb, v2, step, wb, bias)
+                    packed_b = packed_cols[id(cb)] = _pack(cb, v2, pack_b[2], step, wb, bias)
                 v = v1 + v2
                 sums = slot[4]
                 if sums is None:
@@ -493,12 +520,19 @@ def _convolve(left, right, cap, hi_cap):
     out = {}
     for d in list(slots):
         lo, hi, own, first, sums = slots.pop(d)
-        if own is None and (sums or first is None):
-            # unpacked digits are a write: they go into a copy of a borrowed series
-            own = {} if first is None else dict(first.coeffs)
         if sums:
-            for base, acc in sums.values():
-                _unpack(acc, base, hi, step, wb, bias, own)
+            parts = [_unpack(acc, base, hi, step, wb, bias) for base, acc in sums.values()]
+            if own is None and first is None and len(parts) == 1:
+                out[d] = TruncatedLaurent._trusted(parts[0], lo, hi)
+                continue
+            # unpacked digits are a write: they go into a copy of a borrowed series
+            if own is None:
+                own = parts.pop() if first is None else dict(first.coeffs)
+            for part in parts:
+                for e, c in part.items():
+                    own[e] = own.get(e, 0) + c
+        elif own is None and first is None:
+            own = {}
         out[d] = _closed(lo, hi, own, first)
     return out
 
@@ -652,7 +686,9 @@ class MultiSeries:
 
     def psi(self, n):
         """Adams operation: x^d t^j -> x^(n d) t^(n j).  Requires n >= 1 and a
-        zero constant term."""
+        zero constant term.  Each coefficient keeps its values, nonzero and
+        reduced, at exponents scaled into its scaled window, so it is wrapped
+        without the constructor's checks."""
         if n < 1:
             raise ValueError("psi index must be >= 1")
         _require_zero_constant(self, "pleth_psi")
@@ -665,8 +701,8 @@ class MultiSeries:
                 continue
             # t^(n*hi + n - 1) is still provable: unknown source terms land on
             # multiples of n only, and the next one sits at n*(hi+1).
-            out[nd] = TruncatedLaurent({n * e: v for e, v in c.coeffs.items()},
-                                       n * c.lo, n * c.hi + n - 1)
+            out[nd] = TruncatedLaurent._trusted({n * e: v for e, v in c.coeffs.items()},
+                                                n * c.lo, n * c.hi + n - 1)
         return MultiSeries(self.vertices, self.cap, self.window, out)
 
     def substitute(self, vertex, monomial, out_vertices, out_cap=None):
@@ -887,12 +923,14 @@ def pleth_log(series):
     |d1| = k of G is complete, one MultiSeries.mul by -F adds its terms to
     every degree above k.  These cap - 1 products multiply the degree pairs
     of a single product of two series, where the power sum took cap - 1 full
-    products.
+    products; -F, their right operand in every one, computes its packing
+    shape once (see _operands).
 
     Log = sum mu(n)/n psi_n(L), and psi_n(G)_d = (|d|/n) L_(d/n)(t^n), so
-    Log_d = (1/|d|) sum_n mu(n) psi_n(G)_d: the Moebius sum runs on G with
-    scalars mu(n) = +-1, and each coefficient takes one exact division by
-    |d| at the end.
+    Log_d = (1/|d|) sum_n mu(n) psi_n(G)_d: the Moebius sum runs on G, where
+    mu(n) = +1 adds psi_n(G) as it is and mu(n) = -1 adds its negation, so no
+    coefficient is multiplied by a scalar, and each coefficient takes one
+    exact division by |d| at the end.
 
     The windows equal those of the power sum sum (-1)^(k+1) u^k / k with
     u = F - 1.  Both sums expand into the products F_c1 ... F_cm over the
@@ -918,8 +956,8 @@ def pleth_log(series):
             _add_parts(open_sums, MultiSeries(vertices, cap, window, done)
                        .mul(minus_f).terms.items())
     grad = MultiSeries(vertices, cap, window, grad)
-    out = _sum_terms((d, c) for n in range(1, cap + 1) if _mobius(n)
-                     for d, c in grad.psi(n).scale(_mobius(n)).terms.items())
+    out = _sum_terms((d, c if mu > 0 else -c) for n in range(1, cap + 1)
+                     for mu in (_mobius(n),) if mu for d, c in grad.psi(n).terms.items())
     # the division by |d|: exact // where an int divides, else _div (a
     # Fraction, or the int it reduces to)
     terms = {}

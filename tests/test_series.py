@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -997,6 +998,213 @@ def test_unit_products_never_write_into_an_operand(monkeypatch):
             assert exact_terms(prod + a) == exact_terms(ref_add(prod, a))
         assert a.coeffs == a_before
     assert all(seen.values()), seen
+
+
+# -- cached packing shapes, the two ways a degree closes, and the Moebius sum ----
+
+def ref_shape(coeffs):
+    """The packing shape by hand: False when a coefficient is not an int,
+    else (valuation, gcd of the gaps from it, top exponent, largest |c|)."""
+    if any(type(c) is not int for c in coeffs.values()):
+        return False
+    v = min(coeffs)
+    step = 0
+    for e in coeffs:
+        step = gcd(step, e - v)
+    return v, step, max(coeffs), max(abs(c) for c in coeffs.values())
+
+
+def fresh(s):
+    """s as a new series whose shape is not computed yet."""
+    return TruncatedLaurent(dict(s.coeffs), s.lo, s.hi)
+
+
+def assert_shape_cached(s):
+    # a long series keeps the shape of its coefficients, a short one none
+    if len(s.coeffs) >= _PACK_MIN_TERMS:
+        assert s.shape == ref_shape(s.coeffs)
+    else:
+        assert s.shape is None
+
+
+def test_pack_shapes_are_cached_and_read_warm():
+    # int and Fraction operands, short and long, on every exponent or one
+    # residue class (steps 2 and 3) and with valuations far apart: a product
+    # matches the reference whether its operands' shapes start cold or warm
+    rng = random.Random(31337)
+    seen = dict.fromkeys(("packed", "fraction", "short", "step"), 0)
+    for _ in range(300):
+        lo_a, lo_b = rng.choice((((-30, 10), (-30, 10)), ((-400, -300), (300, 400)),
+                                 ((0, 0), (-1, 1))))
+        a, b = rand_operand(rng, lo_range=lo_a), rand_operand(rng, lo_range=lo_b)
+        hi_cap = rng.choice((None, None, rng.randint(-60, 120)))
+        # cold, warm, one of each, and the other way round
+        for x, y in ((a, b), (a, b), (fresh(a), b), (b, a)):
+            want = product_or_error(ref_laurent_mul, x, y, hi_cap)
+            got = product_or_error(TruncatedLaurent.mul, x, y, hi_cap)
+            if want == "underflow":
+                assert got == "underflow"
+            else:
+                assert exact_terms(got) == exact_terms(want)
+        for s in (a, b):
+            assert_shape_cached(s)
+            seen["packed"] += bool(s.shape)
+            seen["fraction"] += s.shape is False
+            seen["short"] += s.shape is None
+            seen["step"] += bool(s.shape) and s.shape[1] > 1
+    assert all(seen.values()), seen
+
+
+def test_a_reused_operand_matches_against_every_digit_width(monkeypatch):
+    # one operand is the right factor of products whose other factors need
+    # digits of very different widths, as -F is in every product of pleth_log:
+    # its cached shape must give the right width each time
+    packed = pack_spy(monkeypatch)
+    rng = random.Random(4242)
+    for _ in range(10):
+        minus_f = long_operand(rng, "small", lo_range=(0, 4))
+        right = MultiSeries(("a",), 6, (0, 60), {(k,): long_operand(rng, "small", (0, 4))
+                                                 for k in range(1, 4)})
+        for kind in ("small", "big", "small", "big", "fraction", "small"):
+            partner = long_operand(rng, kind)
+            packed.clear()
+            assert exact_terms(partner.mul(minus_f)) == exact_terms(
+                ref_laurent_mul(partner, minus_f))
+            assert bool(packed) == (kind != "fraction")
+            left = MultiSeries(("a",), 6, (-20, 60), {(k,): long_operand(rng, kind)
+                                                     for k in range(1, 3)})
+            assert same_series(left.mul(right), ref_series_mul(left, right))
+            assert_shape_cached(minus_f)
+            assert all(s.shape == ref_shape(s.coeffs) for s in right.terms.values())
+
+
+def closed_spy(monkeypatch):
+    """Record every series _closed returns; returns the list."""
+    closed = []
+    real = series_module._closed
+
+    def spy(*args):
+        got = real(*args)
+        closed.append(got)
+        return got
+
+    monkeypatch.setattr(series_module, "_closed", spy)
+    return closed
+
+
+def assert_sound(s):
+    # no stored zero, no exponent outside the window, no integral Fraction
+    assert all(c != 0 and s.lo <= e <= s.hi for e, c in s.coeffs.items()), s
+    assert all(type(c) is int or c.denominator != 1 for c in s.coeffs.values()), s
+
+
+def test_packed_only_degrees_close_without_a_rescan(monkeypatch):
+    # a degree reached by one packed residue class alone is its unpacked
+    # digits; two classes, a packed and a schoolbook pair, or a borrowed
+    # first part and a packed pair are closed by _closed
+    closed = closed_spy(monkeypatch)
+    packed = pack_spy(monkeypatch)
+    even = [TruncatedLaurent({e: (e * 7) % 11 - 5 or 1 for e in range(s, 70, 2)}, s - 2, 70)
+            for s in (0, 2, 4)]
+    odd = TruncatedLaurent({e: 3 - e for e in range(1, 61, 2)}, -1, 61)
+    short = TruncatedLaurent({0: 2, 3: -1}, 0, 40)
+    one = TruncatedLaurent.one(-4, 80)
+    x = MultiSeries(("a", "b"), 2, (-4, 60), {(0, 0): one, (1, 0): even[0], (0, 1): odd})
+    y = MultiSeries(("a", "b"), 2, (-4, 60), {(0, 0): even[1], (1, 0): even[2], (0, 1): short})
+    got = x.mul(y)
+    assert same_series(got, ref_series_mul(x, y))
+    assert packed
+    fast = {d for d, c in got.terms.items() if not any(c is s for s in closed)}
+    # (2, 0): even * even only; (1, 0): 1 * even borrowed, then even * even;
+    # (1, 1): even * short in the schoolbook loop beside odd * even packed
+    assert fast == {(2, 0)}
+    # (1, 1) of the product of {(1, 0): even, (0, 1): odd} with two evens
+    # holds both parities, which add up as two packed sums
+    x = MultiSeries(("a", "b"), 2, (-4, 60), {(1, 0): even[0], (0, 1): odd})
+    y = MultiSeries(("a", "b"), 2, (-4, 60), {(1, 0): even[1], (0, 1): even[2]})
+    closed.clear()
+    got = x.mul(y)
+    assert same_series(got, ref_series_mul(x, y))
+    assert {d for d, c in got.terms.items() if not any(c is s for s in closed)} == {
+        (2, 0), (0, 2)}
+    for c in got.terms.values():
+        assert_sound(c)
+    # Laurent products of long int operands under hi caps that cut the
+    # packed digits anywhere, and random products of every operand shape
+    rng = random.Random(7919)
+    seen_fast = seen_closed = 0
+    for _ in range(200):
+        a, b = rand_operand(rng), rand_operand(rng)
+        hi_cap = rng.choice((None, rng.randint(-60, 120)))
+        closed.clear()
+        got = product_or_error(TruncatedLaurent.mul, a, b, hi_cap)
+        want = product_or_error(ref_laurent_mul, a, b, hi_cap)
+        if want == "underflow":
+            assert got == "underflow"
+            continue
+        assert exact_terms(got) == exact_terms(want)
+        assert_sound(got)
+        seen_fast += not closed
+        seen_closed += bool(closed)
+    for _ in range(30):
+        x, y = unit_operand_series(rng), unit_operand_series(rng)
+        got = x.mul(y)
+        assert same_series(got, ref_series_mul(x, y))
+        for c in got.terms.values():
+            assert_sound(c)
+    assert seen_fast and seen_closed
+
+
+def fraction_log_input(rng, vertices, cap, window=(-6, 24)):
+    """A series with constant term 1 whose other degrees hold Fraction
+    coefficients (some integral, so they enter as ints), some long enough
+    to be packed if they were ints."""
+    terms = {(0,) * len(vertices): TruncatedLaurent.one(*window)}
+    for d in iter_multidegrees(len(vertices), cap):
+        if any(d) and rng.random() < 0.9:
+            coeffs = {e: Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+                      for e in range(window[0], window[1] + 1) if rng.random() < 0.6}
+            terms[d] = TruncatedLaurent(coeffs, *window)
+    return MultiSeries(vertices, cap, window, terms)
+
+
+def test_pleth_log_of_fraction_coefficients_matches_power_sum_reference():
+    # cap 7 on one vertex and cap 6 on two: degree 6 takes psi_2, psi_3
+    # (mu = -1) and psi_6 (mu = +1), degree 5 psi_5 (mu = -1)
+    rng = random.Random(1729)
+    for vertices, cap in ((("a",), 7), (("a",), 7), (("a", "b"), 6)):
+        s = fraction_log_input(rng, vertices, cap)
+        got = pleth_log(s)
+        assert same_series(got, ref_pleth_log(s))
+        for c in got.terms.values():
+            assert_sound(c)
+        assert any(type(v) is Fraction for c in got.terms.values() for v in c.coeffs.values())
+        reached = {sum(d) for d, c in got.terms.items() if not c.is_zero()}
+        assert {2, 3, 5, 6} <= reached
+
+
+def test_psi_and_negation_keep_the_window():
+    rng = random.Random(577)
+    s = fraction_log_input(rng, ("a", "b"), 6)
+    s = MultiSeries(s.vertices, s.cap, s.window,
+                    {d: c for d, c in s.terms.items() if any(d)})
+    for n in range(1, 7):
+        image = s.psi(n)
+        for d, c in s.terms.items():
+            nd = tuple(n * x for x in d)
+            if sum(nd) > s.cap:
+                assert nd not in image.terms
+                continue
+            got = image.terms[nd]
+            assert (got.lo, got.hi) == (n * c.lo, n * c.hi + n - 1)
+            assert got.coeffs == {n * e: v for e, v in c.coeffs.items()}
+            assert_sound(got)
+    for c in s.terms.values():
+        neg = -c
+        assert neg.window() == c.window()
+        assert neg.coeffs == {e: -v for e, v in c.coeffs.items()}
+        assert_sound(neg)
+        assert exact_terms(neg + c) == exact_terms(TruncatedLaurent.zero(c.lo, c.hi))
 
 
 # -- comparison and validation against entry-by-entry references -----------------
