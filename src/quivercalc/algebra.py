@@ -593,7 +593,7 @@ def _poincare_series(quiver, order, window):
         counts = partition_product_coeffs(parts, top) if top >= 0 else ()
         coeffs = {base + 2 * (deg_f + j): sign * c for j, c in enumerate(counts) if c}
         terms[d] = TruncatedLaurent(coeffs, min(wlo, base), whi)
-    return MultiSeries(quiver.vertices, order, window, terms)
+    return MultiSeries._trusted(quiver.vertices, order, (wlo, whi), terms)
 
 
 _NOTHING_COMPARED = ("every dimension with |d| >= 1 in range is zero; only the "

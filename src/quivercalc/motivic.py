@@ -47,7 +47,7 @@ class Conventions:
         preset = obj.get("preset")
         if preset is not None:
             presets = {"calibrated": CALIBRATED, "printed": PRINTED}
-            if preset not in presets:
+            if not isinstance(preset, str) or preset not in presets:
                 raise ValueError(f"unknown conventions preset {preset!r}")
             data.update(presets[preset])
         for key in ("link_qpow", "unlink_qpow"):
@@ -132,6 +132,8 @@ def _motivic_sides(order, window, *sides):
     wlo, whi = window
     if wlo > whi:
         raise ValueError(f"motivic_series: empty window [{wlo}, {whi}]")
+    if order < 0:
+        raise ValueError("degree cap must be nonnegative")
     layouts = []
     shared = {}  # (parts, chi) -> the coefficient of every degree with that key
     for quiver, degrees in sides:
@@ -171,8 +173,8 @@ def _motivic_sides(order, window, *sides):
         shared[parts, chi] = TruncatedLaurent._trusted(
             {e - chi: sign * c for e, c in coeffs.items() if e <= hi},
             (len(parts) + 1) * lo - chi, whi)
-    return [MultiSeries(vertices, order, (wlo, whi),
-                        {d: shared[key] for d, key in layout})
+    return [MultiSeries._trusted(vertices, order, (wlo, whi),
+                                 {d: shared[key] for d, key in layout})
             for vertices, layout in layouts]
 
 
@@ -249,8 +251,8 @@ def _verify_substitution_identity(kind, quiver, a, b, order, window,
         # constants are caught there, from the degrees D with |D| + k <= 2,
         # the only ones that land there, without the full substitution
         low = min(2, order)
-        low_rhs = MultiSeries(rhs.vertices, low, window,
-                              {d: c for d, c in rhs.terms.items() if sum(d) + d[-1] <= low})
+        low_rhs = MultiSeries._trusted(rhs.vertices, low, rhs.window, {
+            d: c for d, c in rhs.terms.items() if sum(d) + d[-1] <= low})
 
         def scan_fails(power):
             return bool(lhs.first_mismatches(substituted(power, low_rhs, low), limit=1)

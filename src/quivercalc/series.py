@@ -37,6 +37,10 @@ the slot's own, and a borrowed series is copied at the close only when the
 degree's hi cuts below its own.  A kernel writes only into a dict it
 created.  Nothing may depend on dict order; every rendering sorts by
 exponent.
+
+One construction rule holds for series: the public constructors check their
+input, and a series the package builds (a sum, product, Adams operation,
+substitution or plethystic logarithm) is wrapped by ``_trusted`` unchecked.
 """
 
 from __future__ import annotations
@@ -585,17 +589,6 @@ def iter_multidegrees(nvars, max_total):
             last = nvars - 1 if v > 1 else last - 1
 
 
-def _degrees_fit(degrees, n, cap):
-    """Whether every degree has n entries, none negative, summing to at most
-    cap, in whole-collection passes; False, never an error, when a pass
-    cannot tell, so that the caller's entry-by-entry check decides."""
-    try:
-        return (set(map(len, degrees)) == {n} and max(map(sum, degrees)) <= cap
-                and (n == 0 or min(map(min, degrees)) >= 0))
-    except (TypeError, ValueError):
-        return False
-
-
 class MultiSeries:
     """A multivariate power series truncated at a total-degree cap, with
     TruncatedLaurent coefficients.
@@ -605,6 +598,9 @@ class MultiSeries:
     cap or raises, so absence is proof, not ignorance.  The default window is
     the materialization target the series was built on; individual
     coefficients carry their own provable windows.
+
+    The constructor checks the cap, the window and each multidegree, and
+    copies terms; a series the package builds is wrapped by _trusted.
     """
 
     __slots__ = ("vertices", "cap", "window", "terms")
@@ -615,17 +611,20 @@ class MultiSeries:
         lo, hi = window
         if lo > hi:
             raise TruncationUnderflow(f"MultiSeries: empty default window [{lo}, {hi}]")
-        self.vertices = tuple(vertices)
-        self.cap = cap
-        self.window = (lo, hi)
-        n = len(self.vertices)
-        if terms and not _degrees_fit(terms, n, cap):
-            # the entry-by-entry pass names the first bad degree, or raises
-            # what comparing its entries raises
-            for d in terms:
-                if len(d) != n or any(x < 0 for x in d) or sum(d) > cap:
-                    raise ValueError(f"bad multidegree {d} for cap {cap} over {n} variables")
-        self.terms = dict(terms)
+        vertices = tuple(vertices)
+        n = len(vertices)
+        for d in terms:
+            if len(d) != n or any(x < 0 for x in d) or sum(d) > cap:
+                raise ValueError(f"bad multidegree {d} for cap {cap} over {n} variables")
+        self.vertices, self.cap, self.window, self.terms = vertices, cap, (lo, hi), dict(terms)
+
+    @classmethod
+    def _trusted(cls, vertices, cap, window, terms):
+        """Take over terms known to fit (tuple vertices and window, cap >= 0,
+        every degree in range), with no check and no copy."""
+        self = cls.__new__(cls)
+        self.vertices, self.cap, self.window, self.terms = vertices, cap, window, terms
+        return self
 
     @classmethod
     def zero(cls, vertices, cap, window):
@@ -659,19 +658,17 @@ class MultiSeries:
             return NotImplemented
         self._require_same_vertices(other)
         cap = min(self.cap, other.cap)
-        window = (min(self.window[0], other.window[0]),
-                  min(self.window[1], other.window[1]))
-        return MultiSeries(self.vertices, cap, window, _sum_terms(
+        window = tuple(map(min, self.window, other.window))
+        return MultiSeries._trusted(self.vertices, cap, window, _sum_terms(
             (d, c) for terms in (self.terms, other.terms)
             for d, c in terms.items() if sum(d) <= cap))
 
     def mul(self, other):
         self._require_same_vertices(other)
         cap = min(self.cap, other.cap)
-        window = (min(self.window[0], other.window[0]),
-                  min(self.window[1], other.window[1]))
-        return MultiSeries(self.vertices, cap, window,
-                           _convolve(self.terms.items(), other.terms.items(), cap, None))
+        window = tuple(map(min, self.window, other.window))
+        return MultiSeries._trusted(self.vertices, cap, window,
+                                    _convolve(self.terms.items(), other.terms.items(), cap, None))
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
@@ -679,8 +676,8 @@ class MultiSeries:
         return self.mul(other)
 
     def scale(self, c):
-        return MultiSeries(self.vertices, self.cap, self.window,
-                           {d: v.scale(c) for d, v in self.terms.items()})
+        return MultiSeries._trusted(self.vertices, self.cap, self.window,
+                                    {d: v.scale(c) for d, v in self.terms.items()})
 
     # -- structural operations ------------------------------------------------
 
@@ -688,7 +685,7 @@ class MultiSeries:
         """Adams operation: x^d t^j -> x^(n d) t^(n j).  Requires n >= 1 and a
         zero constant term.  Each coefficient keeps its values, nonzero and
         reduced, at exponents scaled into its scaled window, so it is wrapped
-        without the constructor's checks."""
+        without the constructor's checks, and so is the series."""
         if n < 1:
             raise ValueError("psi index must be >= 1")
         _require_zero_constant(self, "pleth_psi")
@@ -703,7 +700,7 @@ class MultiSeries:
             # multiples of n only, and the next one sits at n*(hi+1).
             out[nd] = TruncatedLaurent._trusted({n * e: v for e, v in c.coeffs.items()},
                                                 n * c.lo, n * c.hi + n - 1)
-        return MultiSeries(self.vertices, self.cap, self.window, out)
+        return MultiSeries._trusted(self.vertices, self.cap, self.window, out)
 
     def substitute(self, vertex, monomial, out_vertices, out_cap=None):
         """Substitute x_vertex -> x^monomial.exponents * q^(qpow/2), mapping
@@ -731,10 +728,7 @@ class MultiSeries:
         # only variable they map to out-degree > cap*deg; otherwise a term
         # avoiding it entirely maps degree-preservingly, so only out-degrees
         # <= cap are provable.
-        if len(self.vertices) == 1:
-            max_valid = (self.cap + 1) * deg - 1
-        else:
-            max_valid = self.cap
+        max_valid = (self.cap + 1) * deg - 1 if len(self.vertices) == 1 else self.cap
         cap = max_valid if out_cap is None else out_cap
         if cap > max_valid:
             raise SeriesError(
@@ -766,7 +760,9 @@ class MultiSeries:
                             nd[j] += k * ej
                 yield tuple(nd), c.shift(qpow * k)
 
-        return MultiSeries(out_vertices, cap, self.window, _sum_terms(landed()))
+        if cap < 0:
+            raise ValueError("degree cap must be nonnegative")
+        return MultiSeries._trusted(out_vertices, cap, self.window, _sum_terms(landed()))
 
     # -- comparison -----------------------------------------------------------
 
@@ -941,8 +937,8 @@ def pleth_log(series):
     leaves a window as it is."""
     _require_constant_one(series, "pleth_log")
     cap, vertices, window = series.cap, series.vertices, series.window
-    minus_f = MultiSeries(vertices, cap, window,
-                          {d: -c for d, c in series.terms.items() if any(d)})
+    minus_f = MultiSeries._trusted(vertices, cap, window,
+                                   {d: -c for d, c in series.terms.items() if any(d)})
     # G_d starts as |d| F_d; once the slice |d1| = k of G is closed, one
     # product with -F adds its terms into the open sum of every degree above
     # k, which is closed when its own slice k = |d| is reached
@@ -953,9 +949,9 @@ def pleth_log(series):
         done = {d: _closed(*open_sums.pop(d)) for d in [d for d in open_sums if sum(d) == k]}
         grad.update(done)
         if k < cap:
-            _add_parts(open_sums, MultiSeries(vertices, cap, window, done)
+            _add_parts(open_sums, MultiSeries._trusted(vertices, cap, window, done)
                        .mul(minus_f).terms.items())
-    grad = MultiSeries(vertices, cap, window, grad)
+    grad = MultiSeries._trusted(vertices, cap, window, grad)
     out = _sum_terms((d, c if mu > 0 else -c) for n in range(1, cap + 1)
                      for mu in (_mobius(n),) if mu for d, c in grad.psi(n).terms.items())
     # the division by |d|: exact // where an int divides, else _div (a
@@ -966,4 +962,4 @@ def pleth_log(series):
         terms[d] = TruncatedLaurent._trusted(
             {e: v // n if type(v) is int and not v % n else _div(v, n)
              for e, v in c.coeffs.items()}, c.lo, c.hi)
-    return MultiSeries(vertices, cap, window, terms)
+    return MultiSeries._trusted(vertices, cap, window, terms)

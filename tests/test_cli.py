@@ -252,12 +252,17 @@ DEEP_JSON = "[" * 100_000 + "]" * 100_000
      "{bad}: conventions config must be a JSON object"),
     (DEEP_JSON, ("verify", "linking", "{A2}", "a", "b", "--config", "{bad}"),
      "{bad}: invalid JSON ("),
+    ('{"preset": ["printed"]}', ("verify", "linking", "{A2}", "a", "b", "--config", "{bad}"),
+     "{bad}: unknown conventions preset ['printed']"),
+    ('{"preset": {}}', ("verify", "linking", "{A2}", "a", "b", "--config", "{bad}"),
+     "{bad}: unknown conventions preset {{}}"),
     ("{}", ("verify", "unlinking", "{MIX3}", "a", "c"),
      "unlink requires at least one arrow between 'a' and 'c'"),
     ("{}", ("verify", "homology", "{MIX3}", "a", "c"),
      "unlink requires at least one arrow between 'a' and 'c'"),
 ], ids=["no-matrix", "vertices-not-list", "row-not-list", "truncated", "deep-quiver",
-        "config-not-object", "deep-config", "unlink-without-arrow",
+        "config-not-object", "deep-config", "preset-list", "preset-object",
+        "unlink-without-arrow",
         "homology-without-arrow"])
 def test_bad_input_exits_two_with_one_line(tmp_path, text, argv, message):
     bad = tmp_path / "bad.json"

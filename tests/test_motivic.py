@@ -122,6 +122,10 @@ def test_conventions_from_dict_validation():
     assert c.link_qpow == -2 and c.unlink_qpow == 0
     with pytest.raises(ValueError):
         Conventions.from_dict({"preset": "nope"})
+    # a preset that is not a string is unknown too, not an unhashable key
+    for preset in (["printed"], {}, 1):
+        with pytest.raises(ValueError, match="unknown conventions preset"):
+            Conventions.from_dict({"preset": preset})
     with pytest.raises(ValueError):
         Conventions.from_dict({"link_qpow": True})
     with pytest.raises(ValueError):

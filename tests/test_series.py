@@ -7,7 +7,12 @@ from math import gcd
 
 import pytest
 
+from test_dt import random_symmetric_quiver
+
 import quivercalc.series as series_module
+from quivercalc import algebra, motivic
+from quivercalc.dt import dt_extract, dt_window
+from quivercalc.quiver import Quiver, link, unlink
 from quivercalc.series import (
     _PACK_MIN_TERMS,
     MultiSeries,
@@ -1308,6 +1313,68 @@ def test_multiseries_accepts_what_the_entry_scan_accepts():
     assert MultiSeries(("a", "b"), 2, (0, 3), terms).terms == terms
 
 
+def assert_fits(s):
+    """What MultiSeries._trusted takes on trust: tuple vertices and window,
+    and degrees that pass the constructor's entry-by-entry check."""
+    assert type(s.vertices) is tuple and type(s.window) is tuple, s
+    ref_degree_check(s.terms, len(s.vertices), s.cap)
+
+
+def test_every_series_the_package_builds_passes_the_entry_scan(monkeypatch):
+    # the kernels wrap what they build with MultiSeries._trusted, unchecked:
+    # each result must pass the check the public constructor makes
+    terms = {}
+    assert MultiSeries._trusted(("a",), 0, (0, 1), terms).terms is terms
+    wrapped = []
+    trusted = MultiSeries._trusted.__func__
+
+    def spy(cls, vertices, cap, window, terms):
+        wrapped.append(trusted(cls, vertices, cap, window, terms))
+        return wrapped[-1]
+    monkeypatch.setattr(MultiSeries, "_trusted", classmethod(spy))
+    rng = random.Random(4243)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        vertices = tuple("abc"[:n])
+        cap = rng.randint(0, 4)
+        window = [rng.randint(-6, 0), rng.randint(1, 8)]
+        x = rand_multiseries(rng, vertices, cap, window)
+        y = rand_multiseries(rng, vertices, rng.randint(0, 4), [window[0] - 1, window[1]])
+        f = rand_multiseries(rng, vertices, cap, window, zero_constant=True)
+        built = [x.mul(y), x + y, x.scale(Fraction(1, 3)), x.scale(0),
+                 pleth_log(rand_multiseries(rng, vertices, cap, window, unit_constant=True))]
+        built += [f.psi(k) for k in range(1, cap + 2)]
+        out_vertices = vertices[1:] + ("z",)
+        expo = [rng.randint(0, 2) for _ in out_vertices]
+        expo[rng.randrange(n)] += 1
+        mono = VertexMonomial(tuple(expo), rng.randint(-2, 2))
+        built += [f.substitute("a", mono, out_vertices),
+                  f.substitute("a", mono, out_vertices, out_cap=rng.randint(0, cap))]
+        quiver = random_symmetric_quiver(rng, n)
+        order = rng.randint(0, 4)
+        built += [motivic.motivic_series(quiver, order, window),
+                  algebra._poincare_series(quiver, order, window)]
+        if n > 1 and quiver.arrows("a", "b"):
+            transformed = rng.choice((link, unlink))(quiver, "a", "b")
+            built += motivic._motivic_sides(
+                order, window, (quiver, iter_multidegrees(n, order)),
+                (transformed, motivic._read_degrees(n, order)))
+        for s in built:
+            assert_fits(s)
+    # every wrap inside the checks, the calibrated scan's cap-2 slice of the
+    # four-vertex right-hand side among them
+    del wrapped[:]
+    mix3 = Quiver(("a", "b", "c"), ((1, 1, 0), (1, 0, 2), (0, 2, 1)))
+    motivic.verify_link_identity(mix3, "a", "b", 4, calibrate=True)
+    motivic.verify_unlink_identity(mix3, "b", "c", 4, calibrate=True)
+    motivic.verify_diagonalization(mix3, 3)
+    algebra.poincare_check(mix3, 3)
+    dt_extract(motivic.motivic_series(mix3, 4, dt_window(mix3, 4)))
+    assert any(len(s.vertices) == 4 and s.cap == 2 for s in wrapped)
+    for s in wrapped:
+        assert_fits(s)
+
+
 AB = MultiSeries.one(("a", "b"), 2, (0, 3))
 
 
@@ -1329,13 +1396,20 @@ AB = MultiSeries.one(("a", "b"), 2, (0, 3))
      "vertex 'b' missing from output vertex set ('a',)"),
     (lambda: AB.substitute("a", VertexMonomial((1, 1)), ("a", "b"), out_cap=3), SeriesError,
      "substitute_variable: requested cap 3 exceeds provable cap 2"),
+    # a built series skips the constructor, so a caller that takes its cap
+    # from an argument rejects a negative one itself
+    (lambda: AB.substitute("a", VertexMonomial((1, 1)), ("a", "b"), out_cap=-1), ValueError,
+     "degree cap must be nonnegative"),
+    (lambda: motivic.motivic_series(Quiver(("a",), ((1,),)), -1, (0, 3)), ValueError,
+     "degree cap must be nonnegative"),
     (lambda: VertexMonomial((1, 0)).times(VertexMonomial((1,))), ValueError,
      "monomials over different vertex sets"),
     (lambda: pochhammer_inv(-1, 0, 4), ValueError, "pochhammer_inv: n must be >= 0"),
     (lambda: pochhammer_inv(1, 5, 4), TruncationUnderflow, "pochhammer_inv: empty window [5, 4]"),
 ], ids=["negative-cap", "empty-window", "mul-vertex-sets", "psi-zero", "substitute-unknown",
         "substitute-length", "substitute-negative", "substitute-missing", "substitute-cap",
-        "times-vertex-sets", "pochhammer-negative", "pochhammer-empty-window"])
+        "substitute-negative-cap", "motivic-negative-order", "times-vertex-sets",
+        "pochhammer-negative", "pochhammer-empty-window"])
 def test_bad_arguments_raise_their_message(make, kind, message):
     assert raised(make) == (kind, message)
 
